@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .routing import tokenize
 from .tensor import Matrix
 
 FORMAT_WORD = 0  # single word / short phrase
@@ -249,55 +250,160 @@ def write_stream(
                     f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+_TASK_KEYS = ("task_id", "class_count", "format_id", "templates", "cluster_stddev", "cluster_means")
+_RECORD_KEYS = ("task_id", "split", "visual", "instruction", "answer_class", "format_id")
+_SPLITS = ("train", "test")
+
+
+def _fields(obj, keys: tuple[str, ...], what: str) -> list:
+    """The values of `keys` in a JSON object; ValueError if one is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [obj[k] for k in keys]
+
+
+def _int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """An integer in [lo, hi); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        bound = f"[{lo}, {hi})" if hi is not None else f">= {lo}"
+        raise ValueError(f"{name} {value} out of range {bound}")
+    return value
+
+
+def _finite(value, name: str, ndim: int) -> np.ndarray:
+    """A non-empty array of finite numbers with `ndim` dimensions."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not an array of numbers") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite values")
+    return arr
+
+
+def _task_spec(entry) -> TaskSpec:
+    """One manifest task entry, type-checked."""
+    task_id, class_count, format_id, templates, stddev, means = _fields(
+        entry, _TASK_KEYS, "task entry"
+    )
+    task_id = _int(task_id, "task_id")
+    if not (isinstance(templates, list) and templates
+            and all(isinstance(t, str) and t.strip() for t in templates)):
+        raise ValueError(f"task {task_id}: templates must be a non-empty list of texts")
+    if isinstance(stddev, bool) or not isinstance(stddev, (int, float)) or not np.isfinite(stddev):
+        raise ValueError(f"task {task_id}: cluster_stddev must be a finite number")
+    return TaskSpec(
+        task_id=task_id,
+        class_count=_int(class_count, f"task {task_id}: class_count", lo=1),
+        visual_cluster_means=_finite(means, f"task {task_id}: cluster_means", ndim=2),
+        cluster_stddev=float(stddev),
+        instruction_templates=list(templates),
+        format_id=_int(format_id, f"task {task_id}: format_id"),
+    )
+
+
+def _instance(
+    rec, specs: dict[int, TaskSpec], d_v: int, emb_dim: int | None
+) -> tuple[str, TaskInstance]:
+    """One record checked against its task; returns (split, instance)."""
+    task_id, split, visual, text, answer_class, format_id = _fields(rec, _RECORD_KEYS, "record")
+    spec = specs.get(_int(task_id, "task_id"))
+    if spec is None:
+        raise ValueError(f"unknown task_id {task_id}")
+    if split not in _SPLITS:
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    visual = _finite(visual, "visual", ndim=1)
+    if visual.shape[0] != d_v:
+        raise ValueError(f"visual has {visual.shape[0]} entries, the task table has d_v {d_v}")
+    if not isinstance(text, str):
+        raise ValueError("instruction must be a text")
+    if _int(format_id, "format_id") != spec.format_id:
+        raise ValueError(f"format_id {format_id} != task {task_id}'s format_id {spec.format_id}")
+    emb = rec.get("embedding")
+    if emb is not None:
+        emb = _finite(emb, "embedding", ndim=1)
+        if emb_dim is not None and emb.shape[0] != emb_dim:
+            raise ValueError(f"embedding has {emb.shape[0]} entries, earlier ones {emb_dim}")
+        emb = Matrix._wrap(emb.reshape(-1, 1))
+    return split, TaskInstance(
+        task_id=task_id,
+        visual=visual,
+        instruction_text=text,
+        answer_class=_int(answer_class, "answer_class", hi=spec.class_count),
+        format_id=format_id,
+        instruction_embedding=emb,
+    )
+
+
 def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]]]:
-    """Read a stream file back into (manifest, [(spec, train, test), ...])."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    """Read a stream file back into (manifest, [(spec, train, test), ...]).
+
+    Every record is checked against the manifest's task table as it loads:
+    known task, split, visual width, label ranges, format tag, finite values
+    and one embedding width. Any fault raises FormatError naming its line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8", offset=exc.start) from None
     if not lines:
         raise FormatError(f"{path}: empty stream file", line=1)
     try:
         manifest = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: manifest is not valid JSON: {exc}", line=1) from None
-    if "tasks" not in manifest:
+    if not isinstance(manifest, dict) or "tasks" not in manifest:
         raise FormatError(f"{path}: manifest has no task table", line=1)
-    specs = {}
-    for entry in manifest["tasks"]:
-        spec = TaskSpec(
-            task_id=entry["task_id"],
-            class_count=entry["class_count"],
-            visual_cluster_means=np.array(entry["cluster_means"], dtype=np.float64),
-            cluster_stddev=entry["cluster_stddev"],
-            instruction_templates=list(entry["templates"]),
-            format_id=entry["format_id"],
-        )
-        specs[spec.task_id] = spec
+    specs: dict[int, TaskSpec] = {}
+    try:
+        if not isinstance(manifest["tasks"], list) or not manifest["tasks"]:
+            raise ValueError("the task table must be a non-empty list")
+        for entry in manifest["tasks"]:
+            spec = _task_spec(entry)
+            if spec.task_id in specs:
+                raise ValueError(f"task_id {spec.task_id} appears twice")
+            specs[spec.task_id] = spec
+        widths = {spec.visual_cluster_means.shape[1] for spec in specs.values()}
+        if len(widths) != 1:
+            raise ValueError(f"tasks disagree on the visual width: {sorted(widths)}")
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad task table: {exc}", line=1) from None
+    (d_v,) = widths
+    emb_dim: int | None = None
+    to_embed: dict[str, int] = {}  # instruction -> first line; texts repeat heavily
     buckets: dict[int, dict[str, list[TaskInstance]]] = {
-        tid: {"train": [], "test": []} for tid in specs
+        tid: {split: [] for split in _SPLITS} for tid in specs
     }
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            split, inst = _instance(json.loads(line), specs, d_v, emb_dim)
+        except ValueError as exc:  # json.JSONDecodeError included
             raise FormatError(f"{path}: bad instance record: {exc}", line=lineno) from None
-        try:
-            emb = rec.get("embedding")
-            inst = TaskInstance(
-                task_id=rec["task_id"],
-                visual=np.array(rec["visual"], dtype=np.float64),
-                instruction_text=rec["instruction"],
-                answer_class=rec["answer_class"],
-                format_id=rec["format_id"],
-                instruction_embedding=(
-                    Matrix(np.array(emb, dtype=np.float64).reshape(-1, 1)) if emb is not None else None
-                ),
+        if inst.instruction_embedding is not None:
+            emb_dim = inst.instruction_embedding.rows
+        else:
+            to_embed.setdefault(inst.instruction_text, lineno)
+        buckets[inst.task_id][split].append(inst)
+    for text, lineno in to_embed.items():
+        if not tokenize(text):
+            raise FormatError(
+                f"{path}: instruction {text!r} has no letters or digits to embed", line=lineno
             )
-            split = rec["split"]
-            buckets[inst.task_id][split].append(inst)
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: bad instance record: {exc}", line=lineno) from None
+    for tid in sorted(specs):
+        for split in _SPLITS:
+            if not buckets[tid][split]:
+                raise FormatError(f"{path}: task {tid} has no {split} records", line=1)
     return manifest, [
         (specs[tid], buckets[tid]["train"], buckets[tid]["test"]) for tid in sorted(specs)
     ]

@@ -10,7 +10,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -97,7 +96,6 @@ _CONFIG_FLAGS = {
     "batch_size": "batch_size",
     "epochs": "epochs",
     "seed": "seed",
-    "threads": "threads",
 }
 
 
@@ -121,8 +119,6 @@ def _build_config(args) -> harness.RunConfig:
         raise UsageError("no method given: pass --method or set it in --config")
     values["stream"] = str(args.stream)
     values["out_dir"] = str(args.out_dir)
-    if "threads" not in values:
-        values["threads"] = int(os.environ.get("SMOLORA_THREADS", "1"))
     return harness.RunConfig(**values)
 
 
@@ -325,7 +321,6 @@ def build_parser() -> _Parser:
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--epochs", type=int)
     t.add_argument("--seed", type=int)
-    t.add_argument("--threads", type=int)
     t.set_defaults(func=cmd_train)
 
     m = sub.add_parser("metrics", help="recompute metrics from output files")

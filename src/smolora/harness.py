@@ -2,11 +2,16 @@
 
 The model is a small feed-forward network whose every linear layer is a
 frozen random base weight plus an adapter of the configured kind (single
-LoRA, token-wise mixture, or separable mixture). Inputs are two-column
-sequences: the visual feature vector and a fixed random projection of the
-instruction embedding. Two heads read a mean-pooled hidden state: one
+LoRA, token-wise mixture, or separable mixture). Each instance is a
+two-column sequence: the visual feature vector and a fixed random projection
+of the instruction embedding. Two heads read a mean-pooled hidden state: one
 predicts the content class, the other the answer-format tag. Only adapter
 parameters ever receive updates.
+
+The model runs a whole mini-batch at once: the instances' columns sit side
+by side, two per instance, with one embedding column per instance. Training
+records one tape per mini-batch, and evaluation runs one tape-free forward
+per test split.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -70,7 +74,6 @@ class RunConfig:
     seed: int = 0
     stream: str = ""
     out_dir: str = ""
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -87,8 +90,6 @@ class RunConfig:
             )
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be positive, got {self.threads}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -160,9 +161,9 @@ class AdapterLayer:
             return add(matmul(self.W0, x, tape), lora_apply(self.block, x, tape), tape)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
-        y, trace = smolora_forward(self.layer, x, instr_emb, tape)
+        y, layer_traces = smolora_forward(self.layer, x, instr_emb, tape)
         if traces is not None:
-            traces.append(trace)
+            traces.extend(layer_traces)
         return y
 
     def trainable(self) -> list[Matrix]:
@@ -215,31 +216,41 @@ class ToyModel:
         self.head_format = AdapterLayer("head_format", kind, h, format_count, config, rng, layer_id=3)
         self.layers = [self.proj, self.hidden, self.head_content, self.head_format]
 
-    def _input(self, inst: TaskInstance) -> Matrix:
-        emb = inst.instruction_embedding
-        if emb is None:
-            raise ContractError("instance has no instruction embedding attached")
-        if emb.rows != self.config.embed_dim:
-            raise ContractError(
-                f"embedding dim {emb.rows} != configured {self.config.embed_dim}"
-            )
-        if inst.visual.shape[0] != self.d_v:
-            raise ShapeError(f"visual dim {inst.visual.shape[0]} != model d_v {self.d_v}")
-        cols = np.column_stack([inst.visual, (self.instr_proj.a @ emb.a)[:, 0]])
-        return Matrix._wrap(cols)
+    def _input(self, batch: Sequence[TaskInstance]) -> tuple[Matrix, Matrix]:
+        """Input columns (d_v x 2n, two per instance) and embeddings (e x n)."""
+        if not batch:
+            raise ValueError("forward requires at least one instance")
+        for inst in batch:
+            emb = inst.instruction_embedding
+            if emb is None:
+                raise ContractError("instance has no instruction embedding attached")
+            if emb.rows != self.config.embed_dim:
+                raise ContractError(
+                    f"embedding dim {emb.rows} != configured {self.config.embed_dim}"
+                )
+            if inst.visual.shape[0] != self.d_v:
+                raise ShapeError(f"visual dim {inst.visual.shape[0]} != model d_v {self.d_v}")
+        emb = np.hstack([inst.instruction_embedding.a for inst in batch])
+        x = np.empty((self.d_v, 2 * len(batch)))
+        x[:, 0::2] = np.column_stack([inst.visual for inst in batch])
+        x[:, 1::2] = self.instr_proj.a @ emb
+        return Matrix._wrap(x), Matrix._wrap(emb)
 
     def forward(
         self,
-        inst: TaskInstance,
+        batch: Sequence[TaskInstance],
         tape: Tape | None = None,
         traces: list[RoutingTrace] | None = None,
     ) -> tuple[Matrix, Matrix]:
-        """Returns (content logits class_count x 1, format logits format_count x 1)."""
-        emb = inst.instruction_embedding
-        x = self._input(inst)
+        """Content logits (class_count x n) and format logits (format_count x n).
+
+        Column j belongs to batch[j]. Separable layers append one routing
+        trace per instance to `traces`, layer by layer.
+        """
+        x, emb = self._input(batch)
         h1 = self.proj.forward(x, emb, tape, traces)
         h2 = relu(self.hidden.forward(h1, emb, tape, traces), tape)
-        pooled = mean_over_columns(h2, tape)
+        pooled = mean_over_columns(h2, tape, len(batch))
         content = self.head_content.forward(pooled, emb, tape, traces)
         fmt = self.head_format.forward(pooled, emb, tape, traces)
         return content, fmt
@@ -287,8 +298,8 @@ def train_stage(
 ) -> list[float]:
     """One sequential stage: epochs x shuffled mini-batches of summed-head CE.
 
-    The cosine schedule spans exactly this stage's step count. Returns the
-    per-step batch losses.
+    Each mini-batch is one forward on one tape. The cosine schedule spans
+    exactly this stage's step count. Returns the per-step batch losses.
     """
     if not train_set:
         raise ValueError("train_stage requires a non-empty train set")
@@ -304,19 +315,15 @@ def train_stage(
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [train_set[i] for i in order[start : start + config.batch_size]]
             tape = Tape()
             tape.watch(*params)
-            total = None
-            for idx in batch:
-                inst = train_set[idx]
-                content, fmt = model.forward(inst, tape)
-                loss = add(
-                    cross_entropy(content, inst.answer_class, tape),
-                    cross_entropy(fmt, inst.format_id, tape),
-                    tape,
-                )
-                total = loss if total is None else add(total, loss, tape)
+            content, fmt = model.forward(batch, tape)
+            total = add(
+                cross_entropy(content, [inst.answer_class for inst in batch], tape),
+                cross_entropy(fmt, [inst.format_id for inst in batch], tape),
+                tape,
+            )
             mean_loss = scale_const(total, 1.0 / len(batch), tape)
             grads = backward(tape, mean_loss)
             sgd_step(params, grads, schedule.rate())
@@ -328,38 +335,28 @@ def train_stage(
 def evaluate_task(
     model: ToyModel,
     test_set: Sequence[TaskInstance],
-    threads: int = 1,
     collect_traces: bool = False,
 ) -> tuple[float, float, list[dict], list[RoutingTrace]]:
     """Accuracy percentages plus per-sample records for a frozen model.
 
-    Records are ordered by instance index regardless of thread count.
+    The whole split runs as one tape-free forward. Records are ordered by
+    instance index.
     """
     if not test_set:
         raise ValueError("evaluate_task requires a non-empty test set")
-
-    def eval_one(item: tuple[int, TaskInstance]):
-        i, inst = item
-        traces: list[RoutingTrace] | None = [] if collect_traces else None
-        content, fmt = model.forward(inst, traces=traces)
-        pred_class = int(np.argmax(content.a[:, 0]))
-        pred_format = int(np.argmax(fmt.a[:, 0]))
-        rec = {
+    traces: list[RoutingTrace] = []
+    content, fmt = model.forward(test_set, traces=traces if collect_traces else None)
+    pred_class = np.argmax(content.a, axis=0)
+    pred_format = np.argmax(fmt.a, axis=0)
+    records = [
+        {
             "task_id": inst.task_id,
             "instance_index": i,
-            "content_correct": int(pred_class == inst.answer_class),
-            "format_correct": format_check(pred_format, inst.format_id),
+            "content_correct": int(pred_class[i] == inst.answer_class),
+            "format_correct": format_check(int(pred_format[i]), inst.format_id),
         }
-        return rec, traces or []
-
-    items = list(enumerate(test_set))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_one, items))
-    else:
-        results = [eval_one(it) for it in items]
-    records = [r for r, _ in results]
-    traces = [t for _, ts in results for t in ts]
+        for i, inst in enumerate(test_set)
+    ]
     content_acc = 100.0 * sum(r["content_correct"] for r in records) / len(records)
     format_acc = 100.0 * sum(r["format_correct"] for r in records) / len(records)
     return content_acc, format_acc, records, traces
@@ -405,9 +402,7 @@ def run_cvit(
             collect = config.method == "smolora" and k == last_stage
             for j in range(k):
                 _, _, test_j = stream[j]
-                c_acc, f_acc, recs, traces = evaluate_task(
-                    model, test_j, threads=config.threads, collect_traces=collect
-                )
+                c_acc, f_acc, recs, traces = evaluate_task(model, test_j, collect_traces=collect)
                 c_row.append(c_acc)
                 f_row.append(f_acc)
                 for r in recs:
@@ -493,7 +488,15 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
 
     while pos < len(data):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_at = pos
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: parameter name is not valid UTF-8", offset=name_at + exc.start
+            ) from None
+        if name in seen:
+            raise FormatError(f"{path}: parameter {name!r} appears twice", offset=name_at)
         rows, cols = struct.unpack("<II", take(8, "shape"))
         raw = take(rows * cols * 8, f"data of {name}")
         arr = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)

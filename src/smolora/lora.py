@@ -24,12 +24,13 @@ from .tensor import (
     Tape,
     add,
     concat_rows,
+    gate_blocks,
     matmul,
     rowvec_mul,
-    scalar_mul,
     scale_const,
     softmax_columns,
-    take_entry,
+    stack_cols,
+    stack_rows,
     take_row,
     topk_mask,
 )
@@ -143,6 +144,9 @@ class SMoLoRALayer:
         k_out = self.W0.rows
         if self.I_vu.shape != (1, k_out) or self.I_if.shape != (1, k_out):
             raise ShapeError(f"importance matrices must be 1x{k_out}")
+        for bank in (self.vu_blocks, self.if_blocks):
+            if len({b.rank for b in bank}) != 1:
+                raise ShapeError("blocks of one bank must share one rank to be stacked")
 
     def trainable(self) -> list[Matrix]:
         out = [self.R_vu, self.R_if, self.I_vu, self.I_if]
@@ -178,16 +182,15 @@ def adaptive_fusion(
 def _bank_output(
     blocks: list[LoRABlock], gate: Matrix, x: Matrix, tape: Tape | None
 ) -> Matrix:
-    """Gate-weighted sum of block applications; zero-gate blocks are skipped,
-    so they (and their router logits) receive exactly zero gradient."""
-    out = None
-    for i, w in enumerate(gate.a[:, 0]):
-        if w == 0.0:
-            continue
-        term = scalar_mul(take_entry(gate, i, tape), lora_apply(blocks[i], x, tape), tape)
-        out = term if out is None else add(out, term, tape)
-    assert out is not None  # gates always keep at least one block
-    return out
+    """The whole bank in two matmuls: B_cat @ (G * (A_stack @ x)).
+
+    Gate entry (i, j) scales block i's rank rows over instance j's columns.
+    Unselected entries are exact zeros, so their router logits get exactly
+    zero gradient, and so does a block that no instance selected.
+    """
+    a_rows = [b.A if b.scale == 1.0 else scale_const(b.A, b.scale, tape) for b in blocks]
+    z = matmul(stack_rows(a_rows, tape), x, tape)
+    return matmul(stack_cols([b.B for b in blocks], tape), gate_blocks(gate, z, tape), tape)
 
 
 def smolora_delta(
@@ -195,28 +198,40 @@ def smolora_delta(
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
-) -> tuple[Matrix, RoutingTrace]:
-    """The fused adapter update (everything except W0 @ x) plus its trace."""
+) -> tuple[Matrix, list[RoutingTrace]]:
+    """The fused adapter update (everything except W0 @ x) plus one trace per instance.
+
+    instr_emb holds one embedding column per instance, and x the instances'
+    columns in order, x.cols // instr_emb.cols of them each.
+    """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    if instr_emb.cols != 1 or instr_emb.rows != layer.R_if.cols:
+    if instr_emb.rows != layer.R_if.cols:
         raise ShapeError(
-            f"instruction embedding must be {layer.R_if.cols}x1, got "
+            f"instruction embeddings must have {layer.R_if.cols} rows, got "
             f"{instr_emb.rows}x{instr_emb.cols}"
         )
-    vu_gate = route_instance(layer.R_vu, x, layer.top_k, tape)
+    n = instr_emb.cols
+    if x.cols % n:
+        raise ShapeError(f"{x.cols} input columns do not split over {n} instances")
+    vu_gate = route_instance(layer.R_vu, x, layer.top_k, tape, instances=n)
     if_gate = route_instruction(layer.R_if, instr_emb, layer.top_k, tape)
     x_vu = _bank_output(layer.vu_blocks, vu_gate, x, tape)
     x_if = _bank_output(layer.if_blocks, if_gate, x, tape)
     fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu, layer.I_if, tape)
-    trace = RoutingTrace(
-        layer_id=layer.layer_id,
-        vu_selected=selected_from_gate(vu_gate),
-        if_selected=selected_from_gate(if_gate),
-        alpha_mean=float(alpha.a.mean()),
-        beta_mean=float(beta.a.mean()),
-    )
-    return fused, trace
+    alpha_means = alpha.a.reshape(n, -1).mean(axis=1)
+    beta_means = beta.a.reshape(n, -1).mean(axis=1)
+    traces = [
+        RoutingTrace(
+            layer_id=layer.layer_id,
+            vu_selected=selected_from_gate(vu_gate.a[:, j]),
+            if_selected=selected_from_gate(if_gate.a[:, j]),
+            alpha_mean=float(alpha_means[j]),
+            beta_mean=float(beta_means[j]),
+        )
+        for j in range(n)
+    ]
+    return fused, traces
 
 
 def smolora_forward(
@@ -224,11 +239,11 @@ def smolora_forward(
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
-) -> tuple[Matrix, RoutingTrace]:
-    """Full layer output W0 @ x + fused bank update, with the routing trace."""
-    delta, trace = smolora_delta(layer, x, instr_emb, tape)
+) -> tuple[Matrix, list[RoutingTrace]]:
+    """Full layer output W0 @ x + fused bank update, with one trace per instance."""
+    delta, traces = smolora_delta(layer, x, instr_emb, tape)
     y = add(matmul(layer.W0, x, tape), delta, tape)
-    return y, trace
+    return y, traces
 
 
 def init_smolora(

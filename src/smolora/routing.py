@@ -33,6 +33,11 @@ def token_hash(token: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def tokenize(text: str) -> list[str]:
+    """Lowercased runs of ASCII letters and digits, in order."""
+    return [t for t in _TOKEN_RE.split(text.strip().lower()) if t]
+
+
 def embed_text(text: str, e: int) -> Matrix:
     """Feature-hashing bag-of-words embedding, L2-normalized, as an e x 1 matrix.
 
@@ -44,7 +49,7 @@ def embed_text(text: str, e: int) -> Matrix:
     stripped = text.strip()
     if not stripped:
         raise ValueError("cannot embed empty text")
-    tokens = [t for t in _TOKEN_RE.split(stripped.lower()) if t]
+    tokens = tokenize(stripped)
     if not tokens:
         raise ValueError(f"text has no alphanumeric tokens: {text!r}")
     v = np.zeros(e)
@@ -84,28 +89,29 @@ class HashingEmbedder:
 
 
 def route_instance(
-    R_vu: Matrix, x: Matrix, top_k: int, tape: Tape | None = None
+    R_vu: Matrix, x: Matrix, top_k: int, tape: Tape | None = None, instances: int = 1
 ) -> Matrix:
-    """Gate vector over the visual-understanding bank from the averaged input.
+    """Gate columns over the visual-understanding bank from the averaged input.
 
-    softmax(topk_mask(R_vu @ mean(x), top_k)): exactly top_k positive entries
-    summing to 1.
+    x holds `instances` equal runs of consecutive columns, one per instance;
+    column j of the result is softmax(topk_mask(R_vu @ mean(run j), top_k)):
+    exactly top_k positive entries summing to 1.
     """
-    logits = matmul(R_vu, mean_over_columns(x, tape), tape)
+    logits = matmul(R_vu, mean_over_columns(x, tape, instances), tape)
     return softmax_columns(topk_mask(logits, top_k, tape), tape)
 
 
 def route_instruction(
     R_if: Matrix, emb: Matrix, top_k: int, tape: Tape | None = None
 ) -> Matrix:
-    """Gate vector over the instruction-following bank from the text embedding."""
+    """Gate columns over the instruction-following bank, one per embedding column."""
     logits = matmul(R_if, emb, tape)
     return softmax_columns(topk_mask(logits, top_k, tape), tape)
 
 
 @dataclass
 class RoutingTrace:
-    """Per-forward routing record: selected blocks, gate weights, fusion means."""
+    """Routing of one instance through one layer: selected blocks, gate weights, fusion means."""
 
     layer_id: int
     vu_selected: list[tuple[int, float]] = field(default_factory=list)
@@ -114,9 +120,8 @@ class RoutingTrace:
     beta_mean: float = 0.0
 
 
-def selected_from_gate(gate: Matrix) -> list[tuple[int, float]]:
-    """Nonzero (block index, weight) pairs of a gate column vector."""
-    col = gate.a[:, 0]
+def selected_from_gate(col: np.ndarray) -> list[tuple[int, float]]:
+    """Nonzero (block index, weight) pairs of one gate column."""
     return [(int(i), float(w)) for i, w in enumerate(col) if w > 0.0]
 
 

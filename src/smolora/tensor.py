@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,7 +106,21 @@ class Tape:
         self._params: list[Matrix] = []
         self._param_ids: set[int] = set()
         self._acc: dict[int, np.ndarray] = {}
-        self._flow: dict[int, np.ndarray] = {}
+        flow: dict[int, np.ndarray] = {}
+        self._flow = flow
+
+        def push(m: Matrix, g: np.ndarray) -> None:
+            key = id(m)
+            cur = flow.get(key)
+            if cur is None:
+                flow[key] = np.array(g)  # own a copy; callers may alias
+            else:
+                cur += g
+
+        # Recorded closures hold this function, not the tape, so a tape and
+        # its closures form no reference cycle: a dropped tape is freed at
+        # once instead of waiting for the cyclic garbage collector.
+        self._push = push
 
     def watch(self, *matrices: Matrix) -> None:
         """Flag matrices as trainable parameters of this tape."""
@@ -135,14 +149,6 @@ class Tape:
     def _record(self, out: Matrix, back: Callable[[np.ndarray], None]) -> None:
         self._ops.append((id(out), back))
         self._recorded.add(id(out))
-
-    def _push(self, m: Matrix, g: np.ndarray) -> None:
-        key = id(m)
-        cur = self._flow.get(key)
-        if cur is None:
-            self._flow[key] = np.array(g)  # own a copy; callers may alias
-        else:
-            cur += g
 
 
 def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
@@ -180,11 +186,12 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
         raise ShapeError(f"matmul shape mismatch: {_fmt(a.a)} @ {_fmt(b.a)}")
     out = Matrix._wrap(a.a @ b.a)
     if tape is not None:
+        push = tape._push
         aa, bb = a.a, b.a
 
         def back(g):
-            tape._push(a, g @ bb.T)
-            tape._push(b, aa.T @ g)
+            push(a, g @ bb.T)
+            push(b, aa.T @ g)
 
         tape._record(out, back)
     return out
@@ -195,10 +202,11 @@ def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
         raise ShapeError(f"add shape mismatch: {_fmt(a.a)} vs {_fmt(b.a)}")
     out = Matrix._wrap(a.a + b.a)
     if tape is not None:
+        push = tape._push
 
         def back(g):
-            tape._push(a, g)
-            tape._push(b, g)
+            push(a, g)
+            push(b, g)
 
         tape._record(out, back)
     return out
@@ -210,9 +218,10 @@ def scale_const(m: Matrix, c: float, tape: Tape | None = None) -> Matrix:
         raise ValueError(f"scale constant must be finite, got {c}")
     out = Matrix._wrap(m.a * c)
     if tape is not None:
+        push = tape._push
 
         def back(g):
-            tape._push(m, g * c)
+            push(m, g * c)
 
         tape._record(out, back)
     return out
@@ -225,11 +234,12 @@ def scalar_mul(s: Matrix, m: Matrix, tape: Tape | None = None) -> Matrix:
     val = s.a[0, 0]
     out = Matrix._wrap(m.a * val)
     if tape is not None:
+        push = tape._push
         ma = m.a
 
         def back(g):
-            tape._push(s, np.array([[float(np.sum(g * ma))]]))
-            tape._push(m, g * val)
+            push(s, np.array([[float(np.sum(g * ma))]]))
+            push(m, g * val)
 
         tape._record(out, back)
     return out
@@ -243,12 +253,13 @@ def take_entry(v: Matrix, i: int, tape: Tape | None = None) -> Matrix:
         raise ValueError(f"entry index {i} out of range for {v.rows} rows")
     out = Matrix._wrap(v.a[i : i + 1, :].copy())
     if tape is not None:
+        push = tape._push
         shape = v.shape
 
         def back(g):
             z = np.zeros(shape)
             z[i, 0] = g[0, 0]
-            tape._push(v, z)
+            push(v, z)
 
         tape._record(out, back)
     return out
@@ -260,12 +271,13 @@ def take_row(m: Matrix, i: int, tape: Tape | None = None) -> Matrix:
         raise ValueError(f"row index {i} out of range for {m.rows} rows")
     out = Matrix._wrap(m.a[i : i + 1, :].copy())
     if tape is not None:
+        push = tape._push
         shape = m.shape
 
         def back(g):
             z = np.zeros(shape)
             z[i, :] = g[0, :]
-            tape._push(m, z)
+            push(m, z)
 
         tape._record(out, back)
     return out
@@ -273,15 +285,63 @@ def take_row(m: Matrix, i: int, tape: Tape | None = None) -> Matrix:
 
 def concat_rows(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Stack two matrices with equal column counts vertically."""
-    if a.cols != b.cols:
-        raise ShapeError(f"concat_rows column mismatch: {_fmt(a.a)} vs {_fmt(b.a)}")
-    out = Matrix._wrap(np.vstack([a.a, b.a]))
+    return stack_rows([a, b], tape)
+
+
+def stack_rows(parts: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
+    """Stack matrices with equal column counts vertically, in order."""
+    if len({p.cols for p in parts}) != 1:
+        raise ShapeError(f"stack_rows column mismatch: {[p.shape for p in parts]}")
+    out = Matrix._wrap(np.vstack([p.a for p in parts]))
     if tape is not None:
-        ra = a.rows
+        push = tape._push
+        bounds = np.cumsum([0] + [p.rows for p in parts])
 
         def back(g):
-            tape._push(a, g[:ra, :])
-            tape._push(b, g[ra:, :])
+            for p, lo, hi in zip(parts, bounds, bounds[1:]):
+                push(p, g[lo:hi, :])
+
+        tape._record(out, back)
+    return out
+
+
+def stack_cols(parts: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
+    """Place matrices with equal row counts side by side, in order."""
+    if len({p.rows for p in parts}) != 1:
+        raise ShapeError(f"stack_cols row mismatch: {[p.shape for p in parts]}")
+    out = Matrix._wrap(np.hstack([p.a for p in parts]))
+    if tape is not None:
+        push = tape._push
+        bounds = np.cumsum([0] + [p.cols for p in parts])
+
+        def back(g):
+            for p, lo, hi in zip(parts, bounds, bounds[1:]):
+                push(p, g[:, lo:hi])
+
+        tape._record(out, back)
+    return out
+
+
+def gate_blocks(gate: Matrix, z: Matrix, tape: Tape | None = None) -> Matrix:
+    """Scale each block of z by its entry of the gate.
+
+    gate is n x b and z is (n*r) x (b*c): entry (i, j) of the gate multiplies
+    rows i*r..(i+1)*r-1 and columns j*c..(j+1)*c-1 of z. A zero gate entry
+    gives an exactly zero block and passes exactly zero gradient to it.
+    """
+    n, b = gate.shape
+    if z.rows % n or z.cols % b:
+        raise ShapeError(f"gate_blocks: {_fmt(z.a)} is not a grid of {n}x{b} blocks")
+    r, c = z.rows // n, z.cols // b
+    full = np.repeat(np.repeat(gate.a, r, axis=0), c, axis=1)
+    out = Matrix._wrap(full * z.a)
+    if tape is not None:
+        push = tape._push
+        za = z.a
+
+        def back(g):
+            push(gate, (g * za).reshape(n, r, b, c).sum(axis=(1, 3)))
+            push(z, g * full)
 
         tape._record(out, back)
     return out
@@ -293,25 +353,31 @@ def rowvec_mul(v: Matrix, m: Matrix, tape: Tape | None = None) -> Matrix:
         raise ShapeError(f"rowvec_mul expects 1x{m.cols} and {_fmt(m.a)}, got {_fmt(v.a)}")
     out = Matrix._wrap(v.a * m.a)
     if tape is not None:
+        push = tape._push
         va, ma = v.a, m.a
 
         def back(g):
-            tape._push(v, np.sum(g * ma, axis=0, keepdims=True))
-            tape._push(m, g * va)
+            push(v, np.sum(g * ma, axis=0, keepdims=True))
+            push(m, g * va)
 
         tape._record(out, back)
     return out
 
 
-def mean_over_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Row-wise mean across columns; returns rows x 1."""
-    s = m.cols
-    out = Matrix._wrap(m.a.mean(axis=1, keepdims=True))
+def mean_over_columns(m: Matrix, tape: Tape | None = None, groups: int = 1) -> Matrix:
+    """Row-wise mean over each of `groups` equal runs of consecutive columns.
+
+    Returns rows x groups; with one group this is the mean across all columns.
+    """
+    if groups < 1 or m.cols % groups:
+        raise ShapeError(f"cannot split {m.cols} columns into {groups} equal groups")
+    s = m.cols // groups
+    out = Matrix._wrap(m.a.reshape(m.rows, groups, s).mean(axis=2))
     if tape is not None:
-        shape = m.shape
+        push = tape._push
 
         def back(g):
-            tape._push(m, np.broadcast_to(g / s, shape))
+            push(m, np.repeat(g / s, s, axis=1))
 
         tape._record(out, back)
     return out
@@ -320,10 +386,11 @@ def mean_over_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
 def relu(m: Matrix, tape: Tape | None = None) -> Matrix:
     out = Matrix._wrap(np.maximum(m.a, 0.0))
     if tape is not None:
+        push = tape._push
         pos = m.a > 0
 
         def back(g):
-            tape._push(m, g * pos)
+            push(m, g * pos)
 
         tape._record(out, back)
     return out
@@ -333,10 +400,11 @@ def sum_all(m: Matrix, tape: Tape | None = None) -> Matrix:
     """Sum of all entries as a 1x1 scalar."""
     out = Matrix._wrap(np.array([[m.a.sum()]]))
     if tape is not None:
+        push = tape._push
         shape = m.shape
 
         def back(g):
-            tape._push(m, np.full(shape, g[0, 0]))
+            push(m, np.full(shape, g[0, 0]))
 
         tape._record(out, back)
     return out
@@ -356,10 +424,11 @@ def softmax_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
     y = e / e.sum(axis=0, keepdims=True)
     out = Matrix._wrap(y)
     if tape is not None:
+        push = tape._push
 
         def back(g):
             dot = np.sum(g * y, axis=0, keepdims=True)
-            tape._push(m, y * (g - dot))
+            push(m, y * (g - dot))
 
         tape._record(out, back)
     return out
@@ -380,33 +449,44 @@ def topk_mask(m: Matrix, k: int, tape: Tape | None = None) -> Matrix:
     keep[order[:k, :], np.arange(x.shape[1])] = True
     out = Matrix._wrap(np.where(keep, x, SENTINEL))
     if tape is not None:
+        push = tape._push
 
         def back(g):
-            tape._push(m, np.where(keep, g, 0.0))
+            push(m, np.where(keep, g, 0.0))
 
         tape._record(out, back)
     return out
 
 
-def cross_entropy(logits: Matrix, label: int, tape: Tape | None = None) -> Matrix:
-    """Negative log softmax probability of `label` for a logits column vector."""
-    if logits.cols != 1:
-        raise ShapeError(f"cross_entropy expects a column vector, got {_fmt(logits.a)}")
-    if not 0 <= label < logits.rows:
-        raise ValueError(f"label {label} out of range for {logits.rows} classes")
-    z = logits.a[:, 0]
-    zmax = z.max()
+def cross_entropy(
+    logits: Matrix, labels: int | Sequence[int], tape: Tape | None = None
+) -> Matrix:
+    """Summed negative log softmax probability of each column's label.
+
+    logits is classes x n with one column per sample; `labels` holds n class
+    indices (a bare int for n = 1). Returns the 1x1 sum over the columns.
+    """
+    labels = [labels] if isinstance(labels, (int, np.integer)) else list(labels)
+    if len(labels) != logits.cols:
+        raise ShapeError(f"{len(labels)} labels for {logits.cols} logit columns")
+    for label in labels:
+        if not 0 <= label < logits.rows:
+            raise ValueError(f"label {label} out of range for {logits.rows} classes")
+    cols = np.arange(logits.cols)
+    z = logits.a
+    zmax = z.max(axis=0)
     e = np.exp(z - zmax)
-    denom = e.sum()
+    denom = e.sum(axis=0)
     p = e / denom
-    loss = float(math.log(denom) - (z[label] - zmax))
+    loss = float(np.sum(np.log(denom) - (z[labels, cols] - zmax)))
     out = Matrix._wrap(np.array([[loss]]))
     if tape is not None:
+        push = tape._push
 
         def back(g):
             d = p.copy()
-            d[label] -= 1.0
-            tape._push(logits, (g[0, 0] * d).reshape(-1, 1))
+            d[labels, cols] -= 1.0
+            push(logits, g[0, 0] * d)
 
         tape._record(out, back)
     return out

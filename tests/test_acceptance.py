@@ -226,7 +226,7 @@ class TestDegeneracySuite:
         for _ in range(50):
             x = Matrix(rng.normal(size=(8, 3)))
             emb = Matrix(rng.normal(size=(6, 1)))
-            _, trace = smolora_forward(smo, x, emb)
+            _, [trace] = smolora_forward(smo, x, emb)
             for sel in (trace.vu_selected, trace.if_selected):
                 c_ok = c_ok and len(sel) == 1 and sel[0][1] == 1.0
             d_ok = d_ok and abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-12

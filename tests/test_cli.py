@@ -128,15 +128,47 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
         assert code == 1
 
-    def test_threads_env_default_does_not_change_bytes(self, stream_file, tmp_path, monkeypatch):
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert run_cli(*train_args(stream_file, d1)) == 0
-        monkeypatch.setenv("SMOLORA_THREADS", "3")
-        assert run_cli(*train_args(stream_file, d2)) == 0
-        manifest = json.loads((d2 / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 3
-        for name in ("metrics.json", "accuracy.csv", "records.jsonl"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+def _edit_line(path, lineno, change):
+    """Apply `change` to the JSON object on a 1-based line of a stream file."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    change(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Line layout of `stream_file`: manifest on line 1, then per task 32 train
+# and 16 test records (task 0: train 2-33, test 34-49; task 1: 50-97).
+STREAM_FAULTS = {
+    "no-cluster-stddev": (1, lambda m: m["tasks"][1].pop("cluster_stddev")),
+    "short-visual": (5, lambda r: r["visual"].pop()),
+    "train-class-out-of-range": (6, lambda r: r.update(answer_class=99)),
+    "test-class-out-of-range": (40, lambda r: r.update(answer_class=4)),
+    "unknown-split": (7, lambda r: r.update(split="dev")),
+    "format-id-mismatch": (8, lambda r: r.update(format_id=r["format_id"] + 1)),
+    "nan-visual": (9, lambda r: r["visual"].__setitem__(0, float("nan"))),
+    "tokenless-instruction": (10, lambda r: r.update(instruction="?! ...")),
+}
+
+
+class TestStreamValidation:
+    @pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+    def test_fault_is_format_error_naming_line(self, fault, stream_file, tmp_path, capsys):
+        lineno, change = STREAM_FAULTS[fault]
+        _edit_line(stream_file, lineno, change)
+        capsys.readouterr()
+        assert run_cli(*train_args(stream_file, tmp_path / "run")) == 3
+        assert f"(line {lineno})" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_split_is_format_error(self, stream_file, tmp_path, capsys):
+        lines = stream_file.read_text().splitlines()
+        stream_file.write_text("\n".join(lines[:81]) + "\n")  # drop task 1's test split
+        capsys.readouterr()
+        assert run_cli(*train_args(stream_file, tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert "task 1 has no test records" in err and "(line 1)" in err
 
 
 class TestMetrics:

@@ -15,7 +15,7 @@ from smolora.harness import (
     train_stage,
 )
 from smolora.routing import HashingEmbedder
-from smolora.tensor import Matrix
+from smolora.tensor import Matrix, Tape, add, backward, cross_entropy
 
 
 def small_stream(seed=0, tasks=2, train=48, test=32):
@@ -72,8 +72,8 @@ class TestToyModel:
         cfg = small_config(method)
         model = ToyModel(cfg, d_v=8, class_count=4, format_count=3)
         inst = stream[0][1][0]
-        content, fmt = model.forward(inst)
-        x = model._input(inst)
+        content, fmt = model.forward([inst])
+        x, _ = model._input([inst])
         h1 = model.proj.W0.a @ x.a
         h2 = np.maximum(model.hidden.W0.a @ h1, 0.0)
         pooled = h2.mean(axis=1, keepdims=True)
@@ -98,7 +98,7 @@ class TestToyModel:
         stream = small_stream()
         model = ToyModel(small_config(), 8, 4, 3)
         with pytest.raises(ContractError):
-            model.forward(stream[0][1][0])
+            model.forward([stream[0][1][0]])
 
 
 class TestTrainStage:
@@ -150,6 +150,79 @@ class TestTrainStage:
         assert all(b <= a + 1e-9 for a, b in zip(med, med[1:]))
 
 
+def _live_model_and_batch(method):
+    """A model whose B matrices are nonzero, and six instances of two formats."""
+    stream = prepared()
+    assert stream[0][0].format_id != stream[1][0].format_id
+    model = ToyModel(small_config(method), 8, 4, 3)
+    rng = np.random.default_rng(3)
+    for name, m in model.named_matrices().items():
+        if name.endswith(".B"):
+            m.a[...] = rng.normal(size=m.shape)
+    return model, stream[0][1][:3] + stream[1][1][:3]
+
+
+def _batch_loss(model, batch, tape=None, traces=None):
+    content, fmt = model.forward(batch, tape, traces)
+    loss = add(
+        cross_entropy(content, [inst.answer_class for inst in batch], tape),
+        cross_entropy(fmt, [inst.format_id for inst in batch], tape),
+        tape,
+    )
+    return content, fmt, loss
+
+
+def _rel_close(got, want, rel=1e-12):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("method", ["seqlora", "molora", "smolora"])
+    def test_batch_matches_sum_of_single_instances(self, method):
+        model, batch = _live_model_and_batch(method)
+        params = model.trainable()
+        tape = Tape()
+        tape.watch(*params)
+        content, fmt, loss = _batch_loss(model, batch, tape)
+        grads = backward(tape, loss)
+
+        summed = {p: np.zeros_like(p.a) for p in params}
+        for j, inst in enumerate(batch):
+            single = Tape()
+            single.watch(*params)
+            c1, f1, loss1 = _batch_loss(model, [inst], single)
+            assert _rel_close(content.a[:, j : j + 1], c1.a)
+            assert _rel_close(fmt.a[:, j : j + 1], f1.a)
+            for p, g in backward(single, loss1).items():
+                summed[p] += g.a
+        for p in params:
+            if np.any(summed[p] != 0.0):
+                assert _rel_close(grads[p].a, summed[p])
+            else:
+                assert np.all(grads[p].a == 0.0)
+
+    def test_block_no_instance_selected_gets_zero_gradient(self):
+        model, batch = _live_model_and_batch("smolora")
+        tape = Tape()
+        tape.watch(*model.trainable())
+        traces = []
+        grads = backward(tape, _batch_loss(model, batch, tape, traces)[2])
+        n = len(batch)
+        unselected = 0
+        for k, layer in enumerate(model.layers):
+            layer_traces = traces[k * n : (k + 1) * n]  # one per instance, layer by layer
+            for bank, blocks in (("vu", layer.layer.vu_blocks), ("if", layer.layer.if_blocks)):
+                chosen = {i for tr in layer_traces for i, _ in getattr(tr, f"{bank}_selected")}
+                for i, block in enumerate(blocks):
+                    if i in chosen:
+                        assert np.any(grads[block.B].a != 0.0)
+                    else:
+                        unselected += 1
+                        assert np.all(grads[block.A].a == 0.0)
+                        assert np.all(grads[block.B].a == 0.0)
+        assert unselected > 0
+
+
 class _OracleModel:
     """Stand-in model that answers every instance perfectly."""
 
@@ -157,19 +230,24 @@ class _OracleModel:
         self.class_count = class_count
         self.format_count = format_count
 
-    def forward(self, inst, tape=None, traces=None):
-        content = np.zeros((self.class_count, 1))
-        content[inst.answer_class, 0] = 1.0
-        fmt = np.zeros((self.format_count, 1))
-        fmt[inst.format_id, 0] = 1.0
+    def forward(self, batch, tape=None, traces=None):
+        content = np.zeros((self.class_count, len(batch)))
+        fmt = np.zeros((self.format_count, len(batch)))
+        for j, inst in enumerate(batch):
+            content[inst.answer_class, j] = 1.0
+            fmt[inst.format_id, j] = 1.0
         return Matrix(content), Matrix(fmt)
 
 
 class _ConstantModel:
     """Stand-in model that always answers class 0 / format 0."""
 
-    def forward(self, inst, tape=None, traces=None):
-        return Matrix([[1.0], [0.0], [0.0], [0.0]]), Matrix([[1.0], [0.0], [0.0]])
+    def forward(self, batch, tape=None, traces=None):
+        content = np.zeros((4, len(batch)))
+        content[0, :] = 1.0
+        fmt = np.zeros((3, len(batch)))
+        fmt[0, :] = 1.0
+        return Matrix(content), Matrix(fmt)
 
 
 class TestEvaluateTask:
@@ -189,10 +267,9 @@ class TestEvaluateTask:
         cfg = small_config("smolora")
         model = ToyModel(cfg, 8, 4, 3)
         train_stage(model, stream[0][1], cfg)
-        a = evaluate_task(model, stream[0][2], threads=1)
-        b = evaluate_task(model, stream[0][2], threads=1)
-        c = evaluate_task(model, stream[0][2], threads=3)
-        assert a[:3] == b[:3] == c[:3]
+        a = evaluate_task(model, stream[0][2])
+        b = evaluate_task(model, stream[0][2])
+        assert a[:3] == b[:3]
         assert [r["instance_index"] for r in a[2]] == list(range(len(stream[0][2])))
 
     def test_empty_test_set_rejected(self):
@@ -318,6 +395,30 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="offset 0"):
             load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
 
+    def test_repeated_name_is_format_error(self, tmp_path):
+        cfg, model = self._trained_model("seqlora")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        # The first record (instr_proj): name length, name, shape, data.
+        name_len = int.from_bytes(data[5:9], "little")
+        rows = int.from_bytes(data[9 + name_len : 13 + name_len], "little")
+        cols = int.from_bytes(data[13 + name_len : 17 + name_len], "little")
+        first = data[5 : 17 + name_len + 8 * rows * cols]
+        path.write_bytes(data + first)
+        with pytest.raises(FormatError, match=f"appears twice .*byte offset {len(data) + 4}"):
+            load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
+
+    def test_name_not_utf8_is_format_error(self, tmp_path):
+        cfg, model = self._trained_model("seqlora")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        data[11] = 0xFF  # third byte of the first name, after magic and length
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="not valid UTF-8 .*byte offset 11"):
+            load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
+
     def test_shape_mismatch_is_contract_error(self, tmp_path):
         cfg, model = self._trained_model("seqlora")
         path = tmp_path / "model.ckpt"
@@ -335,8 +436,8 @@ class TestCheckpoint:
         target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 999}), 8, 4, 3)
         load_checkpoint(path, target)
         inst = stream[0][1][0]
-        content, _ = target.forward(inst)
-        x = target._input(inst)
+        content, _ = target.forward([inst])
+        x, _ = target._input([inst])
         h1 = fresh.proj.W0.a @ x.a
         h2 = np.maximum(fresh.hidden.W0.a @ h1, 0.0)
         expected = fresh.head_content.W0.a @ h2.mean(axis=1, keepdims=True)

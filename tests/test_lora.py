@@ -6,6 +6,7 @@ from smolora.errors import ShapeError
 from smolora.lora import (
     LoRABlock,
     MoLoRALayer,
+    SMoLoRALayer,
     adaptive_fusion,
     init_lora_block,
     init_molora,
@@ -167,7 +168,7 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 2)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        y, trace = smolora_forward(layer, x, emb)
+        y, [trace] = smolora_forward(layer, x, emb)
         assert trace.vu_selected == [(0, 1.0)]
         assert trace.if_selected == [(0, 1.0)]
         x_vu = lora_apply(layer.vu_blocks[0], x)
@@ -215,12 +216,22 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 3)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        _, trace = smolora_forward(layer, x, emb)
+        _, [trace] = smolora_forward(layer, x, emb)
         for selected in (trace.vu_selected, trace.if_selected):
             assert len(selected) == 2
             assert all(w > 0 for _, w in selected)
             assert abs(sum(w for _, w in selected) - 1.0) <= 1e-12
         assert abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-9
+
+    def test_mixed_ranks_in_a_bank_rejected(self):
+        # A bank runs as one stacked matmul, so its blocks must share a rank.
+        layer = _seeded_smolora(M=2, nm=2)
+        odd = init_lora_block(8, 8, 1, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            SMoLoRALayer(
+                W0=layer.W0, vu_blocks=[layer.vu_blocks[0], odd], if_blocks=layer.if_blocks,
+                R_vu=layer.R_vu, R_if=layer.R_if, I_vu=layer.I_vu, I_if=layer.I_if, top_k=1,
+            )
 
     def test_embedding_shape_checked(self):
         layer = _seeded_smolora()
@@ -263,30 +274,30 @@ class TestInitSMoLoRA:
 class TestGradients:
     def _loss_through_layer(self, layer, x, emb, tape=None):
         y, _ = smolora_forward(layer, x, emb, tape)
-        pooled = mean_over_columns(y, tape)
+        pooled = mean_over_columns(y, tape, emb.cols)
         return add(
-            cross_entropy(pooled, 1, tape),
+            cross_entropy(pooled, list(range(1, 1 + emb.cols)), tape),
             scale_const(sum_all(y, tape), 0.1, tape),
             tape,
         )
 
-    def test_full_composition_matches_finite_differences(self):
-        layer = _seeded_smolora(seed=50, top_k=2)
-        rng = np.random.default_rng(51)
+    def _check_composition(self, seed, cols, instances):
+        layer = _seeded_smolora(seed=seed, top_k=2)
+        rng = np.random.default_rng(seed + 1)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(8, 3)))
-        emb = Matrix(rng.normal(size=(6, 1)))
+        x = Matrix(rng.normal(size=(8, cols)))
+        emb = Matrix(rng.normal(size=(6, instances)))
 
         tape = Tape()
         params = layer.trainable()
         tape.watch(*params)
         grads = backward(tape, self._loss_through_layer(layer, x, emb, tape))
 
-        _, trace = smolora_forward(layer, x, emb)
-        vu_sel = {i for i, _ in trace.vu_selected}
-        if_sel = {j for j, _ in trace.if_selected}
+        _, traces = smolora_forward(layer, x, emb)
+        vu_sel = {i for trace in traces for i, _ in trace.vu_selected}
+        if_sel = {j for trace in traces for j, _ in trace.if_selected}
 
-        rng_pick = np.random.default_rng(52)
+        rng_pick = np.random.default_rng(seed + 2)
         checked = 0
         worst = 0.0
         for param in params:
@@ -303,7 +314,7 @@ class TestGradients:
         assert checked >= 100
         assert worst < 1e-4
 
-        # Non-selected blocks must receive exactly zero gradient.
+        # Blocks that no instance selected must receive exactly zero gradient.
         for i, block in enumerate(layer.vu_blocks):
             if i not in vu_sel:
                 assert np.all(grads[block.A].a == 0.0)
@@ -312,6 +323,13 @@ class TestGradients:
             if j not in if_sel:
                 assert np.all(grads[block.A].a == 0.0)
                 assert np.all(grads[block.B].a == 0.0)
+
+    def test_full_composition_matches_finite_differences(self):
+        self._check_composition(seed=50, cols=3, instances=1)
+
+    def test_batched_composition_matches_finite_differences(self):
+        # Three instances of two columns each, top-2 gates in both banks.
+        self._check_composition(seed=70, cols=6, instances=3)
 
     def test_molora_gradients_match_finite_differences(self):
         layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=2, seed=60)
