@@ -161,10 +161,7 @@ class AdapterLayer:
             return add(matmul(self.W0, x, tape), lora_apply(self.block, x, tape), tape)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
-        y, layer_traces = smolora_forward(self.layer, x, instr_emb, tape)
-        if traces is not None:
-            traces.extend(layer_traces)
-        return y
+        return smolora_forward(self.layer, x, instr_emb, tape, traces)
 
     def trainable(self) -> list[Matrix]:
         if self.kind == "seqlora":

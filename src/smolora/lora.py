@@ -24,13 +24,10 @@ from .tensor import (
     Tape,
     add,
     concat_rows,
-    gate_blocks,
     matmul,
     rowvec_mul,
     scale_const,
     softmax_columns,
-    stack_cols,
-    stack_rows,
     take_row,
     topk_mask,
 )
@@ -179,18 +176,45 @@ def adaptive_fusion(
     return y, alpha, beta
 
 
-def _bank_output(
-    blocks: list[LoRABlock], gate: Matrix, x: Matrix, tape: Tape | None
-) -> Matrix:
-    """The whole bank in two matmuls: B_cat @ (G * (A_stack @ x)).
+def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
+    """One bank in two matmuls, B_cat @ (G * (A_stack @ x)), and its backward rule.
 
-    Gate entry (i, j) scales block i's rank rows over instance j's columns.
-    Unselected entries are exact zeros, so their router logits get exactly
-    zero gradient, and so does a block that no instance selected.
+    Gate entry (i, j) scales block i's rank rows over instance j's s columns.
+    The rule takes the gradient of the bank output and a push function; it
+    pushes into the A and B of every block some instance selected and
+    returns the gradients of x and of the gate. Unselected entries are exact
+    zeros, so a block that no instance selected gets no push at all.
     """
-    a_rows = [b.A if b.scale == 1.0 else scale_const(b.A, b.scale, tape) for b in blocks]
-    z = matmul(stack_rows(a_rows, tape), x, tape)
-    return matmul(stack_cols([b.B for b in blocks], tape), gate_blocks(gate, z, tape), tape)
+    r = blocks[0].rank
+    a_stack = np.vstack([b.A.a if b.scale == 1.0 else b.scale * b.A.a for b in blocks])
+    b_cat = np.hstack([b.B.a for b in blocks])
+    full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
+    z = a_stack @ x
+    zg = full * z
+    out = b_cat @ zg
+
+    def back(g: np.ndarray, push) -> tuple[np.ndarray, np.ndarray]:
+        dzg = b_cat.T @ g
+        dz = dzg * full
+        d_a = dz @ x.T
+        d_b = g @ zg.T
+        for i in np.flatnonzero(gate.max(axis=1) > 0.0):
+            blk, lo, hi = blocks[i], i * r, (i + 1) * r
+            push(blk.A, d_a[lo:hi] if blk.scale == 1.0 else blk.scale * d_a[lo:hi])
+            push(blk.B, d_b[:, lo:hi])
+        d_gate = (dzg * z).reshape(len(blocks), r, gate.shape[1], s).sum(axis=(1, 3))
+        return a_stack.T @ dz, d_gate
+
+    return out, back
+
+
+def _softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of a column-wise softmax y, given dy.
+
+    For a gate, a dropped entry has y = 0 and gets exactly 0; at top-1 the
+    kept entry has y = 1 exactly, so its gradient is exactly 0 too.
+    """
+    return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
 
 
 def smolora_delta(
@@ -198,11 +222,16 @@ def smolora_delta(
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
-) -> tuple[Matrix, list[RoutingTrace]]:
-    """The fused adapter update (everything except W0 @ x) plus one trace per instance.
+    traces: list[RoutingTrace] | None = None,
+) -> Matrix:
+    """The fused adapter update (everything except W0 @ x), recorded as one tape op.
 
     instr_emb holds one embedding column per instance, and x the instances'
-    columns in order, x.cols // instr_emb.cols of them each.
+    columns in order, x.cols // instr_emb.cols of them each. Gates, banks and
+    fusion run tape-free; the recorded op's backward pushes gradients into
+    both routers, every selected block, both importance rows, x and
+    instr_emb. When `traces` is given, one RoutingTrace per instance is
+    appended to it.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -214,24 +243,53 @@ def smolora_delta(
     n = instr_emb.cols
     if x.cols % n:
         raise ShapeError(f"{x.cols} input columns do not split over {n} instances")
-    vu_gate = route_instance(layer.R_vu, x, layer.top_k, tape, instances=n)
-    if_gate = route_instruction(layer.R_if, instr_emb, layer.top_k, tape)
-    x_vu = _bank_output(layer.vu_blocks, vu_gate, x, tape)
-    x_if = _bank_output(layer.if_blocks, if_gate, x, tape)
-    fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu, layer.I_if, tape)
-    alpha_means = alpha.a.reshape(n, -1).mean(axis=1)
-    beta_means = beta.a.reshape(n, -1).mean(axis=1)
-    traces = [
-        RoutingTrace(
-            layer_id=layer.layer_id,
-            vu_selected=selected_from_gate(vu_gate.a[:, j]),
-            if_selected=selected_from_gate(if_gate.a[:, j]),
-            alpha_mean=float(alpha_means[j]),
-            beta_mean=float(beta_means[j]),
+    s = x.cols // n
+    vu_gate = route_instance(layer.R_vu, x, layer.top_k, instances=n).a
+    if_gate = route_instruction(layer.R_if, instr_emb, layer.top_k).a
+    x_vu, vu_back = _bank(layer.vu_blocks, vu_gate, x.a, s)
+    x_if, if_back = _bank(layer.if_blocks, if_gate, x.a, s)
+    fused, alpha, beta = adaptive_fusion(
+        Matrix._wrap(x_vu), Matrix._wrap(x_if), layer.I_vu, layer.I_if
+    )
+    if tape is not None:
+        push = tape._push
+        a, b = alpha.a, beta.a
+        ab = np.vstack([a, b])
+
+        def back(g):
+            # Fusion: a pairwise softmax of u = I_vu @ x_vu and v = I_if @ x_if.
+            d_ab = np.vstack([np.sum(g * x_vu, axis=0), np.sum(g * x_if, axis=0)])
+            d_uv = _softmax_back(ab, d_ab)
+            du, dv = d_uv[:1], d_uv[1:]
+            push(layer.I_vu, du @ x_vu.T)
+            push(layer.I_if, dv @ x_if.T)
+            dx_vu, d_vu_gate = vu_back(g * a + layer.I_vu.a.T @ du, push)
+            dx_if, d_if_gate = if_back(g * b + layer.I_if.a.T @ dv, push)
+            # Routers: instance logits from the per-instance input means,
+            # instruction logits from the embeddings.
+            dl_vu = _softmax_back(vu_gate, d_vu_gate)
+            dl_if = _softmax_back(if_gate, d_if_gate)
+            pooled = x.a.reshape(x.rows, n, s).mean(axis=2)
+            push(layer.R_vu, dl_vu @ pooled.T)
+            push(layer.R_if, dl_if @ instr_emb.a.T)
+            push(x, dx_vu + dx_if + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1))
+            push(instr_emb, layer.R_if.a.T @ dl_if)
+
+        tape._record(fused, back)
+    if traces is not None:
+        alpha_means = alpha.a.reshape(n, -1).mean(axis=1)
+        beta_means = beta.a.reshape(n, -1).mean(axis=1)
+        traces.extend(
+            RoutingTrace(
+                layer_id=layer.layer_id,
+                vu_selected=selected_from_gate(vu_gate[:, j]),
+                if_selected=selected_from_gate(if_gate[:, j]),
+                alpha_mean=float(alpha_means[j]),
+                beta_mean=float(beta_means[j]),
+            )
+            for j in range(n)
         )
-        for j in range(n)
-    ]
-    return fused, traces
+    return fused
 
 
 def smolora_forward(
@@ -239,11 +297,11 @@ def smolora_forward(
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
-) -> tuple[Matrix, list[RoutingTrace]]:
-    """Full layer output W0 @ x + fused bank update, with one trace per instance."""
-    delta, traces = smolora_delta(layer, x, instr_emb, tape)
-    y = add(matmul(layer.W0, x, tape), delta, tape)
-    return y, traces
+    traces: list[RoutingTrace] | None = None,
+) -> Matrix:
+    """Full layer output W0 @ x + fused bank update; traces as in smolora_delta."""
+    delta = smolora_delta(layer, x, instr_emb, tape, traces)
+    return add(matmul(layer.W0, x, tape), delta, tape)
 
 
 def init_smolora(

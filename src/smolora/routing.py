@@ -1,4 +1,4 @@
-"""Router computations, the pluggable instruction embedder, and routing analytics.
+"""Router computations, the hashing instruction embedder, and routing analytics.
 
 Two gating paths feed the adapter banks: instance-based gates computed from
 the sequence-averaged layer input, and instruction-based gates computed from
@@ -14,7 +14,7 @@ import csv
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,14 +61,6 @@ def embed_text(text: str, e: int) -> Matrix:
     if norm == 0.0:
         raise ContractError(f"token signs cancelled to a zero embedding: {text!r}")
     return Matrix._wrap((v / norm).reshape(-1, 1))
-
-
-class InstructionEmbedder(Protocol):
-    """Contract for instruction encoders: deterministic, unit-norm output."""
-
-    dimension: int
-
-    def embed(self, text: str) -> Matrix: ...
 
 
 class HashingEmbedder:

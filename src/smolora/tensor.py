@@ -98,13 +98,17 @@ def _fmt(arr: np.ndarray) -> str:
 
 
 class Tape:
-    """Records operations and accumulates gradients for watched parameters."""
+    """Records operations and accumulates gradients for watched parameters.
+
+    Gradient arrays are allocated on their first push and never updated in
+    place afterwards, so an array handed out by :func:`backward` stays as it
+    was returned.
+    """
 
     def __init__(self):
         self._ops: list[tuple[int, Callable[[np.ndarray], None]]] = []
         self._recorded: set[int] = set()
-        self._params: list[Matrix] = []
-        self._param_ids: set[int] = set()
+        self._params: dict[int, Matrix] = {}
         self._acc: dict[int, np.ndarray] = {}
         flow: dict[int, np.ndarray] = {}
         self._flow = flow
@@ -112,10 +116,9 @@ class Tape:
         def push(m: Matrix, g: np.ndarray) -> None:
             key = id(m)
             cur = flow.get(key)
-            if cur is None:
-                flow[key] = np.array(g)  # own a copy; callers may alias
-            else:
-                cur += g
+            # A pushed array may be shared with another input (add passes
+            # one gradient to both), so sums are new arrays, never in place.
+            flow[key] = g if cur is None else cur + g
 
         # Recorded closures hold this function, not the tape, so a tape and
         # its closures form no reference cycle: a dropped tape is freed at
@@ -125,24 +128,7 @@ class Tape:
     def watch(self, *matrices: Matrix) -> None:
         """Flag matrices as trainable parameters of this tape."""
         for m in matrices:
-            if id(m) not in self._param_ids:
-                self._param_ids.add(id(m))
-                self._params.append(m)
-                self._acc[id(m)] = np.zeros_like(m.a)
-
-    @property
-    def parameters(self) -> list[Matrix]:
-        return list(self._params)
-
-    def grad(self, p: Matrix) -> Matrix:
-        """Accumulated gradient of a watched parameter (zeros if untouched)."""
-        if id(p) not in self._param_ids:
-            raise ContractError("matrix is not a watched parameter of this tape")
-        return Matrix._wrap(self._acc[id(p)].copy())
-
-    def zero_grads(self) -> None:
-        for g in self._acc.values():
-            g.fill(0.0)
+            self._params.setdefault(id(m), m)
 
     # -- recording internals -------------------------------------------------
 
@@ -155,26 +141,33 @@ def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
     """Reverse sweep from a recorded scalar; returns parameter -> gradient.
 
     Gradients accumulate into the tape's parameters across calls; the
-    returned map reflects the accumulated values. Intermediate nodes carry
-    no gradient once the sweep finishes.
+    returned map reflects the accumulated values, with zeros for a watched
+    parameter that no gradient reached. Intermediate nodes carry no gradient
+    once the sweep finishes.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be a 1x1 scalar, got {_fmt(loss.a)}")
     if id(loss) not in tape._recorded:
         raise ContractError("loss was not recorded on this tape")
-    tape._flow.clear()
-    tape._flow[id(loss)] = np.ones((1, 1))
+    flow, acc = tape._flow, tape._acc
+    flow.clear()
+    flow[id(loss)] = np.ones((1, 1))
     for out_id, back in reversed(tape._ops):
-        g = tape._flow.pop(out_id, None)
+        g = flow.pop(out_id, None)
         if g is None:
             continue
         back(g)
-    for p in tape._params:
-        fl = tape._flow.pop(id(p), None)
+    grads = {}
+    for key, p in tape._params.items():
+        fl = flow.pop(key, None)
+        total = acc.get(key)
         if fl is not None:
-            tape._acc[id(p)] += fl
-    tape._flow.clear()
-    return {p: Matrix._wrap(tape._acc[id(p)].copy()) for p in tape._params}
+            total = acc[key] = fl if total is None else total + fl
+        elif total is None:
+            total = np.zeros_like(p.a)
+        grads[p] = Matrix._wrap(total)
+    flow.clear()
+    return grads
 
 
 # -- core operations ---------------------------------------------------------
@@ -300,48 +293,6 @@ def stack_rows(parts: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
         def back(g):
             for p, lo, hi in zip(parts, bounds, bounds[1:]):
                 push(p, g[lo:hi, :])
-
-        tape._record(out, back)
-    return out
-
-
-def stack_cols(parts: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
-    """Place matrices with equal row counts side by side, in order."""
-    if len({p.rows for p in parts}) != 1:
-        raise ShapeError(f"stack_cols row mismatch: {[p.shape for p in parts]}")
-    out = Matrix._wrap(np.hstack([p.a for p in parts]))
-    if tape is not None:
-        push = tape._push
-        bounds = np.cumsum([0] + [p.cols for p in parts])
-
-        def back(g):
-            for p, lo, hi in zip(parts, bounds, bounds[1:]):
-                push(p, g[:, lo:hi])
-
-        tape._record(out, back)
-    return out
-
-
-def gate_blocks(gate: Matrix, z: Matrix, tape: Tape | None = None) -> Matrix:
-    """Scale each block of z by its entry of the gate.
-
-    gate is n x b and z is (n*r) x (b*c): entry (i, j) of the gate multiplies
-    rows i*r..(i+1)*r-1 and columns j*c..(j+1)*c-1 of z. A zero gate entry
-    gives an exactly zero block and passes exactly zero gradient to it.
-    """
-    n, b = gate.shape
-    if z.rows % n or z.cols % b:
-        raise ShapeError(f"gate_blocks: {_fmt(z.a)} is not a grid of {n}x{b} blocks")
-    r, c = z.rows // n, z.cols // b
-    full = np.repeat(np.repeat(gate.a, r, axis=0), c, axis=1)
-    out = Matrix._wrap(full * z.a)
-    if tape is not None:
-        push = tape._push
-        za = z.a
-
-        def back(g):
-            push(gate, (g * za).reshape(n, r, b, c).sum(axis=(1, 3)))
-            push(z, g * full)
 
         tape._record(out, back)
     return out

@@ -171,7 +171,7 @@ class TestGradientSuite:
         emb = Matrix(emb / np.linalg.norm(emb))
 
         def smolora_loss(tape=None):
-            y, _ = smolora_forward(smo, x_smo, emb, tape)
+            y = smolora_forward(smo, x_smo, emb, tape)
             return add(
                 cross_entropy(mean_over_columns(y, tape), 1, tape),
                 scale_const(sum_all(y, tape), 0.1, tape),
@@ -215,7 +215,7 @@ class TestDegeneracySuite:
             smo = init_smolora(d=8, k_out=8, M=4, N_minus_M=4, r=2, e=6, top_k=1, seed=seed)
             x = Matrix(rng.normal(size=(8, 3)))
             emb = Matrix(rng.normal(size=(6, 1)))
-            y, _ = smolora_forward(smo, x, emb)
+            y = smolora_forward(smo, x, emb)
             b_ok = b_ok and np.array_equal(y.a, smo.W0.a @ x.a)
 
         # (c) top-1 gates are one-hot; (d) fusion weights sum to 1 everywhere.
@@ -226,7 +226,9 @@ class TestDegeneracySuite:
         for _ in range(50):
             x = Matrix(rng.normal(size=(8, 3)))
             emb = Matrix(rng.normal(size=(6, 1)))
-            _, [trace] = smolora_forward(smo, x, emb)
+            traces = []
+            smolora_forward(smo, x, emb, traces=traces)
+            [trace] = traces
             for sel in (trace.vu_selected, trace.if_selected):
                 c_ok = c_ok and len(sel) == 1 and sel[0][1] == 1.0
             d_ok = d_ok and abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-12

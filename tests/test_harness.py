@@ -3,8 +3,9 @@ import pytest
 
 from smolora import harness
 from smolora.benchmark import generate_stream
-from smolora.errors import ConfigError, ContractError, FormatError, StageError
+from smolora.errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from smolora.harness import (
+    METHODS,
     RunConfig,
     ToyModel,
     attach_embeddings,
@@ -221,6 +222,52 @@ class TestBatchedForward:
                         assert np.all(grads[block.A].a == 0.0)
                         assert np.all(grads[block.B].a == 0.0)
         assert unselected > 0
+
+
+class TestTopOneRouting:
+    def test_routers_get_exactly_zero_gradient_at_top_one(self):
+        # A softmax over one kept logit is constantly 1, so at top-1 no
+        # router gradient reaches R_vu, R_if or the molora router, and
+        # routing stays at its random initialization.
+        stream = prepared()
+        train, batch = stream[0][1], stream[1][1][:6]
+        for method in ("molora", "smolora"):
+            config = small_config(method)
+            assert config.top_k == 1
+            model = ToyModel(config, 8, 4, 3)
+            if method == "molora":
+                routers = [layer.layer.router for layer in model.layers]
+            else:
+                routers = [r for layer in model.layers for r in (layer.layer.R_vu, layer.layer.R_if)]
+            before = [r.a.copy() for r in routers]
+            train_stage(model, train, config)
+            assert all(np.array_equal(r.a, b) for r, b in zip(routers, before))
+            tape = Tape()
+            tape.watch(*model.trainable())
+            grads = backward(tape, _batch_loss(model, batch, tape)[2])
+            assert any(np.any(g.a != 0.0) for g in grads.values())
+            for router in routers:
+                assert np.all(grads[router].a == 0.0)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_blocks_fail_the_taped_forward(self, method):
+        model, batch = _live_model_and_batch(method)
+        adapter = model.proj
+        if method == "seqlora":
+            blocks = [adapter.block]
+        elif method == "molora":
+            blocks = adapter.layer.blocks
+        else:
+            blocks = adapter.layer.vu_blocks + adapter.layer.if_blocks
+        for block in blocks:
+            block.A.a[...] = 1e200
+            block.B.a[...] = 1e200
+        tape = Tape()
+        tape.watch(*model.trainable())
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeError):
+            model.forward(batch, tape)
 
 
 class _OracleModel:

@@ -159,7 +159,7 @@ class TestSMoLoRAForward:
             rng = np.random.default_rng(seed + 100)
             x = Matrix(rng.normal(size=(8, 3)))
             emb = Matrix(rng.normal(size=(6, 1)))
-            y, _ = smolora_forward(layer, x, emb)
+            y = smolora_forward(layer, x, emb)
             assert np.array_equal(y.a, layer.W0.a @ x.a)
 
     def test_single_block_banks_gate_to_one(self):
@@ -168,7 +168,9 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 2)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        y, [trace] = smolora_forward(layer, x, emb)
+        traces = []
+        y = smolora_forward(layer, x, emb, traces=traces)
+        [trace] = traces
         assert trace.vu_selected == [(0, 1.0)]
         assert trace.if_selected == [(0, 1.0)]
         x_vu = lora_apply(layer.vu_blocks[0], x)
@@ -183,7 +185,7 @@ class TestSMoLoRAForward:
         x = rng.normal(size=(8, 3))
         emb = rng.normal(size=(6, 1))
         emb /= np.linalg.norm(emb)
-        y, _ = smolora_forward(layer, Matrix(x), Matrix(emb))
+        y = smolora_forward(layer, Matrix(x), Matrix(emb))
         expected = straight_line_smolora(
             W0=layer.W0.a,
             vu_A=[b.A.a for b in layer.vu_blocks],
@@ -206,8 +208,8 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 4)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        delta, _ = smolora_delta(layer, x, emb)
-        y, _ = smolora_forward(layer, x, emb)
+        delta = smolora_delta(layer, x, emb)
+        y = smolora_forward(layer, x, emb)
         assert np.array_equal(y.a, add(matmul(layer.W0, x), delta).a)
 
     def test_gate_and_fusion_simplex_on_trace(self):
@@ -216,7 +218,9 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 3)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        _, [trace] = smolora_forward(layer, x, emb)
+        traces = []
+        smolora_forward(layer, x, emb, traces=traces)
+        [trace] = traces
         for selected in (trace.vu_selected, trace.if_selected):
             assert len(selected) == 2
             assert all(w > 0 for _, w in selected)
@@ -273,7 +277,7 @@ class TestInitSMoLoRA:
 
 class TestGradients:
     def _loss_through_layer(self, layer, x, emb, tape=None):
-        y, _ = smolora_forward(layer, x, emb, tape)
+        y = smolora_forward(layer, x, emb, tape)
         pooled = mean_over_columns(y, tape, emb.cols)
         return add(
             cross_entropy(pooled, list(range(1, 1 + emb.cols)), tape),
@@ -293,7 +297,8 @@ class TestGradients:
         tape.watch(*params)
         grads = backward(tape, self._loss_through_layer(layer, x, emb, tape))
 
-        _, traces = smolora_forward(layer, x, emb)
+        traces = []
+        smolora_forward(layer, x, emb, traces=traces)
         vu_sel = {i for trace in traces for i, _ in trace.vu_selected}
         if_sel = {j for trace in traces for j, _ in trace.if_selected}
 
