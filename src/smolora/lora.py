@@ -27,6 +27,7 @@ from .tensor import (
     matmul,
     rowvec_mul,
     scale_const,
+    softmax_back,
     softmax_columns,
     take_row,
     topk_mask,
@@ -157,7 +158,6 @@ def adaptive_fusion(
     x_if: Matrix,
     I_vu: Matrix,
     I_if: Matrix,
-    tape: Tape | None = None,
 ) -> tuple[Matrix, Matrix, Matrix]:
     """Per-position convex combination of the two bank outputs.
 
@@ -167,13 +167,10 @@ def adaptive_fusion(
     """
     if x_vu.shape != x_if.shape:
         raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
-    u = matmul(I_vu, x_vu, tape)
-    v = matmul(I_if, x_if, tape)
-    ab = softmax_columns(concat_rows(u, v, tape), tape)
-    alpha = take_row(ab, 0, tape)
-    beta = take_row(ab, 1, tape)
-    y = add(rowvec_mul(alpha, x_vu, tape), rowvec_mul(beta, x_if, tape), tape)
-    return y, alpha, beta
+    ab = softmax_columns(concat_rows(matmul(I_vu, x_vu), matmul(I_if, x_if)))
+    alpha = take_row(ab, 0)
+    beta = take_row(ab, 1)
+    return add(rowvec_mul(alpha, x_vu), rowvec_mul(beta, x_if)), alpha, beta
 
 
 def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
@@ -206,15 +203,6 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
         return a_stack.T @ dz, d_gate
 
     return out, back
-
-
-def _softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of the logits of a column-wise softmax y, given dy.
-
-    For a gate, a dropped entry has y = 0 and gets exactly 0; at top-1 the
-    kept entry has y = 1 exactly, so its gradient is exactly 0 too.
-    """
-    return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
 
 
 def smolora_delta(
@@ -259,7 +247,7 @@ def smolora_delta(
         def back(g):
             # Fusion: a pairwise softmax of u = I_vu @ x_vu and v = I_if @ x_if.
             d_ab = np.vstack([np.sum(g * x_vu, axis=0), np.sum(g * x_if, axis=0)])
-            d_uv = _softmax_back(ab, d_ab)
+            d_uv = softmax_back(ab, d_ab)
             du, dv = d_uv[:1], d_uv[1:]
             push(layer.I_vu, du @ x_vu.T)
             push(layer.I_if, dv @ x_if.T)
@@ -267,8 +255,8 @@ def smolora_delta(
             dx_if, d_if_gate = if_back(g * b + layer.I_if.a.T @ dv, push)
             # Routers: instance logits from the per-instance input means,
             # instruction logits from the embeddings.
-            dl_vu = _softmax_back(vu_gate, d_vu_gate)
-            dl_if = _softmax_back(if_gate, d_if_gate)
+            dl_vu = softmax_back(vu_gate, d_vu_gate)
+            dl_if = softmax_back(if_gate, d_if_gate)
             pooled = x.a.reshape(x.rows, n, s).mean(axis=2)
             push(layer.R_vu, dl_vu @ pooled.T)
             push(layer.R_if, dl_if @ instr_emb.a.T)

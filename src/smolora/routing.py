@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Matrix, Tape, matmul, mean_over_columns, softmax_columns, topk_mask
+from .tensor import Matrix, matmul, mean_over_columns, softmax_columns, topk_mask
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
 # runs and platforms.
@@ -80,25 +80,20 @@ class HashingEmbedder:
         return hit
 
 
-def route_instance(
-    R_vu: Matrix, x: Matrix, top_k: int, tape: Tape | None = None, instances: int = 1
-) -> Matrix:
+def route_instance(R_vu: Matrix, x: Matrix, top_k: int, instances: int = 1) -> Matrix:
     """Gate columns over the visual-understanding bank from the averaged input.
 
     x holds `instances` equal runs of consecutive columns, one per instance;
     column j of the result is softmax(topk_mask(R_vu @ mean(run j), top_k)):
     exactly top_k positive entries summing to 1.
     """
-    logits = matmul(R_vu, mean_over_columns(x, tape, instances), tape)
-    return softmax_columns(topk_mask(logits, top_k, tape), tape)
+    logits = matmul(R_vu, mean_over_columns(x, groups=instances))
+    return softmax_columns(topk_mask(logits, top_k))
 
 
-def route_instruction(
-    R_if: Matrix, emb: Matrix, top_k: int, tape: Tape | None = None
-) -> Matrix:
+def route_instruction(R_if: Matrix, emb: Matrix, top_k: int) -> Matrix:
     """Gate columns over the instruction-following bank, one per embedding column."""
-    logits = matmul(R_if, emb, tape)
-    return softmax_columns(topk_mask(logits, top_k, tape), tape)
+    return softmax_columns(topk_mask(matmul(R_if, emb), top_k))
 
 
 @dataclass

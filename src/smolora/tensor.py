@@ -378,11 +378,19 @@ def softmax_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
         push = tape._push
 
         def back(g):
-            dot = np.sum(g * y, axis=0, keepdims=True)
-            push(m, y * (g - dot))
+            push(m, softmax_back(y, g))
 
         tape._record(out, back)
     return out
+
+
+def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of a column-wise softmax y, given dy.
+
+    For a top-k gate, a dropped entry has y = 0 and gets exactly 0; at top-1
+    the kept entry has y = 1 exactly, so its gradient is exactly 0 too.
+    """
+    return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
 
 
 def topk_mask(m: Matrix, k: int, tape: Tape | None = None) -> Matrix:
