@@ -34,6 +34,7 @@ from .routing import (
 from .tensor import (
     SENTINEL,
     CosineSchedule,
+    FlatParameters,
     Matrix,
     Tape,
     backward,

@@ -6,7 +6,8 @@ LoRA, token-wise mixture, or separable mixture). Each instance is a
 two-column sequence: the visual feature vector and a fixed random projection
 of the instruction embedding. Two heads read a mean-pooled hidden state: one
 predicts the content class, the other the answer-format tag. Only adapter
-parameters ever receive updates.
+parameters ever receive updates; they live in one flat array, so a training
+step updates and scans them once.
 
 The model runs a whole mini-batch at once: the instances' columns sit side
 by side, two per instance, with one embedding column per instance. Training
@@ -42,6 +43,7 @@ from .metrics import AccuracyMatrix, MetricReport, compute_report
 from .routing import HashingEmbedder, RoutingTrace, routing_histogram
 from .tensor import (
     CosineSchedule,
+    FlatParameters,
     Matrix,
     Tape,
     add,
@@ -212,6 +214,7 @@ class ToyModel:
         self.head_content = AdapterLayer("head_content", kind, h, class_count, config, rng, layer_id=2)
         self.head_format = AdapterLayer("head_format", kind, h, format_count, config, rng, layer_id=3)
         self.layers = [self.proj, self.hidden, self.head_content, self.head_format]
+        self.params = FlatParameters(m for layer in self.layers for m in layer.trainable())
 
     def _input(self, batch: Sequence[TaskInstance]) -> tuple[Matrix, Matrix]:
         """Input columns (d_v x 2n, two per instance) and embeddings (e x n)."""
@@ -252,11 +255,9 @@ class ToyModel:
         fmt = self.head_format.forward(pooled, emb, tape, traces)
         return content, fmt
 
-    def trainable(self) -> list[Matrix]:
-        out: list[Matrix] = []
-        for layer in self.layers:
-            out.extend(layer.trainable())
-        return out
+    def trainable(self) -> FlatParameters:
+        """Every adapter matrix, layer by layer, packed in one flat array."""
+        return self.params
 
     def named_matrices(self) -> dict[str, Matrix]:
         out = {"instr_proj": self.instr_proj}
@@ -314,7 +315,7 @@ def train_stage(
         for start in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             tape = Tape()
-            tape.watch(*params)
+            tape.watch(params)
             content, fmt = model.forward(batch, tape)
             total = add(
                 cross_entropy(content, [inst.answer_class for inst in batch], tape),

@@ -91,6 +91,8 @@ class MoLoRALayer:
                 f"router {self.router.rows}x{self.router.cols} inconsistent with "
                 f"{len(self.blocks)} blocks over {self.W0.cols} inputs"
             )
+        if len({b.rank for b in self.blocks}) != 1:
+            raise ShapeError("blocks must share one rank to be stacked")
 
     def trainable(self) -> list[Matrix]:
         out = [self.router]
@@ -103,18 +105,29 @@ def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> M
     """W0 @ x plus the gate-weighted block updates, gated per token.
 
     Each column of x routes independently: its gate vector is
-    softmax(topk_mask(router @ x[:, t], top_k)).
+    softmax(topk_mask(router @ x[:, t], top_k)). The gate is computed
+    tape-free and the blocks run as one bank with one gate column per input
+    column; the adapter update is one tape record whose backward pushes
+    gradients into every selected block, the router and x.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    logits = matmul(layer.router, x, tape)
-    gates = softmax_columns(topk_mask(logits, layer.top_k, tape), tape)
-    out = matmul(layer.W0, x, tape)
-    used = np.flatnonzero(gates.a.max(axis=1) > 0.0)
-    for i in used:
-        delta_i = lora_apply(layer.blocks[i], x, tape)
-        out = add(out, rowvec_mul(take_row(gates, int(i), tape), delta_i, tape), tape)
-    return out
+    gate = softmax_columns(topk_mask(matmul(layer.router, x), layer.top_k)).a
+    delta, bank_back = _bank(layer.blocks, gate, x.a, 1)
+    update = Matrix._wrap(delta)
+    if tape is not None:
+        push = tape._push
+        need_x = tape._needs(x)
+
+        def back(g):
+            dx, d_gate = bank_back(g, push, need_x)
+            dl = softmax_back(gate, d_gate)
+            push(layer.router, dl @ x.a.T)
+            if need_x:
+                push(x, dx + layer.router.a.T @ dl)
+
+        tape._record(update, back)
+    return add(matmul(layer.W0, x, tape), update, tape)
 
 
 @dataclass
@@ -177,10 +190,11 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
     """One bank in two matmuls, B_cat @ (G * (A_stack @ x)), and its backward rule.
 
     Gate entry (i, j) scales block i's rank rows over instance j's s columns.
-    The rule takes the gradient of the bank output and a push function; it
-    pushes into the A and B of every block some instance selected and
-    returns the gradients of x and of the gate. Unselected entries are exact
-    zeros, so a block that no instance selected gets no push at all.
+    The rule takes the gradient of the bank output, a push function and
+    whether x needs a gradient; it pushes into the A and B of every block
+    some instance selected and returns the gradients of x (None when not
+    needed) and of the gate. Unselected entries are exact zeros, so a block
+    that no instance selected gets no push at all.
     """
     r = blocks[0].rank
     a_stack = np.vstack([b.A.a if b.scale == 1.0 else b.scale * b.A.a for b in blocks])
@@ -190,7 +204,7 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
     zg = full * z
     out = b_cat @ zg
 
-    def back(g: np.ndarray, push) -> tuple[np.ndarray, np.ndarray]:
+    def back(g: np.ndarray, push, need_x: bool) -> tuple[np.ndarray | None, np.ndarray]:
         dzg = b_cat.T @ g
         dz = dzg * full
         d_a = dz @ x.T
@@ -200,7 +214,7 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
             push(blk.A, d_a[lo:hi] if blk.scale == 1.0 else blk.scale * d_a[lo:hi])
             push(blk.B, d_b[:, lo:hi])
         d_gate = (dzg * z).reshape(len(blocks), r, gate.shape[1], s).sum(axis=(1, 3))
-        return a_stack.T @ dz, d_gate
+        return (a_stack.T @ dz if need_x else None), d_gate
 
     return out, back
 
@@ -217,9 +231,9 @@ def smolora_delta(
     instr_emb holds one embedding column per instance, and x the instances'
     columns in order, x.cols // instr_emb.cols of them each. Gates, banks and
     fusion run tape-free; the recorded op's backward pushes gradients into
-    both routers, every selected block, both importance rows, x and
-    instr_emb. When `traces` is given, one RoutingTrace per instance is
-    appended to it.
+    both routers, every selected block, both importance rows, and x and
+    instr_emb when the tape reads their gradients. When `traces` is given,
+    one RoutingTrace per instance is appended to it.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -241,6 +255,7 @@ def smolora_delta(
     )
     if tape is not None:
         push = tape._push
+        need_x, need_emb = tape._needs(x), tape._needs(instr_emb)
         a, b = alpha.a, beta.a
         ab = np.vstack([a, b])
 
@@ -251,8 +266,8 @@ def smolora_delta(
             du, dv = d_uv[:1], d_uv[1:]
             push(layer.I_vu, du @ x_vu.T)
             push(layer.I_if, dv @ x_if.T)
-            dx_vu, d_vu_gate = vu_back(g * a + layer.I_vu.a.T @ du, push)
-            dx_if, d_if_gate = if_back(g * b + layer.I_if.a.T @ dv, push)
+            dx_vu, d_vu_gate = vu_back(g * a + layer.I_vu.a.T @ du, push, need_x)
+            dx_if, d_if_gate = if_back(g * b + layer.I_if.a.T @ dv, push, need_x)
             # Routers: instance logits from the per-instance input means,
             # instruction logits from the embeddings.
             dl_vu = softmax_back(vu_gate, d_vu_gate)
@@ -260,8 +275,10 @@ def smolora_delta(
             pooled = x.a.reshape(x.rows, n, s).mean(axis=2)
             push(layer.R_vu, dl_vu @ pooled.T)
             push(layer.R_if, dl_if @ instr_emb.a.T)
-            push(x, dx_vu + dx_if + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1))
-            push(instr_emb, layer.R_if.a.T @ dl_if)
+            if need_x:
+                push(x, dx_vu + dx_if + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1))
+            if need_emb:
+                push(instr_emb, layer.R_if.a.T @ dl_if)
 
         tape._record(fused, back)
     if traces is not None:

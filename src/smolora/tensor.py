@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +30,10 @@ SENTINEL = float(np.finfo(np.float64).min)
 
 _F64 = np.dtype(np.float64)
 
+# Flat parameter and gradient arrays start every matrix at a multiple of this
+# many float64 entries: 64 bytes, one cache line.
+_ALIGN = 8
+
 
 class Matrix:
     """Dense 2-D float64 array with strictly positive dimensions."""
@@ -40,7 +45,9 @@ class Matrix:
         if arr.ndim != 2:
             raise ShapeError(f"matrix must be 2-D, got {arr.ndim}-D data")
         _validate(arr)
-        self.a = arr
+        # ndmin may return a view; a matrix built from data owns its array,
+        # so that FlatParameters can adopt it.
+        self.a = arr if arr.base is None else arr.copy()
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Matrix":
@@ -48,6 +55,11 @@ class Matrix:
         if arr.dtype is not _F64 or not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
         _validate(arr)
+        return cls._adopt(arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Matrix":
+        """Adopt a C-contiguous float64 array already known to be finite."""
         m = object.__new__(cls)
         m.a = arr
         return m
@@ -89,8 +101,36 @@ def _validate(arr: np.ndarray) -> None:
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not np.isfinite(arr).all():
+    _check_finite(arr)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    # A sum is finite only if every entry is, so the full scan runs only when
+    # the sum is not (a NaN or an infinity, or finite entries that overflow).
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise ShapeError("matrix entries must all be finite")
+
+
+def _lay_out(matrices: Iterable[Matrix], slots: dict, size: int) -> int:
+    """Give each matrix not in `slots` the next slot of a flat array; returns its new size.
+
+    Slots map id(m) to (m, first entry, end entry, shape) and start at
+    multiples of _ALIGN, in the order given.
+    """
+    for m in matrices:
+        key = id(m)
+        if key not in slots:
+            a = m.a
+            slots[key] = (m, size, size + a.size, a.shape)
+            size += -(-a.size // _ALIGN) * _ALIGN
+    return size
+
+
+def _aligned_zeros(n: int) -> np.ndarray:
+    """A zero float64 array of n entries whose data starts at a 64-byte boundary."""
+    raw = np.zeros(n + _ALIGN)
+    start = (-raw.ctypes.data % (8 * _ALIGN)) // 8
+    return raw[start : start + n]
 
 
 def _fmt(arr: np.ndarray) -> str:
@@ -100,16 +140,17 @@ def _fmt(arr: np.ndarray) -> str:
 class Tape:
     """Records operations and accumulates gradients for watched parameters.
 
-    Gradient arrays are allocated on their first push and never updated in
-    place afterwards, so an array handed out by :func:`backward` stays as it
-    was returned.
+    Gradients are laid out in one flat array, each watched parameter at its
+    own 64-byte-aligned slot in watch order. Every :func:`backward` call
+    returns a new array, so an array it handed out stays as it was returned.
     """
 
     def __init__(self):
         self._ops: list[tuple[int, Callable[[np.ndarray], None]]] = []
         self._recorded: set[int] = set()
-        self._params: dict[int, Matrix] = {}
-        self._acc: dict[int, np.ndarray] = {}
+        self._slots: dict[int, tuple[Matrix, int, int, tuple[int, int]]] = {}
+        self._size = 0
+        self._grads: np.ndarray | None = None
         flow: dict[int, np.ndarray] = {}
         self._flow = flow
 
@@ -125,10 +166,20 @@ class Tape:
         # once instead of waiting for the cyclic garbage collector.
         self._push = push
 
-    def watch(self, *matrices: Matrix) -> None:
-        """Flag matrices as trainable parameters of this tape."""
-        for m in matrices:
-            self._params.setdefault(id(m), m)
+    def watch(self, *matrices: Matrix | FlatParameters) -> None:
+        """Flag matrices as trainable parameters of this tape.
+
+        A FlatParameters argument stands for its matrices; given to a tape
+        that watches nothing yet, it lends its layout whole instead of laying
+        them out one by one. Watch before recording: an op decides when it
+        is recorded whether any gradient of its inputs is read.
+        """
+        for arg in matrices:
+            if isinstance(arg, FlatParameters) and not self._slots:
+                self._slots, self._size = dict(arg.slots), arg.flat.size
+            else:
+                group = arg.matrices if isinstance(arg, FlatParameters) else (arg,)
+                self._size = _lay_out(group, self._slots, self._size)
 
     # -- recording internals -------------------------------------------------
 
@@ -136,8 +187,39 @@ class Tape:
         self._ops.append((id(out), back))
         self._recorded.add(id(out))
 
+    def _needs(self, m: Matrix) -> bool:
+        """Whether a gradient of m is read: m is watched or a recorded op's output."""
+        return id(m) in self._slots or id(m) in self._recorded
 
-def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
+
+class Gradients(Mapping):
+    """Parameter -> gradient, as views into one flat array in watch order.
+
+    `flat` holds every watched parameter's gradient at the slot the tape
+    gave it; a parameter that no gradient reached reads zero.
+    """
+
+    __slots__ = ("flat", "slots")
+
+    def __init__(self, flat: np.ndarray, slots: dict):
+        self.flat = flat
+        self.slots = slots
+
+    def __getitem__(self, p: Matrix) -> Matrix:
+        slot = self.slots.get(id(p))
+        if slot is None or slot[0] is not p:
+            raise KeyError(p)
+        _, lo, hi, shape = slot
+        return Matrix._adopt(self.flat[lo:hi].reshape(shape))
+
+    def __iter__(self):
+        return (slot[0] for slot in self.slots.values())
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
+def backward(tape: Tape, loss: Matrix) -> Gradients:
     """Reverse sweep from a recorded scalar; returns parameter -> gradient.
 
     Gradients accumulate into the tape's parameters across calls; the
@@ -149,7 +231,7 @@ def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
         raise ContractError(f"loss must be a 1x1 scalar, got {_fmt(loss.a)}")
     if id(loss) not in tape._recorded:
         raise ContractError("loss was not recorded on this tape")
-    flow, acc = tape._flow, tape._acc
+    flow = tape._flow
     flow.clear()
     flow[id(loss)] = np.ones((1, 1))
     for out_id, back in reversed(tape._ops):
@@ -157,17 +239,19 @@ def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
         if g is None:
             continue
         back(g)
-    grads = {}
-    for key, p in tape._params.items():
-        fl = flow.pop(key, None)
-        total = acc.get(key)
-        if fl is not None:
-            total = acc[key] = fl if total is None else total + fl
-        elif total is None:
-            total = np.zeros_like(p.a)
-        grads[p] = Matrix._wrap(total)
+    flat = _aligned_zeros(tape._size)
+    slots = tape._slots
+    for key, g in flow.items():
+        slot = slots.get(key)
+        if slot is not None:
+            _, lo, hi, shape = slot
+            flat[lo:hi].reshape(shape)[...] = g
     flow.clear()
-    return grads
+    if tape._grads is not None:
+        flat[: tape._grads.size] += tape._grads
+    _check_finite(flat)
+    tape._grads = flat
+    return Gradients(flat, dict(slots))
 
 
 # -- core operations ---------------------------------------------------------
@@ -181,10 +265,14 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     if tape is not None:
         push = tape._push
         aa, bb = a.a, b.a
+        # A frozen weight or the model input gets no gradient: nothing reads it.
+        need_a, need_b = tape._needs(a), tape._needs(b)
 
         def back(g):
-            push(a, g @ bb.T)
-            push(b, aa.T @ g)
+            if need_a:
+                push(a, g @ bb.T)
+            if need_b:
+                push(b, aa.T @ g)
 
         tape._record(out, back)
     return out
@@ -215,44 +303,6 @@ def scale_const(m: Matrix, c: float, tape: Tape | None = None) -> Matrix:
 
         def back(g):
             push(m, g * c)
-
-        tape._record(out, back)
-    return out
-
-
-def scalar_mul(s: Matrix, m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Multiply a matrix by a differentiable 1x1 scalar."""
-    if s.shape != (1, 1):
-        raise ShapeError(f"scalar_mul scale must be 1x1, got {_fmt(s.a)}")
-    val = s.a[0, 0]
-    out = Matrix._wrap(m.a * val)
-    if tape is not None:
-        push = tape._push
-        ma = m.a
-
-        def back(g):
-            push(s, np.array([[float(np.sum(g * ma))]]))
-            push(m, g * val)
-
-        tape._record(out, back)
-    return out
-
-
-def take_entry(v: Matrix, i: int, tape: Tape | None = None) -> Matrix:
-    """Extract entry i of a column vector as a 1x1 matrix."""
-    if v.cols != 1:
-        raise ShapeError(f"take_entry expects a column vector, got {_fmt(v.a)}")
-    if not 0 <= i < v.rows:
-        raise ValueError(f"entry index {i} out of range for {v.rows} rows")
-    out = Matrix._wrap(v.a[i : i + 1, :].copy())
-    if tape is not None:
-        push = tape._push
-        shape = v.shape
-
-        def back(g):
-            z = np.zeros(shape)
-            z[i, 0] = g[0, 0]
-            push(v, z)
 
         tape._record(out, back)
     return out
@@ -406,7 +456,9 @@ def topk_mask(m: Matrix, k: int, tape: Tape | None = None) -> Matrix:
     order = np.argsort(-x, axis=0, kind="stable")
     keep = np.zeros(x.shape, dtype=bool)
     keep[order[:k, :], np.arange(x.shape[1])] = True
-    out = Matrix._wrap(np.where(keep, x, SENTINEL))
+    # Every entry is the validated input's or SENTINEL, so none needs a scan
+    # (and a sum over several sentinels would overflow).
+    out = Matrix._adopt(np.where(keep, x, SENTINEL))
     if tape is not None:
         push = tape._push
 
@@ -482,17 +534,63 @@ class CosineSchedule:
         self.current_step += 1
 
 
-def sgd_step(params: Iterable[Matrix], grads: Mapping[Matrix, Matrix], rate: float) -> None:
-    """In-place p <- p - rate * g for each trainable parameter.
+class FlatParameters(Sequence):
+    """Trainable matrices whose arrays are views into one flat float64 array.
 
+    Each matrix keeps its values and shape and starts at a 64-byte boundary,
+    in the given order: the layout a tape that watches them in that order
+    gives their gradients, so one subtraction updates them all. Writes
+    through a matrix's `.a` land in `flat`. Only matrices that own their
+    arrays are adopted: a view (a matrix already in another buffer is one)
+    is refused, so no matrix leaves a buffer that still updates it.
+    """
+
+    __slots__ = ("matrices", "slots", "flat")
+
+    def __init__(self, matrices: Iterable[Matrix]):
+        self.matrices = tuple(dict.fromkeys(matrices))
+        for m in self.matrices:
+            if m.a.base is not None:
+                raise ContractError(
+                    f"{m!r} is a view of another array, such as a FlatParameters; "
+                    "pass that buffer instead of packing the matrix again"
+                )
+        self.slots: dict = {}
+        self.flat = _aligned_zeros(_lay_out(self.matrices, self.slots, 0))
+        for m, lo, hi, shape in self.slots.values():
+            view = self.flat[lo:hi].reshape(shape)
+            view[...] = m.a
+            m.a = view
+
+    def __getitem__(self, i):
+        return self.matrices[i]
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+
+def sgd_step(params: Iterable[Matrix], grads: Mapping[Matrix, Matrix], rate: float) -> None:
+    """p <- p - rate * g for every parameter, as one update of a flat array.
+
+    `params` is a FlatParameters, or loose matrices, which are packed into a
+    new one here; a loop that steps the same matrices again packs them once
+    with FlatParameters and passes that buffer.
+    When `grads` comes from a tape that watched exactly those parameters in
+    that order, its flat array is used as it is; otherwise it is laid out
+    like the parameters first, a parameter without a gradient reading zero.
     Frozen matrices are simply never passed in, so they are untouched
     regardless of any gradient that may exist for them.
     """
-    for p in params:
-        g = grads.get(p)
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {_fmt(g.a)} != parameter shape {_fmt(p.a)}")
-        p.a -= rate * g.a
-        _validate(p.a)
+    buf = params if isinstance(params, FlatParameters) else FlatParameters(params)
+    if isinstance(grads, Gradients) and list(grads.slots) == list(buf.slots):
+        g = grads.flat
+    else:
+        g = np.zeros_like(buf.flat)
+        for p, lo, hi, shape in buf.slots.values():
+            gp = grads.get(p)
+            if gp is not None:
+                if gp.shape != shape:
+                    raise ShapeError(f"gradient shape {_fmt(gp.a)} != parameter shape {_fmt(p.a)}")
+                g[lo:hi] = gp.a.ravel()
+    buf.flat -= rate * g
+    _check_finite(buf.flat)

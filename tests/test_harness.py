@@ -16,7 +16,7 @@ from smolora.harness import (
     train_stage,
 )
 from smolora.routing import HashingEmbedder
-from smolora.tensor import Matrix, Tape, add, backward, cross_entropy
+from smolora.tensor import Matrix, Tape, add, backward, cross_entropy, mean_over_columns, relu
 
 
 def small_stream(seed=0, tasks=2, train=48, test=32):
@@ -202,25 +202,40 @@ class TestBatchedForward:
             else:
                 assert np.all(grads[p].a == 0.0)
 
-    def test_block_no_instance_selected_gets_zero_gradient(self):
-        model, batch = _live_model_and_batch("smolora")
+    @pytest.mark.parametrize("method", ["smolora", "molora"])
+    def test_block_no_instance_selected_gets_zero_gradient(self, method):
+        model, batch = _live_model_and_batch(method)
         tape = Tape()
         tape.watch(*model.trainable())
         traces = []
         grads = backward(tape, _batch_loss(model, batch, tape, traces)[2])
         n = len(batch)
+        if method == "smolora":
+            banks = []
+            for k, layer in enumerate(model.layers):
+                layer_traces = traces[k * n : (k + 1) * n]  # one per instance, layer by layer
+                for bank, blocks in (("vu", layer.layer.vu_blocks), ("if", layer.layer.if_blocks)):
+                    chosen = {i for tr in layer_traces for i, _ in getattr(tr, f"{bank}_selected")}
+                    banks.append((blocks, chosen))
+        else:
+            # Top-1 token-wise routing: each column picks its largest router logit.
+            x, emb = model._input(batch)
+            h1 = model.proj.forward(x, emb)
+            pooled = mean_over_columns(relu(model.hidden.forward(h1, emb)), None, n)
+            inputs = [x, h1, pooled, pooled]
+            banks = [
+                (layer.layer.blocks, set(np.argmax(layer.layer.router.a @ inp.a, axis=0)))
+                for layer, inp in zip(model.layers, inputs)
+            ]
         unselected = 0
-        for k, layer in enumerate(model.layers):
-            layer_traces = traces[k * n : (k + 1) * n]  # one per instance, layer by layer
-            for bank, blocks in (("vu", layer.layer.vu_blocks), ("if", layer.layer.if_blocks)):
-                chosen = {i for tr in layer_traces for i, _ in getattr(tr, f"{bank}_selected")}
-                for i, block in enumerate(blocks):
-                    if i in chosen:
-                        assert np.any(grads[block.B].a != 0.0)
-                    else:
-                        unselected += 1
-                        assert np.all(grads[block.A].a == 0.0)
-                        assert np.all(grads[block.B].a == 0.0)
+        for blocks, chosen in banks:
+            for i, block in enumerate(blocks):
+                if i in chosen:
+                    assert np.any(grads[block.B].a != 0.0)
+                else:
+                    unselected += 1
+                    assert np.all(grads[block.A].a == 0.0)
+                    assert np.all(grads[block.B].a == 0.0)
         assert unselected > 0
 
 
@@ -473,6 +488,25 @@ class TestCheckpoint:
         other = ToyModel(RunConfig(**{**cfg.to_dict(), "hidden": 8}), 8, 4, 3)
         with pytest.raises(ContractError):
             load_checkpoint(path, other)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trained_and_loaded_matrices_stay_in_the_flat_buffer(self, tmp_path, method):
+        # A matrix whose array was rebound would silently drop out of the
+        # flat update, so training after a load must still move the values.
+        cfg, model = self._trained_model(method)
+        for m in model.trainable():
+            assert np.shares_memory(m.a, model.trainable().flat)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        clone = load_checkpoint(path, ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3))
+        flat = clone.trainable().flat
+        for m in clone.trainable():
+            assert np.shares_memory(m.a, flat)
+        loaded = {name: m.a.copy() for name, m in clone.named_matrices().items()}
+        train_stage(clone, prepared()[1][1], cfg)
+        moved = {n for n, m in clone.named_matrices().items() if not np.array_equal(m.a, loaded[n])}
+        assert moved
+        assert all(not n.endswith("W0") and n != "instr_proj" for n in moved)
 
     def test_zero_init_checkpoint_restores_base_forward(self, tmp_path):
         stream = prepared()

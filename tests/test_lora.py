@@ -101,6 +101,24 @@ class TestMoLoRAForward:
             expected = layer.W0.a @ col.a + lora_apply(block, col).a
             assert np.allclose(out.a[:, t : t + 1], expected, atol=1e-12)
 
+    def test_top_two_matches_per_token_loop(self):
+        # Reference: each token's two largest router logits, softmaxed,
+        # weight those blocks' own updates; the bank sums in another order.
+        layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=2, seed=13)
+        rng = np.random.default_rng(14)
+        _fill_blocks(layer, rng)
+        x = Matrix(rng.normal(size=(6, 5)))
+        out = molora_forward(layer, x).a
+        for t in range(x.cols):
+            col = Matrix(x.a[:, t : t + 1])
+            logits = (layer.router.a @ col.a)[:, 0]
+            top = np.argsort(-logits, kind="stable")[:2]
+            w = np.exp(logits[top] - logits[top].max())
+            expected = layer.W0.a @ col.a
+            for i, wi in zip(top, w / w.sum()):
+                expected = expected + wi * lora_apply(layer.blocks[i], col).a
+            assert np.abs(out[:, t : t + 1] - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_equals_plain_lora_when_single_block(self):
         # Degenerate equivalence on a batch of random inputs.
         layer = init_molora(d=8, k_out=6, N=1, r=3, top_k=1, seed=11)

@@ -8,6 +8,7 @@ from smolora.errors import ContractError, ShapeError
 from smolora.tensor import (
     SENTINEL,
     CosineSchedule,
+    FlatParameters,
     Matrix,
     Tape,
     add,
@@ -18,12 +19,10 @@ from smolora.tensor import (
     mean_over_columns,
     relu,
     rowvec_mul,
-    scalar_mul,
     scale_const,
     sgd_step,
     softmax_columns,
     sum_all,
-    take_entry,
     take_row,
     topk_mask,
 )
@@ -41,6 +40,15 @@ class TestMatrix:
             Matrix([[1.0, np.nan]])
         with pytest.raises(ShapeError):
             Matrix([[np.inf]])
+        with pytest.raises(ShapeError):
+            Matrix([[2.0], [-np.inf]])
+
+    def test_finite_entries_with_overflowing_sum_accepted(self):
+        # The check tries the sum first; an overflowing sum of finite entries
+        # must fall through to the per-entry test, not be rejected.
+        with np.errstate(over="ignore"):
+            assert Matrix([[1e308, 1e308]]).tolist() == [[1e308, 1e308]]
+            assert Matrix([[-1e308], [-1e308]]).cols == 1
 
     def test_data_layout(self):
         m = Matrix([[1, 2], [3, 4]])
@@ -173,6 +181,22 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(tape, out)
 
+    def test_gradients_accumulate_and_returned_arrays_stay(self):
+        rng = np.random.default_rng(1)
+        W = Matrix(rng.normal(size=(3, 4)))
+        unused = Matrix(rng.normal(size=(2, 5)))
+        x = Matrix(rng.normal(size=(4, 2)))
+        tape = Tape()
+        tape.watch(W, unused)
+        loss = sum_all(matmul(W, x, tape), tape)
+        first = backward(tape, loss)
+        kept = first[W].a.copy()
+        second = backward(tape, loss)
+        assert np.array_equal(first[W].a, kept)
+        assert np.array_equal(second[W].a, 2.0 * kept)
+        assert np.all(second[unused].a == 0.0) and second[unused].shape == (2, 5)
+        assert set(second) == {W, unused}
+
     def test_unrecorded_loss_rejected(self):
         tape = Tape()
         with pytest.raises(ContractError):
@@ -189,9 +213,9 @@ class TestBackward:
 
         def run(tape=None):
             y = relu(matmul(W, x, tape), tape)
-            logits = matmul(R, mean_over_columns(x, tape), tape)
+            logits = matmul(R, x, tape)
             gate = softmax_columns(topk_mask(logits, 3, tape), tape)
-            y = scalar_mul(take_entry(gate, 0, tape), y, tape)
+            y = rowvec_mul(take_row(gate, 0, tape), y, tape)
             u = matmul(I1, y, tape)
             v = matmul(I2, y, tape)
             ab = softmax_columns(concat_rows(u, v, tape), tape)
@@ -287,6 +311,35 @@ class TestSgdStep:
         sgd_step([trainable], grads, 1.0)
         assert frozen.tolist() == [[3.0]]
         assert trainable.tolist() == [[0.0]]
+
+    def test_flat_update_matches_per_parameter_reference(self):
+        rng = np.random.default_rng(2)
+        params = FlatParameters(Matrix(rng.normal(size=shape)) for shape in [(3, 5), (1, 7), (2, 3)])
+        a, b, c = params
+        x = Matrix(rng.normal(size=(5, 2)))
+
+        def grads_of(*watched):
+            tape = Tape()
+            tape.watch(*watched)
+            ax = matmul(a, x, tape)
+            return backward(tape, add(sum_all(ax, tape), sum_all(matmul(c, ax, tape), tape), tape))
+
+        grads = grads_of(params)  # the buffer lends the tape its layout
+        one_by_one = grads_of(*params)
+        assert np.array_equal(grads.flat, one_by_one.flat)
+        expected = [p.a - 0.1 * grads[p].a for p in params]
+        sgd_step(params, grads, 0.1)
+        for p, want in zip(params, expected):
+            assert np.array_equal(p.a, want)
+            assert np.shares_memory(p.a, params.flat)
+            assert p.a.ctypes.data % 64 == 0
+        assert np.array_equal(b.a, expected[1])  # no gradient reached b
+
+    def test_packed_matrix_cannot_be_packed_again(self):
+        p = Matrix([[1.0, 2.0]])
+        FlatParameters([p])
+        with pytest.raises(ContractError):
+            FlatParameters([p])
 
     def test_shape_mismatch(self):
         p = Matrix([[1.0, 2.0]])
