@@ -30,15 +30,7 @@ import numpy as np
 
 from .benchmark import TaskInstance, TaskSpec, format_check
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
-from .lora import (
-    LoRABlock,
-    MoLoRALayer,
-    SMoLoRALayer,
-    init_lora_block,
-    lora_apply,
-    molora_forward,
-    smolora_forward,
-)
+from .lora import init_lora_block, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, compute_report
 from .routing import HashingEmbedder, RoutingTrace, routing_histogram
 from .tensor import (
@@ -106,7 +98,11 @@ def _effective_rank(rank: int, d_in: int, d_out: int) -> int:
 
 
 class AdapterLayer:
-    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter."""
+    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter.
+
+    `params` names every matrix, "W0" first and then the adapter's trainable
+    matrices, in checkpoint order.
+    """
 
     def __init__(
         self,
@@ -122,35 +118,21 @@ class AdapterLayer:
         self.kind = kind
         self.layer_id = layer_id
         r = _effective_rank(cfg.rank, d_in, d_out)
-        w0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in)))
         if kind == "seqlora":
-            self.W0 = w0
+            self.W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in)))
             self.block = init_lora_block(d_in, d_out, r, rng)
-        elif kind == "molora":
-            n = cfg.vu_blocks + cfg.if_blocks
-            blocks = [init_lora_block(d_in, d_out, r, rng) for _ in range(n)]
-            router = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(n, d_in)))
-            self.layer = MoLoRALayer(W0=w0, blocks=blocks, router=router, top_k=cfg.top_k)
-            self.W0 = w0
-        elif kind == "smolora":
-            vu = [init_lora_block(d_in, d_out, r, rng) for _ in range(cfg.vu_blocks)]
-            if_ = [init_lora_block(d_in, d_out, r, rng) for _ in range(cfg.if_blocks)]
-            self.layer = SMoLoRALayer(
-                W0=w0,
-                vu_blocks=vu,
-                if_blocks=if_,
-                R_vu=Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(cfg.vu_blocks, d_in))),
-                R_if=Matrix._wrap(
-                    rng.normal(0.0, np.sqrt(1.0 / cfg.embed_dim), size=(cfg.if_blocks, cfg.embed_dim))
-                ),
-                I_vu=Matrix._wrap(rng.normal(0.0, 0.02, size=(1, d_out))),
-                I_if=Matrix._wrap(rng.normal(0.0, 0.02, size=(1, d_out))),
-                top_k=cfg.top_k,
-                layer_id=layer_id,
-            )
-            self.W0 = w0
+            adapter = {"lora.A": self.block.A, "lora.B": self.block.B}
         else:
-            raise ConfigError(f"unknown adapter kind {kind!r}")
+            if kind == "molora":
+                self.layer = init_molora(d_in, d_out, cfg.vu_blocks + cfg.if_blocks, r, cfg.top_k, rng)
+            elif kind == "smolora":
+                self.layer = init_smolora(
+                    d_in, d_out, cfg.vu_blocks, cfg.if_blocks, r, cfg.embed_dim, cfg.top_k, rng, layer_id
+                )
+            else:
+                raise ConfigError(f"unknown adapter kind {kind!r}")
+            self.W0, adapter = self.layer.W0, self.layer.named()
+        self.params = {"W0": self.W0, **adapter}
 
     def forward(
         self,
@@ -166,33 +148,10 @@ class AdapterLayer:
         return smolora_forward(self.layer, x, instr_emb, tape, traces)
 
     def trainable(self) -> list[Matrix]:
-        if self.kind == "seqlora":
-            return [self.block.A, self.block.B]
-        return self.layer.trainable()
+        return [m for key, m in self.params.items() if key != "W0"]
 
     def named_matrices(self) -> dict[str, Matrix]:
-        out = {f"{self.name}.W0": self.W0}
-        if self.kind == "seqlora":
-            out[f"{self.name}.lora.A"] = self.block.A
-            out[f"{self.name}.lora.B"] = self.block.B
-        elif self.kind == "molora":
-            out[f"{self.name}.router"] = self.layer.router
-            for i, b in enumerate(self.layer.blocks):
-                out[f"{self.name}.block{i}.A"] = b.A
-                out[f"{self.name}.block{i}.B"] = b.B
-        else:
-            lay = self.layer
-            out[f"{self.name}.R_vu"] = lay.R_vu
-            out[f"{self.name}.R_if"] = lay.R_if
-            out[f"{self.name}.I_vu"] = lay.I_vu
-            out[f"{self.name}.I_if"] = lay.I_if
-            for i, b in enumerate(lay.vu_blocks):
-                out[f"{self.name}.vu{i}.A"] = b.A
-                out[f"{self.name}.vu{i}.B"] = b.B
-            for j, b in enumerate(lay.if_blocks):
-                out[f"{self.name}.if{j}.A"] = b.A
-                out[f"{self.name}.if{j}.B"] = b.B
-        return out
+        return {f"{self.name}.{key}": m for key, m in self.params.items()}
 
 
 class ToyModel:

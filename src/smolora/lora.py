@@ -19,29 +19,16 @@ import numpy as np
 
 from .errors import ShapeError
 from .routing import RoutingTrace, route_instance, route_instruction, selected_from_gate
-from .tensor import (
-    Matrix,
-    Tape,
-    add,
-    concat_rows,
-    matmul,
-    rowvec_mul,
-    scale_const,
-    softmax_back,
-    softmax_columns,
-    take_row,
-    topk_mask,
-)
+from .tensor import Matrix, Tape, add, matmul, softmax_back, softmax_columns
 
 
 @dataclass
 class LoRABlock:
-    """Rank-r update scale * B @ A with A (r x d) and B (k_out x r)."""
+    """Rank-r update B @ A with A (r x d) and B (k_out x r)."""
 
     A: Matrix
     B: Matrix
     rank: int
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.A.rows != self.rank or self.B.cols != self.rank:
@@ -52,24 +39,23 @@ class LoRABlock:
         d, k_out = self.A.cols, self.B.rows
         if self.rank > min(d, k_out) / 2:
             raise ShapeError(f"rank {self.rank} too large for {k_out}x{d} base (max {min(d, k_out) // 2})")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def init_lora_block(d: int, k_out: int, r: int, rng: np.random.Generator, scale: float = 1.0) -> LoRABlock:
+def init_lora_block(d: int, k_out: int, r: int, rng: np.random.Generator) -> LoRABlock:
     """A ~ N(0, 1/d), B = 0, so the initial update is identically zero."""
     A = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(r, d)))
     B = Matrix.zeros(k_out, r)
-    return LoRABlock(A=A, B=B, rank=r, scale=scale)
+    return LoRABlock(A=A, B=B, rank=r)
 
 
 def lora_apply(block: LoRABlock, x: Matrix, tape: Tape | None = None) -> Matrix:
-    """scale * B @ (A @ x); the k_out x d product is never materialized."""
-    ax = matmul(block.A, x, tape)
-    bax = matmul(block.B, ax, tape)
-    if block.scale == 1.0:
-        return bax
-    return scale_const(bax, block.scale, tape)
+    """B @ (A @ x); the k_out x d product is never materialized."""
+    return matmul(block.B, matmul(block.A, x, tape), tape)
+
+
+def _named_blocks(prefix: str, blocks: list[LoRABlock]) -> dict[str, Matrix]:
+    """Each block's A then B, named prefix{i}.A and prefix{i}.B."""
+    return {f"{prefix}{i}.{n}": m for i, b in enumerate(blocks) for n, m in (("A", b.A), ("B", b.B))}
 
 
 @dataclass
@@ -94,25 +80,25 @@ class MoLoRALayer:
         if len({b.rank for b in self.blocks}) != 1:
             raise ShapeError("blocks must share one rank to be stacked")
 
+    def named(self) -> dict[str, Matrix]:
+        """Trainable matrices by checkpoint name, in checkpoint order."""
+        return {"router": self.router, **_named_blocks("block", self.blocks)}
+
     def trainable(self) -> list[Matrix]:
-        out = [self.router]
-        for b in self.blocks:
-            out.extend([b.A, b.B])
-        return out
+        return list(self.named().values())
 
 
 def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> Matrix:
     """W0 @ x plus the gate-weighted block updates, gated per token.
 
-    Each column of x routes independently: its gate vector is
-    softmax(topk_mask(router @ x[:, t], top_k)). The gate is computed
-    tape-free and the blocks run as one bank with one gate column per input
-    column; the adapter update is one tape record whose backward pushes
-    gradients into every selected block, the router and x.
+    Each column of x routes independently through :func:`route_instruction`'s
+    gate, computed tape-free; the blocks run as one bank with one gate column
+    per input column, and the adapter update is one tape record whose
+    backward pushes gradients into every selected block, the router and x.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    gate = softmax_columns(topk_mask(matmul(layer.router, x), layer.top_k)).a
+    gate = route_instruction(layer.router, x, layer.top_k).a
     delta, bank_back = _bank(layer.blocks, gate, x.a, 1)
     update = Matrix._wrap(delta)
     if tape is not None:
@@ -159,11 +145,19 @@ class SMoLoRALayer:
             if len({b.rank for b in bank}) != 1:
                 raise ShapeError("blocks of one bank must share one rank to be stacked")
 
+    def named(self) -> dict[str, Matrix]:
+        """Trainable matrices by checkpoint name, in checkpoint order."""
+        return {
+            "R_vu": self.R_vu,
+            "R_if": self.R_if,
+            "I_vu": self.I_vu,
+            "I_if": self.I_if,
+            **_named_blocks("vu", self.vu_blocks),
+            **_named_blocks("if", self.if_blocks),
+        }
+
     def trainable(self) -> list[Matrix]:
-        out = [self.R_vu, self.R_if, self.I_vu, self.I_if]
-        for b in self.vu_blocks + self.if_blocks:
-            out.extend([b.A, b.B])
-        return out
+        return list(self.named().values())
 
 
 def adaptive_fusion(
@@ -180,10 +174,10 @@ def adaptive_fusion(
     """
     if x_vu.shape != x_if.shape:
         raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
-    ab = softmax_columns(concat_rows(matmul(I_vu, x_vu), matmul(I_if, x_if)))
-    alpha = take_row(ab, 0)
-    beta = take_row(ab, 1)
-    return add(rowvec_mul(alpha, x_vu), rowvec_mul(beta, x_if)), alpha, beta
+    ab = softmax_columns(Matrix._wrap(np.vstack([I_vu.a @ x_vu.a, I_if.a @ x_if.a]))).a
+    alpha, beta = ab[:1], ab[1:]
+    fused = Matrix._wrap(alpha * x_vu.a + beta * x_if.a)
+    return fused, Matrix._adopt(alpha), Matrix._adopt(beta)
 
 
 def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
@@ -197,7 +191,7 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
     that no instance selected gets no push at all.
     """
     r = blocks[0].rank
-    a_stack = np.vstack([b.A.a if b.scale == 1.0 else b.scale * b.A.a for b in blocks])
+    a_stack = np.vstack([b.A.a for b in blocks])
     b_cat = np.hstack([b.B.a for b in blocks])
     full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
     z = a_stack @ x
@@ -211,7 +205,7 @@ def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
         d_b = g @ zg.T
         for i in np.flatnonzero(gate.max(axis=1) > 0.0):
             blk, lo, hi = blocks[i], i * r, (i + 1) * r
-            push(blk.A, d_a[lo:hi] if blk.scale == 1.0 else blk.scale * d_a[lo:hi])
+            push(blk.A, d_a[lo:hi])
             push(blk.B, d_b[:, lo:hi])
         d_gate = (dzg * z).reshape(len(blocks), r, gate.shape[1], s).sum(axis=(1, 3))
         return (a_stack.T @ dz if need_x else None), d_gate
@@ -317,13 +311,14 @@ def init_smolora(
     r: int,
     e: int,
     top_k: int,
-    seed: int,
+    seed: int | np.random.Generator,
     layer_id: int = 0,
 ) -> SMoLoRALayer:
     """Seeded layer construction matching the default configuration.
 
     W0 and A matrices draw from N(0, 1/d), routers from N(0, 1/fan_in),
-    importance rows from N(0, 0.02^2); all B matrices start at zero.
+    importance rows from N(0, 0.02^2); all B matrices start at zero. A
+    Generator passed as `seed` is drawn from in place.
     """
     for name, val in (("d", d), ("k_out", k_out), ("M", M), ("N_minus_M", N_minus_M), ("r", r), ("e", e)):
         if val < 1:
@@ -352,9 +347,9 @@ def init_smolora(
 
 
 def init_molora(
-    d: int, k_out: int, N: int, r: int, top_k: int, seed: int
+    d: int, k_out: int, N: int, r: int, top_k: int, seed: int | np.random.Generator
 ) -> MoLoRALayer:
-    """Seeded token-wise mixture layer with N blocks."""
+    """Seeded token-wise mixture layer with N blocks; a Generator seed is drawn from in place."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if not 1 <= top_k <= N:

@@ -1,11 +1,11 @@
 """Router computations, the hashing instruction embedder, and routing analytics.
 
-Two gating paths feed the adapter banks: instance-based gates computed from
-the sequence-averaged layer input, and instruction-based gates computed from
-an embedding of the task's instruction text. The default embedder is a
-deterministic feature-hashing bag of words standing in for a learned sentence
-encoder; precomputed vectors can be supplied through the benchmark stream
-file instead.
+Two gating paths feed the adapter banks, both through one top-k softmax
+gate: instance-based gates computed from the sequence-averaged layer input,
+and instruction-based gates computed from an embedding of the task's
+instruction text. The default embedder is a deterministic feature-hashing
+bag of words standing in for a learned sentence encoder; precomputed vectors
+can be supplied through the benchmark stream file instead.
 """
 
 from __future__ import annotations
@@ -80,20 +80,23 @@ class HashingEmbedder:
         return hit
 
 
+def route_instruction(R: Matrix, z: Matrix, top_k: int) -> Matrix:
+    """The top-k softmax gate: column j is softmax(topk_mask(R @ z[:, j], top_k)).
+
+    Each column has exactly top_k positive entries summing to 1. It gates
+    the instruction-following bank on the instruction embeddings, and
+    molora's blocks on each token.
+    """
+    return softmax_columns(topk_mask(matmul(R, z), top_k))
+
+
 def route_instance(R_vu: Matrix, x: Matrix, top_k: int, instances: int = 1) -> Matrix:
-    """Gate columns over the visual-understanding bank from the averaged input.
+    """The gate of :func:`route_instruction` on each instance's averaged input.
 
     x holds `instances` equal runs of consecutive columns, one per instance;
-    column j of the result is softmax(topk_mask(R_vu @ mean(run j), top_k)):
-    exactly top_k positive entries summing to 1.
+    column j gates the visual-understanding bank on the mean of run j.
     """
-    logits = matmul(R_vu, mean_over_columns(x, groups=instances))
-    return softmax_columns(topk_mask(logits, top_k))
-
-
-def route_instruction(R_if: Matrix, emb: Matrix, top_k: int) -> Matrix:
-    """Gate columns over the instruction-following bank, one per embedding column."""
-    return softmax_columns(topk_mask(matmul(R_if, emb), top_k))
+    return route_instruction(R_vu, mean_over_columns(x, groups=instances), top_k)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Dense float64 matrix engine with tape-based reverse-mode differentiation.
 
 Everything is an explicit 2-D matrix (rows x cols). Operations are free
-functions that take an optional :class:`Tape`; when a tape is passed the
-operation is recorded so that :func:`backward` can push gradients into the
-tape's watched parameters. Without a tape the same functions are pure and
-cheap, which is the evaluation fast path.
+functions; the differentiable ones take an optional :class:`Tape`, and when
+a tape is passed the operation is recorded so that :func:`backward` can
+push gradients into the tape's watched parameters. Without a tape the same
+functions are pure and cheap, which is the evaluation fast path.
 
 Matrices and tapes are single-writer objects: they may move between threads
 but must not be mutated concurrently. Tape-free operations on distinct or
@@ -44,7 +44,10 @@ class Matrix:
         arr = np.array(data, dtype=np.float64, order="C", ndmin=2)
         if arr.ndim != 2:
             raise ShapeError(f"matrix must be 2-D, got {arr.ndim}-D data")
-        _validate(arr)
+        _check_dims(arr)
+        # Outside data is scanned entry by entry with no sum first: finite
+        # entries (SENTINELs, say) may sum to an overflow.
+        _scan_finite(arr)
         # ndmin may return a view; a matrix built from data owns its array,
         # so that FlatParameters can adopt it.
         self.a = arr if arr.base is None else arr.copy()
@@ -54,7 +57,8 @@ class Matrix:
         """Adopt an array computed internally (no copy when already contiguous)."""
         if arr.dtype is not _F64 or not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
-        _validate(arr)
+        _check_dims(arr)
+        _check_finite(arr)
         return cls._adopt(arr)
 
     @classmethod
@@ -97,17 +101,21 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _validate(arr: np.ndarray) -> None:
+def _check_dims(arr: np.ndarray) -> None:
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    _check_finite(arr)
 
 
 def _check_finite(arr: np.ndarray) -> None:
     # A sum is finite only if every entry is, so the full scan runs only when
     # the sum is not (a NaN or an infinity, or finite entries that overflow).
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not math.isfinite(arr.sum()):
+        _scan_finite(arr)
+
+
+def _scan_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
         raise ShapeError("matrix entries must all be finite")
 
 
@@ -308,63 +316,6 @@ def scale_const(m: Matrix, c: float, tape: Tape | None = None) -> Matrix:
     return out
 
 
-def take_row(m: Matrix, i: int, tape: Tape | None = None) -> Matrix:
-    """Extract row i as a 1 x cols matrix."""
-    if not 0 <= i < m.rows:
-        raise ValueError(f"row index {i} out of range for {m.rows} rows")
-    out = Matrix._wrap(m.a[i : i + 1, :].copy())
-    if tape is not None:
-        push = tape._push
-        shape = m.shape
-
-        def back(g):
-            z = np.zeros(shape)
-            z[i, :] = g[0, :]
-            push(m, z)
-
-        tape._record(out, back)
-    return out
-
-
-def concat_rows(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    """Stack two matrices with equal column counts vertically."""
-    return stack_rows([a, b], tape)
-
-
-def stack_rows(parts: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
-    """Stack matrices with equal column counts vertically, in order."""
-    if len({p.cols for p in parts}) != 1:
-        raise ShapeError(f"stack_rows column mismatch: {[p.shape for p in parts]}")
-    out = Matrix._wrap(np.vstack([p.a for p in parts]))
-    if tape is not None:
-        push = tape._push
-        bounds = np.cumsum([0] + [p.rows for p in parts])
-
-        def back(g):
-            for p, lo, hi in zip(parts, bounds, bounds[1:]):
-                push(p, g[lo:hi, :])
-
-        tape._record(out, back)
-    return out
-
-
-def rowvec_mul(v: Matrix, m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Broadcast a 1 x s row vector elementwise down the rows of m (k x s)."""
-    if v.rows != 1 or v.cols != m.cols:
-        raise ShapeError(f"rowvec_mul expects 1x{m.cols} and {_fmt(m.a)}, got {_fmt(v.a)}")
-    out = Matrix._wrap(v.a * m.a)
-    if tape is not None:
-        push = tape._push
-        va, ma = v.a, m.a
-
-        def back(g):
-            push(v, np.sum(g * ma, axis=0, keepdims=True))
-            push(m, g * va)
-
-        tape._record(out, back)
-    return out
-
-
 def mean_over_columns(m: Matrix, tape: Tape | None = None, groups: int = 1) -> Matrix:
     """Row-wise mean over each of `groups` equal runs of consecutive columns.
 
@@ -411,8 +362,11 @@ def sum_all(m: Matrix, tape: Tape | None = None) -> Matrix:
     return out
 
 
-def softmax_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Column-wise softmax; entries equal to SENTINEL map to an exact 0."""
+def softmax_columns(m: Matrix) -> Matrix:
+    """Column-wise softmax; entries equal to SENTINEL map to an exact 0.
+
+    Its gradient is :func:`softmax_back`.
+    """
     x = m.a
     masked = x == SENTINEL
     if not masked.any():
@@ -422,16 +376,7 @@ def softmax_columns(m: Matrix, tape: Tape | None = None) -> Matrix:
             raise ValueError("softmax_columns: a column is fully masked")
         col_max = np.max(np.where(masked, -np.inf, x), axis=0, keepdims=True)
         e = np.where(masked, 0.0, np.exp(np.where(masked, 0.0, x - col_max)))
-    y = e / e.sum(axis=0, keepdims=True)
-    out = Matrix._wrap(y)
-    if tape is not None:
-        push = tape._push
-
-        def back(g):
-            push(m, softmax_back(y, g))
-
-        tape._record(out, back)
-    return out
+    return Matrix._wrap(e / e.sum(axis=0, keepdims=True))
 
 
 def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -443,11 +388,10 @@ def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
 
 
-def topk_mask(m: Matrix, k: int, tape: Tape | None = None) -> Matrix:
+def topk_mask(m: Matrix, k: int) -> Matrix:
     """Keep the k largest entries of each column, replace the rest by SENTINEL.
 
-    Ties break toward the lowest row index. Gradient passes through kept
-    entries unchanged and is exactly zero elsewhere.
+    Ties break toward the lowest row index.
     """
     n = m.rows
     if not 1 <= k <= n:
@@ -458,15 +402,7 @@ def topk_mask(m: Matrix, k: int, tape: Tape | None = None) -> Matrix:
     keep[order[:k, :], np.arange(x.shape[1])] = True
     # Every entry is the validated input's or SENTINEL, so none needs a scan
     # (and a sum over several sentinels would overflow).
-    out = Matrix._adopt(np.where(keep, x, SENTINEL))
-    if tape is not None:
-        push = tape._push
-
-        def back(g):
-            push(m, np.where(keep, g, 0.0))
-
-        tape._record(out, back)
-    return out
+    return Matrix._adopt(np.where(keep, x, SENTINEL))
 
 
 def cross_entropy(

@@ -89,6 +89,28 @@ class TestToyModel:
         for name in a:
             assert np.array_equal(a[name].a, b[name].a)
 
+    @pytest.mark.parametrize(
+        "method, adapter",
+        [
+            ("seqlora", ["lora.A", "lora.B"]),
+            ("molora", ["router", "block0.A", "block0.B", "block1.A", "block1.B", "block2.A", "block2.B"]),
+            ("smolora", ["R_vu", "R_if", "I_vu", "I_if", "vu0.A", "vu0.B", "vu1.A", "vu1.B", "if0.A", "if0.B"]),
+        ],
+    )
+    def test_checkpoint_layout(self, method, adapter):
+        # Checkpoints are written in this order, and readers of model.ckpt
+        # parse it; the trainable matrices are the same ones, less the frozen.
+        model = ToyModel(small_config(method, vu_blocks=2, if_blocks=1), 8, 4, 3)
+        names = list(model.named_matrices())
+        assert names == ["instr_proj"] + [
+            f"{layer}.{key}"
+            for layer in ("proj", "hidden", "head_content", "head_format")
+            for key in ["W0"] + adapter
+        ]
+        named = model.named_matrices()
+        expected = [named[n] for n in names if n != "instr_proj" and not n.endswith(".W0")]
+        assert [id(m) for m in model.trainable()] == [id(m) for m in expected]
+
     def test_head_rank_is_clamped(self):
         cfg = small_config("seqlora", rank=16)
         model = ToyModel(cfg, 8, 4, 3)

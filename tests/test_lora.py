@@ -50,17 +50,9 @@ class TestLoRABlock:
         assert np.all(lora_apply(block, x).a == 0.0)
 
     def test_hand_expansion(self):
-        block = LoRABlock(A=Matrix([[1.0, 0.0]]), B=Matrix([[2.0], [0.0]]), rank=1, scale=1.0)
+        block = LoRABlock(A=Matrix([[1.0, 0.0]]), B=Matrix([[2.0], [0.0]]), rank=1)
         out = lora_apply(block, Matrix([[3.0], [5.0]]))
         assert out.tolist() == [[6.0], [0.0]]
-
-    def test_scale_linearity(self):
-        a = Matrix([[1.0, -0.5]])
-        b = Matrix([[2.0], [1.0]])
-        one = LoRABlock(A=a, B=b, rank=1, scale=1.0)
-        two = LoRABlock(A=a, B=b, rank=1, scale=2.0)
-        x = Matrix([[0.4], [1.2]])
-        assert np.allclose(lora_apply(two, x).a, 2.0 * lora_apply(one, x).a)
 
     def test_rank_bound_enforced(self):
         rng = np.random.default_rng(0)
