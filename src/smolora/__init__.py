@@ -12,6 +12,7 @@ from .errors import (
 )
 from .harness import RunConfig, ToyModel, evaluate_task, run_cvit, train_stage
 from .lora import (
+    LoRABank,
     LoRABlock,
     MoLoRALayer,
     SMoLoRALayer,
@@ -32,7 +33,6 @@ from .routing import (
     routing_histogram,
 )
 from .tensor import (
-    SENTINEL,
     CosineSchedule,
     FlatParameters,
     Matrix,
@@ -41,8 +41,6 @@ from .tensor import (
     matmul,
     mean_over_columns,
     sgd_step,
-    softmax_columns,
-    topk_mask,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ from .tensor import (
     add,
     backward,
     cross_entropy,
-    matmul,
     mean_over_columns,
     relu,
     scale_const,
@@ -142,7 +141,7 @@ class AdapterLayer:
         traces: list[RoutingTrace] | None = None,
     ) -> Matrix:
         if self.kind == "seqlora":
-            return add(matmul(self.W0, x, tape), lora_apply(self.block, x, tape), tape)
+            return lora_apply(self.block, x, tape, self.W0)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
         return smolora_forward(self.layer, x, instr_emb, tape, traces)

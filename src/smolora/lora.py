@@ -9,17 +9,28 @@ Three adapter designs share a frozen base weight W0:
   outputs fused per position by trainable importance scores.
 
 Blocks initialize with B = 0 so a fresh layer is exactly W0 @ x.
+
+Each layer is one function on arrays. Gates, banks and fusion are plain
+numpy, and the layer output W0 @ x + update is one tape record whose
+hand-written backward pushes into the trainable matrices and the layer
+input. A bank of N rank-r blocks is stored bank-major: the blocks' A
+matrices stacked (N*r x d) and their B matrices side by side (k_out x N*r),
+each block's A and B being submatrices of the two. A bank is then two
+matmuls, and its gradient two whole arrays.
+
+A top-1 gate is one-hot whatever its logits, so its gradient is exactly 0;
+at top-1 the backward computes no router gradient at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
 from .routing import RoutingTrace, route_instance, route_instruction, selected_from_gate
-from .tensor import Matrix, Tape, add, matmul, softmax_back, softmax_columns
+from .tensor import Matrix, SubMatrix, Tape, softmax_back
 
 
 @dataclass
@@ -48,9 +59,34 @@ def init_lora_block(d: int, k_out: int, r: int, rng: np.random.Generator) -> LoR
     return LoRABlock(A=A, B=B, rank=r)
 
 
-def lora_apply(block: LoRABlock, x: Matrix, tape: Tape | None = None) -> Matrix:
-    """B @ (A @ x); the k_out x d product is never materialized."""
-    return matmul(block.B, matmul(block.A, x, tape), tape)
+def lora_apply(
+    block: LoRABlock, x: Matrix, tape: Tape | None = None, base: Matrix | None = None
+) -> Matrix:
+    """B @ (A @ x), plus base @ x when a frozen base weight is given, as one tape record.
+
+    The k_out x d product is never materialized. The backward pushes into A,
+    B and x: A.T @ dz first, then base.T @ g.
+    """
+    A, B, xa = block.A.a, block.B.a, x.a
+    if x.rows != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.rows)):
+        raise ShapeError(f"block {B.shape[0]}x{A.shape[1]} does not map {x.rows}x{x.cols} input")
+    z = A @ xa
+    out = Matrix._wrap(B @ z if base is None else base.a @ xa + B @ z)
+    if tape is not None:
+        push = tape._push
+        need_x = tape._needs(x)
+
+        def back(g):
+            dz = B.T @ g
+            push(block.B, g @ z.T)
+            push(block.A, dz @ xa.T)
+            if need_x:
+                push(x, A.T @ dz)
+                if base is not None:
+                    push(x, base.a.T @ g)
+
+        tape._record(out, back)
+    return out
 
 
 def _named_blocks(prefix: str, blocks: list[LoRABlock]) -> dict[str, Matrix]:
@@ -59,26 +95,86 @@ def _named_blocks(prefix: str, blocks: list[LoRABlock]) -> dict[str, Matrix]:
 
 
 @dataclass
+class LoRABank:
+    """Blocks of one rank stored bank-major: A (N*r x d) and B (k_out x N*r).
+
+    blocks[i] reads and writes rows i*r:(i+1)*r of A and the same columns of B.
+    """
+
+    A: Matrix
+    B: Matrix
+    rank: int
+    blocks: list[LoRABlock] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A, B, r = self.A, self.B, self.rank
+        if r < 1 or A.rows % r or B.cols != A.rows:
+            raise ShapeError(
+                f"A {A.rows}x{A.cols} and B {B.rows}x{B.cols} do not split into rank-{r} blocks"
+            )
+        self.blocks = [
+            LoRABlock(SubMatrix(A, np.s_[lo : lo + r, :]), SubMatrix(B, np.s_[:, lo : lo + r]), r)
+            for lo in range(0, A.rows, r)
+        ]
+
+
+def init_lora_bank(d: int, k_out: int, n: int, r: int, rng: np.random.Generator) -> LoRABank:
+    """n blocks drawn as n calls of init_lora_block would draw them, stored bank-major."""
+    A = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(n * r, d)))
+    return LoRABank(A=A, B=Matrix.zeros(k_out, n * r), rank=r)
+
+
+def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
+    """One bank in two matmuls, B @ (G * (A @ x)), and its backward rule.
+
+    Gate entry (i, j) scales block i's rank rows over instance j's s columns.
+    The rule takes the gradient of the bank output, a push function and
+    whether x and the gate need gradients; it pushes the gradients of the
+    bank's A and B whole and returns those of x and of the gate (None where
+    not needed). A block that no instance selected gets zeros.
+    """
+    r = bank.rank
+    a_stack, b_cat = bank.A.a, bank.B.a
+    full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
+    z = a_stack @ x
+    zg = full * z
+    out = b_cat @ zg
+
+    def back(g: np.ndarray, push, need_x: bool, need_gate: bool):
+        dzg = b_cat.T @ g
+        dz = dzg * full
+        push(bank.A, dz @ x.T)
+        push(bank.B, g @ zg.T)
+        dx = a_stack.T @ dz if need_x else None
+        if not need_gate:
+            return dx, None
+        return dx, (dzg * z).reshape(gate.shape[0], r, gate.shape[1], s).sum(axis=(1, 3))
+
+    return out, back
+
+
+@dataclass
 class MoLoRALayer:
-    """Frozen W0 plus N blocks gated token-wise by a single router."""
+    """Frozen W0 plus a bank of N blocks gated token-wise by a single router."""
 
     W0: Matrix
-    blocks: list[LoRABlock]
+    bank: LoRABank
     router: Matrix
     top_k: int
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("MoLoRALayer needs at least one block")
-        if not 1 <= self.top_k <= len(self.blocks):
-            raise ValueError(f"top_k {self.top_k} out of range for {len(self.blocks)} blocks")
-        if self.router.rows != len(self.blocks) or self.router.cols != self.W0.cols:
+        n = len(self.blocks)
+        if not 1 <= self.top_k <= n:
+            raise ValueError(f"top_k {self.top_k} out of range for {n} blocks")
+        if self.router.shape != (n, self.W0.cols):
             raise ShapeError(
                 f"router {self.router.rows}x{self.router.cols} inconsistent with "
-                f"{len(self.blocks)} blocks over {self.W0.cols} inputs"
+                f"{n} blocks over {self.W0.cols} inputs"
             )
-        if len({b.rank for b in self.blocks}) != 1:
-            raise ShapeError("blocks must share one rank to be stacked")
+
+    @property
+    def blocks(self) -> list[LoRABlock]:
+        return self.bank.blocks
 
     def named(self) -> dict[str, Matrix]:
         """Trainable matrices by checkpoint name, in checkpoint order."""
@@ -89,31 +185,35 @@ class MoLoRALayer:
 
 
 def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> Matrix:
-    """W0 @ x plus the gate-weighted block updates, gated per token.
+    """W0 @ x plus the gate-weighted block updates, gated per token, as one tape record.
 
     Each column of x routes independently through :func:`route_instruction`'s
-    gate, computed tape-free; the blocks run as one bank with one gate column
-    per input column, and the adapter update is one tape record whose
-    backward pushes gradients into every selected block, the router and x.
+    gate, and the bank runs with one gate column per input column. The
+    backward pushes into the bank, the router (above top-1) and x.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    gate = route_instruction(layer.router, x, layer.top_k).a
-    delta, bank_back = _bank(layer.blocks, gate, x.a, 1)
-    update = Matrix._wrap(delta)
+    xa, W0 = x.a, layer.W0.a
+    gate = route_instruction(layer.router.a, xa, layer.top_k)
+    delta, bank_back = _bank(layer.bank, gate, xa, 1)
+    out = Matrix._wrap(W0 @ xa + delta)
     if tape is not None:
         push = tape._push
-        need_x = tape._needs(x)
+        need_x, routed = tape._needs(x), layer.top_k > 1
 
         def back(g):
-            dx, d_gate = bank_back(g, push, need_x)
-            dl = softmax_back(gate, d_gate)
-            push(layer.router, dl @ x.a.T)
+            dx, d_gate = bank_back(g, push, need_x, routed)
+            if routed:
+                dl = softmax_back(gate, d_gate)
+                push(layer.router, dl @ xa.T)
+                if need_x:
+                    dx = dx + layer.router.a.T @ dl
             if need_x:
-                push(x, dx + layer.router.a.T @ dl)
+                push(x, W0.T @ g)
+                push(x, dx)
 
-        tape._record(update, back)
-    return add(matmul(layer.W0, x, tape), update, tape)
+        tape._record(out, back)
+    return out
 
 
 @dataclass
@@ -121,8 +221,8 @@ class SMoLoRALayer:
     """Frozen W0 with separable banks, dual routers, and fusion importances."""
 
     W0: Matrix
-    vu_blocks: list[LoRABlock]
-    if_blocks: list[LoRABlock]
+    vu_bank: LoRABank
+    if_bank: LoRABank
     R_vu: Matrix
     R_if: Matrix
     I_vu: Matrix
@@ -131,8 +231,6 @@ class SMoLoRALayer:
     layer_id: int = 0
 
     def __post_init__(self):
-        if not self.vu_blocks or not self.if_blocks:
-            raise ValueError("both banks need at least one block")
         if self.top_k > min(len(self.vu_blocks), len(self.if_blocks)):
             raise ValueError(
                 f"top_k {self.top_k} exceeds bank sizes "
@@ -141,9 +239,14 @@ class SMoLoRALayer:
         k_out = self.W0.rows
         if self.I_vu.shape != (1, k_out) or self.I_if.shape != (1, k_out):
             raise ShapeError(f"importance matrices must be 1x{k_out}")
-        for bank in (self.vu_blocks, self.if_blocks):
-            if len({b.rank for b in bank}) != 1:
-                raise ShapeError("blocks of one bank must share one rank to be stacked")
+
+    @property
+    def vu_blocks(self) -> list[LoRABlock]:
+        return self.vu_bank.blocks
+
+    @property
+    def if_blocks(self) -> list[LoRABlock]:
+        return self.if_bank.blocks
 
     def named(self) -> dict[str, Matrix]:
         """Trainable matrices by checkpoint name, in checkpoint order."""
@@ -161,73 +264,41 @@ class SMoLoRALayer:
 
 
 def adaptive_fusion(
-    x_vu: Matrix,
-    x_if: Matrix,
-    I_vu: Matrix,
-    I_if: Matrix,
-) -> tuple[Matrix, Matrix, Matrix]:
+    x_vu: np.ndarray,
+    x_if: np.ndarray,
+    I_vu: np.ndarray,
+    I_if: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-position convex combination of the two bank outputs.
 
     Scores u = I_vu @ x_vu and v = I_if @ x_if (1 x s each) pass through a
     pairwise softmax at every column, yielding weights alpha, beta with
     alpha_t + beta_t = 1; the result is alpha*x_vu + beta*x_if column-wise.
+    Returns the result, alpha and beta.
     """
     if x_vu.shape != x_if.shape:
         raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
-    ab = softmax_columns(Matrix._wrap(np.vstack([I_vu.a @ x_vu.a, I_if.a @ x_if.a]))).a
+    uv = np.concatenate([I_vu @ x_vu, I_if @ x_if])
+    e = np.exp(uv - uv.max(axis=0))
+    ab = e / e.sum(axis=0)
     alpha, beta = ab[:1], ab[1:]
-    fused = Matrix._wrap(alpha * x_vu.a + beta * x_if.a)
-    return fused, Matrix._adopt(alpha), Matrix._adopt(beta)
+    return alpha * x_vu + beta * x_if, alpha, beta
 
 
-def _bank(blocks: list[LoRABlock], gate: np.ndarray, x: np.ndarray, s: int):
-    """One bank in two matmuls, B_cat @ (G * (A_stack @ x)), and its backward rule.
-
-    Gate entry (i, j) scales block i's rank rows over instance j's s columns.
-    The rule takes the gradient of the bank output, a push function and
-    whether x needs a gradient; it pushes into the A and B of every block
-    some instance selected and returns the gradients of x (None when not
-    needed) and of the gate. Unselected entries are exact zeros, so a block
-    that no instance selected gets no push at all.
-    """
-    r = blocks[0].rank
-    a_stack = np.vstack([b.A.a for b in blocks])
-    b_cat = np.hstack([b.B.a for b in blocks])
-    full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
-    z = a_stack @ x
-    zg = full * z
-    out = b_cat @ zg
-
-    def back(g: np.ndarray, push, need_x: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        dzg = b_cat.T @ g
-        dz = dzg * full
-        d_a = dz @ x.T
-        d_b = g @ zg.T
-        for i in np.flatnonzero(gate.max(axis=1) > 0.0):
-            blk, lo, hi = blocks[i], i * r, (i + 1) * r
-            push(blk.A, d_a[lo:hi])
-            push(blk.B, d_b[:, lo:hi])
-        d_gate = (dzg * z).reshape(len(blocks), r, gate.shape[1], s).sum(axis=(1, 3))
-        return (a_stack.T @ dz if need_x else None), d_gate
-
-    return out, back
-
-
-def smolora_delta(
+def smolora_forward(
     layer: SMoLoRALayer,
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
     traces: list[RoutingTrace] | None = None,
 ) -> Matrix:
-    """The fused adapter update (everything except W0 @ x), recorded as one tape op.
+    """The layer output W0 @ x + the fused update of both banks, as one tape record.
 
     instr_emb holds one embedding column per instance, and x the instances'
-    columns in order, x.cols // instr_emb.cols of them each. Gates, banks and
-    fusion run tape-free; the recorded op's backward pushes gradients into
-    both routers, every selected block, both importance rows, and x and
-    instr_emb when the tape reads their gradients. When `traces` is given,
-    one RoutingTrace per instance is appended to it.
+    columns in order, x.cols // instr_emb.cols of them each. The backward
+    pushes into both banks, both importance rows, both routers (above
+    top-1), and x and instr_emb when the tape reads their gradients. When
+    `traces` is given, one RoutingTrace per instance is appended to it.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -240,44 +311,48 @@ def smolora_delta(
     if x.cols % n:
         raise ShapeError(f"{x.cols} input columns do not split over {n} instances")
     s = x.cols // n
-    vu_gate = route_instance(layer.R_vu, x, layer.top_k, instances=n).a
-    if_gate = route_instruction(layer.R_if, instr_emb, layer.top_k).a
-    x_vu, vu_back = _bank(layer.vu_blocks, vu_gate, x.a, s)
-    x_if, if_back = _bank(layer.if_blocks, if_gate, x.a, s)
-    fused, alpha, beta = adaptive_fusion(
-        Matrix._wrap(x_vu), Matrix._wrap(x_if), layer.I_vu, layer.I_if
-    )
+    xa, emb, W0 = x.a, instr_emb.a, layer.W0.a
+    vu_gate = route_instance(layer.R_vu.a, xa, layer.top_k, n)
+    if_gate = route_instruction(layer.R_if.a, emb, layer.top_k)
+    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, xa, s)
+    x_if, if_back = _bank(layer.if_bank, if_gate, xa, s)
+    fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
+    out = Matrix._wrap(W0 @ xa + fused)
     if tape is not None:
         push = tape._push
-        need_x, need_emb = tape._needs(x), tape._needs(instr_emb)
-        a, b = alpha.a, beta.a
-        ab = np.vstack([a, b])
+        need_x, need_emb, routed = tape._needs(x), tape._needs(instr_emb), layer.top_k > 1
+        ab = np.concatenate([alpha, beta])
 
         def back(g):
             # Fusion: a pairwise softmax of u = I_vu @ x_vu and v = I_if @ x_if.
-            d_ab = np.vstack([np.sum(g * x_vu, axis=0), np.sum(g * x_if, axis=0)])
+            d_ab = np.concatenate([(g * x_vu).sum(axis=0, keepdims=True),
+                                   (g * x_if).sum(axis=0, keepdims=True)])
             d_uv = softmax_back(ab, d_ab)
             du, dv = d_uv[:1], d_uv[1:]
             push(layer.I_vu, du @ x_vu.T)
             push(layer.I_if, dv @ x_if.T)
-            dx_vu, d_vu_gate = vu_back(g * a + layer.I_vu.a.T @ du, push, need_x)
-            dx_if, d_if_gate = if_back(g * b + layer.I_if.a.T @ dv, push, need_x)
-            # Routers: instance logits from the per-instance input means,
-            # instruction logits from the embeddings.
-            dl_vu = softmax_back(vu_gate, d_vu_gate)
-            dl_if = softmax_back(if_gate, d_if_gate)
-            pooled = x.a.reshape(x.rows, n, s).mean(axis=2)
-            push(layer.R_vu, dl_vu @ pooled.T)
-            push(layer.R_if, dl_if @ instr_emb.a.T)
+            dx_vu, d_vu_gate = vu_back(g * alpha + layer.I_vu.a.T @ du, push, need_x, routed)
+            dx_if, d_if_gate = if_back(g * beta + layer.I_if.a.T @ dv, push, need_x, routed)
+            dx = dx_vu + dx_if if need_x else None
+            if routed:
+                # Instance logits from the per-instance input means,
+                # instruction logits from the embeddings.
+                dl_vu = softmax_back(vu_gate, d_vu_gate)
+                dl_if = softmax_back(if_gate, d_if_gate)
+                push(layer.R_vu, dl_vu @ xa.reshape(x.rows, n, s).mean(axis=2).T)
+                push(layer.R_if, dl_if @ emb.T)
+                if need_x:
+                    dx = dx + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1)
+                if need_emb:
+                    push(instr_emb, layer.R_if.a.T @ dl_if)
             if need_x:
-                push(x, dx_vu + dx_if + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1))
-            if need_emb:
-                push(instr_emb, layer.R_if.a.T @ dl_if)
+                push(x, W0.T @ g)
+                push(x, dx)
 
-        tape._record(fused, back)
+        tape._record(out, back)
     if traces is not None:
-        alpha_means = alpha.a.reshape(n, -1).mean(axis=1)
-        beta_means = beta.a.reshape(n, -1).mean(axis=1)
+        alpha_means = alpha.reshape(n, -1).mean(axis=1)
+        beta_means = beta.reshape(n, -1).mean(axis=1)
         traces.extend(
             RoutingTrace(
                 layer_id=layer.layer_id,
@@ -288,19 +363,7 @@ def smolora_delta(
             )
             for j in range(n)
         )
-    return fused
-
-
-def smolora_forward(
-    layer: SMoLoRALayer,
-    x: Matrix,
-    instr_emb: Matrix,
-    tape: Tape | None = None,
-    traces: list[RoutingTrace] | None = None,
-) -> Matrix:
-    """Full layer output W0 @ x + fused bank update; traces as in smolora_delta."""
-    delta = smolora_delta(layer, x, instr_emb, tape, traces)
-    return add(matmul(layer.W0, x, tape), delta, tape)
+    return out
 
 
 def init_smolora(
@@ -327,23 +390,13 @@ def init_smolora(
         raise ValueError(f"top_k {top_k} out of range for banks of {M} and {N_minus_M}")
     rng = np.random.default_rng(seed)
     W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d)))
-    vu_blocks = [init_lora_block(d, k_out, r, rng) for _ in range(M)]
-    if_blocks = [init_lora_block(d, k_out, r, rng) for _ in range(N_minus_M)]
+    vu_bank = init_lora_bank(d, k_out, M, r, rng)
+    if_bank = init_lora_bank(d, k_out, N_minus_M, r, rng)
     R_vu = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(M, d)))
     R_if = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
     I_vu = Matrix._wrap(rng.normal(0.0, 0.02, size=(1, k_out)))
     I_if = Matrix._wrap(rng.normal(0.0, 0.02, size=(1, k_out)))
-    return SMoLoRALayer(
-        W0=W0,
-        vu_blocks=vu_blocks,
-        if_blocks=if_blocks,
-        R_vu=R_vu,
-        R_if=R_if,
-        I_vu=I_vu,
-        I_if=I_if,
-        top_k=top_k,
-        layer_id=layer_id,
-    )
+    return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I_vu, I_if, top_k, layer_id)
 
 
 def init_molora(
@@ -356,6 +409,6 @@ def init_molora(
         raise ValueError(f"top_k {top_k} out of range for {N} blocks")
     rng = np.random.default_rng(seed)
     W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d)))
-    blocks = [init_lora_block(d, k_out, r, rng) for _ in range(N)]
+    bank = init_lora_bank(d, k_out, N, r, rng)
     router = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(N, d)))
-    return MoLoRALayer(W0=W0, blocks=blocks, router=router, top_k=top_k)
+    return MoLoRALayer(W0=W0, bank=bank, router=router, top_k=top_k)

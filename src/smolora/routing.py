@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import Matrix, matmul, mean_over_columns, softmax_columns, topk_mask
+from .errors import ContractError, ShapeError
+from .tensor import Matrix, check_finite
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
 # runs and platforms.
@@ -80,23 +80,49 @@ class HashingEmbedder:
         return hit
 
 
-def route_instruction(R: Matrix, z: Matrix, top_k: int) -> Matrix:
-    """The top-k softmax gate: column j is softmax(topk_mask(R @ z[:, j], top_k)).
+def topk_softmax(logits: np.ndarray, top_k: int) -> np.ndarray:
+    """Softmax over the top_k largest logits of each column; every other entry is exactly 0.
+
+    Ties break toward the lowest row. The logits are checked for finiteness
+    first, since the mask could otherwise drop a NaN or an infinity unseen.
+    """
+    rows, cols = logits.shape
+    if not 1 <= top_k <= rows:
+        raise ValueError(f"top-k size k={top_k} out of range [1, {rows}]")
+    check_finite(logits, "router logits")
+    if top_k == 1:
+        # exp(0) / exp(0): the one kept entry is exactly 1.
+        gate = np.zeros_like(logits)
+        gate[logits.argmax(axis=0), np.arange(cols)] = 1.0
+        return gate
+    e = np.exp(logits - logits.max(axis=0))
+    if top_k < rows:
+        keep = np.zeros(logits.shape, dtype=bool)
+        keep[np.argsort(-logits, axis=0, kind="stable")[:top_k], np.arange(cols)] = True
+        e = np.where(keep, e, 0.0)
+    return e / e.sum(axis=0)
+
+
+def route_instruction(R: np.ndarray, z: np.ndarray, top_k: int) -> np.ndarray:
+    """The top-k softmax gate of R @ z, one column per column of z.
 
     Each column has exactly top_k positive entries summing to 1. It gates
     the instruction-following bank on the instruction embeddings, and
     molora's blocks on each token.
     """
-    return softmax_columns(topk_mask(matmul(R, z), top_k))
+    return topk_softmax(R @ z, top_k)
 
 
-def route_instance(R_vu: Matrix, x: Matrix, top_k: int, instances: int = 1) -> Matrix:
+def route_instance(R_vu: np.ndarray, x: np.ndarray, top_k: int, instances: int = 1) -> np.ndarray:
     """The gate of :func:`route_instruction` on each instance's averaged input.
 
     x holds `instances` equal runs of consecutive columns, one per instance;
     column j gates the visual-understanding bank on the mean of run j.
     """
-    return route_instruction(R_vu, mean_over_columns(x, groups=instances), top_k)
+    rows, cols = x.shape
+    if instances < 1 or cols % instances:
+        raise ShapeError(f"cannot split {cols} columns into {instances} equal groups")
+    return route_instruction(R_vu, x.reshape(rows, instances, -1).mean(axis=2), top_k)
 
 
 @dataclass

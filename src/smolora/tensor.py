@@ -22,12 +22,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# Most-negative finite float64. topk_mask writes this where entries are
-# dropped and softmax_columns maps it to an exact 0 by explicit masking, so
-# gating is deterministic and platform-independent (no reliance on exp
-# underflow).
-SENTINEL = float(np.finfo(np.float64).min)
-
 _F64 = np.dtype(np.float64)
 
 # Flat parameter and gradient arrays start every matrix at a multiple of this
@@ -36,7 +30,11 @@ _ALIGN = 8
 
 
 class Matrix:
-    """Dense 2-D float64 array with strictly positive dimensions."""
+    """Dense 2-D float64 array with strictly positive dimensions.
+
+    A matrix built from data or computed by an operation is C-contiguous; a
+    :class:`SubMatrix` may be strided.
+    """
 
     __slots__ = ("a",)
 
@@ -46,7 +44,7 @@ class Matrix:
             raise ShapeError(f"matrix must be 2-D, got {arr.ndim}-D data")
         _check_dims(arr)
         # Outside data is scanned entry by entry with no sum first: finite
-        # entries (SENTINELs, say) may sum to an overflow.
+        # entries may sum to an overflow.
         _scan_finite(arr)
         # ndmin may return a view; a matrix built from data owns its array,
         # so that FlatParameters can adopt it.
@@ -58,12 +56,12 @@ class Matrix:
         if arr.dtype is not _F64 or not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
         _check_dims(arr)
-        _check_finite(arr)
+        check_finite(arr)
         return cls._adopt(arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "Matrix":
-        """Adopt a C-contiguous float64 array already known to be finite."""
+        """Adopt a float64 array already known to be finite."""
         m = object.__new__(cls)
         m.a = arr
         return m
@@ -107,29 +105,58 @@ def _check_dims(arr: np.ndarray) -> None:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
 
 
-def _check_finite(arr: np.ndarray) -> None:
+class SubMatrix(Matrix):
+    """A block of another matrix, `base.a[index]`, that reads and writes through to it.
+
+    A tape or a FlatParameters that is given a submatrix lays out its base,
+    and the submatrix's gradient is the same block of the base's.
+    """
+
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Matrix, index: tuple[slice, slice]):
+        if isinstance(base, SubMatrix):
+            raise ContractError("a submatrix's base must be a whole matrix")
+        self.base, self.index = base, index
+        _check_dims(self.a)
+
+    @property
+    def a(self) -> np.ndarray:
+        # Read on every access, so it follows the base into a FlatParameters.
+        return self.base.a[self.index]
+
+
+def check_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
+    """Raise ShapeError unless every entry of arr is finite."""
     # A sum is finite only if every entry is, so the full scan runs only when
     # the sum is not (a NaN or an infinity, or finite entries that overflow).
     if not math.isfinite(arr.sum()):
-        _scan_finite(arr)
+        _scan_finite(arr, what)
 
 
-def _scan_finite(arr: np.ndarray) -> None:
+def _scan_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
     if not np.isfinite(arr).all():
-        raise ShapeError("matrix entries must all be finite")
+        raise ShapeError(f"{what} must all be finite")
 
 
 def _lay_out(matrices: Iterable[Matrix], slots: dict, size: int) -> int:
     """Give each matrix not in `slots` the next slot of a flat array; returns its new size.
 
-    Slots map id(m) to (m, first entry, end entry, shape) and start at
-    multiples of _ALIGN, in the order given.
+    Slots map id(m) to (m, first entry, end entry, shape, index) and start at
+    multiples of _ALIGN, in the order given. A whole matrix's index is `...`;
+    a submatrix takes its base's slot, laid out first if it is new, and its
+    own index within it.
     """
     for m in matrices:
         key = id(m)
-        if key not in slots:
+        if key in slots:
+            continue
+        if isinstance(m, SubMatrix):
+            size = _lay_out((m.base,), slots, size)
+            slots[key] = (m, *slots[id(m.base)][1:4], m.index)
+        else:
             a = m.a
-            slots[key] = (m, size, size + a.size, a.shape)
+            slots[key] = (m, size, size + a.size, a.shape, ...)
             size += -(-a.size // _ALIGN) * _ALIGN
     return size
 
@@ -149,14 +176,16 @@ class Tape:
     """Records operations and accumulates gradients for watched parameters.
 
     Gradients are laid out in one flat array, each watched parameter at its
-    own 64-byte-aligned slot in watch order. Every :func:`backward` call
-    returns a new array, so an array it handed out stays as it was returned.
+    own 64-byte-aligned slot in watch order, and a watched submatrix within
+    its base's. Every :func:`backward` call returns a new array, so an array
+    it handed out stays as it was returned.
     """
 
     def __init__(self):
         self._ops: list[tuple[int, Callable[[np.ndarray], None]]] = []
         self._recorded: set[int] = set()
-        self._slots: dict[int, tuple[Matrix, int, int, tuple[int, int]]] = {}
+        self._slots: dict[int, tuple] = {}
+        self._watched: tuple[Matrix, ...] = ()
         self._size = 0
         self._grads: np.ndarray | None = None
         flow: dict[int, np.ndarray] = {}
@@ -183,11 +212,12 @@ class Tape:
         is recorded whether any gradient of its inputs is read.
         """
         for arg in matrices:
+            group = arg.matrices if isinstance(arg, FlatParameters) else (arg,)
             if isinstance(arg, FlatParameters) and not self._slots:
                 self._slots, self._size = dict(arg.slots), arg.flat.size
             else:
-                group = arg.matrices if isinstance(arg, FlatParameters) else (arg,)
                 self._size = _lay_out(group, self._slots, self._size)
+            self._watched = tuple(dict.fromkeys(self._watched + group)) if self._watched else group
 
     # -- recording internals -------------------------------------------------
 
@@ -201,30 +231,32 @@ class Tape:
 
 
 class Gradients(Mapping):
-    """Parameter -> gradient, as views into one flat array in watch order.
+    """Parameter -> gradient, as views into one flat array, iterated in watch order.
 
     `flat` holds every watched parameter's gradient at the slot the tape
-    gave it; a parameter that no gradient reached reads zero.
+    gave it; a parameter that no gradient reached reads zero. The base of a
+    watched submatrix can be looked up too.
     """
 
-    __slots__ = ("flat", "slots")
+    __slots__ = ("flat", "slots", "watched")
 
-    def __init__(self, flat: np.ndarray, slots: dict):
+    def __init__(self, flat: np.ndarray, slots: dict, watched: tuple[Matrix, ...]):
         self.flat = flat
         self.slots = slots
+        self.watched = watched
 
     def __getitem__(self, p: Matrix) -> Matrix:
         slot = self.slots.get(id(p))
         if slot is None or slot[0] is not p:
             raise KeyError(p)
-        _, lo, hi, shape = slot
-        return Matrix._adopt(self.flat[lo:hi].reshape(shape))
+        _, lo, hi, shape, index = slot
+        return Matrix._adopt(self.flat[lo:hi].reshape(shape)[index])
 
     def __iter__(self):
-        return (slot[0] for slot in self.slots.values())
+        return iter(self.watched)
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.watched)
 
 
 def backward(tape: Tape, loss: Matrix) -> Gradients:
@@ -252,14 +284,15 @@ def backward(tape: Tape, loss: Matrix) -> Gradients:
     for key, g in flow.items():
         slot = slots.get(key)
         if slot is not None:
-            _, lo, hi, shape = slot
-            flat[lo:hi].reshape(shape)[...] = g
+            # Added, not copied: a base and its submatrices may both get one.
+            _, lo, hi, shape, index = slot
+            flat[lo:hi].reshape(shape)[index] += g
     flow.clear()
     if tape._grads is not None:
         flat[: tape._grads.size] += tape._grads
-    _check_finite(flat)
+    check_finite(flat)
     tape._grads = flat
-    return Gradients(flat, dict(slots))
+    return Gradients(flat, dict(slots), tape._watched)
 
 
 # -- core operations ---------------------------------------------------------
@@ -362,23 +395,6 @@ def sum_all(m: Matrix, tape: Tape | None = None) -> Matrix:
     return out
 
 
-def softmax_columns(m: Matrix) -> Matrix:
-    """Column-wise softmax; entries equal to SENTINEL map to an exact 0.
-
-    Its gradient is :func:`softmax_back`.
-    """
-    x = m.a
-    masked = x == SENTINEL
-    if not masked.any():
-        e = np.exp(x - x.max(axis=0, keepdims=True))
-    else:
-        if masked.all(axis=0).any():
-            raise ValueError("softmax_columns: a column is fully masked")
-        col_max = np.max(np.where(masked, -np.inf, x), axis=0, keepdims=True)
-        e = np.where(masked, 0.0, np.exp(np.where(masked, 0.0, x - col_max)))
-    return Matrix._wrap(e / e.sum(axis=0, keepdims=True))
-
-
 def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Gradient of the logits of a column-wise softmax y, given dy.
 
@@ -386,23 +402,6 @@ def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     the kept entry has y = 1 exactly, so its gradient is exactly 0 too.
     """
     return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
-
-
-def topk_mask(m: Matrix, k: int) -> Matrix:
-    """Keep the k largest entries of each column, replace the rest by SENTINEL.
-
-    Ties break toward the lowest row index.
-    """
-    n = m.rows
-    if not 1 <= k <= n:
-        raise ValueError(f"top-k size k={k} out of range [1, {n}]")
-    x = m.a
-    order = np.argsort(-x, axis=0, kind="stable")
-    keep = np.zeros(x.shape, dtype=bool)
-    keep[order[:k, :], np.arange(x.shape[1])] = True
-    # Every entry is the validated input's or SENTINEL, so none needs a scan
-    # (and a sum over several sentinels would overflow).
-    return Matrix._adopt(np.where(keep, x, SENTINEL))
 
 
 def cross_entropy(
@@ -475,7 +474,8 @@ class FlatParameters(Sequence):
 
     Each matrix keeps its values and shape and starts at a 64-byte boundary,
     in the given order: the layout a tape that watches them in that order
-    gives their gradients, so one subtraction updates them all. Writes
+    gives their gradients, so one subtraction updates them all. A submatrix
+    moves with its base, which takes the slot of its first submatrix. Writes
     through a matrix's `.a` land in `flat`. Only matrices that own their
     arrays are adopted: a view (a matrix already in another buffer is one)
     is refused, so no matrix leaves a buffer that still updates it.
@@ -485,15 +485,17 @@ class FlatParameters(Sequence):
 
     def __init__(self, matrices: Iterable[Matrix]):
         self.matrices = tuple(dict.fromkeys(matrices))
-        for m in self.matrices:
+        self.slots: dict = {}
+        size = _lay_out(self.matrices, self.slots, 0)
+        whole = [slot for slot in self.slots.values() if slot[4] is ...]
+        for m, *_ in whole:
             if m.a.base is not None:
                 raise ContractError(
                     f"{m!r} is a view of another array, such as a FlatParameters; "
                     "pass that buffer instead of packing the matrix again"
                 )
-        self.slots: dict = {}
-        self.flat = _aligned_zeros(_lay_out(self.matrices, self.slots, 0))
-        for m, lo, hi, shape in self.slots.values():
+        self.flat = _aligned_zeros(size)
+        for m, lo, hi, shape, _ in whole:
             view = self.flat[lo:hi].reshape(shape)
             view[...] = m.a
             m.a = view
@@ -522,11 +524,11 @@ def sgd_step(params: Iterable[Matrix], grads: Mapping[Matrix, Matrix], rate: flo
         g = grads.flat
     else:
         g = np.zeros_like(buf.flat)
-        for p, lo, hi, shape in buf.slots.values():
+        for p, lo, hi, shape, index in buf.slots.values():
             gp = grads.get(p)
             if gp is not None:
-                if gp.shape != shape:
+                if gp.shape != p.shape:
                     raise ShapeError(f"gradient shape {_fmt(gp.a)} != parameter shape {_fmt(p.a)}")
-                g[lo:hi] = gp.a.ravel()
+                g[lo:hi].reshape(shape)[index] = gp.a
     buf.flat -= rate * g
-    _check_finite(buf.flat)
+    check_finite(buf.flat)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 FD_H = 1e-5
-SENT = float(np.finfo(np.float64).min)
 
 
 def central_diff(loss_fn, param: np.ndarray, i: int, j: int, h: float = FD_H) -> float:

@@ -57,11 +57,12 @@ def test_run_prints_every_declared_metric_finite(workload, trace):
         value = metric["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
-    if trace and workload == "controls-eval":
-        # A batch of 4 records 22 ops under seqlora and 18 under molora (per
-        # layer: W0 @ x, one bank op, their sum), 5.0 per sample-step; the
-        # count repeats exactly, so ops recorded per block would show here.
-        assert result["metrics"]["tensor.tape_ops_per_sample_step"]["value"] <= 6
+    if trace:
+        # A batch of 4 records 10 ops under every method: one per adapter
+        # layer, the ReLU, the pooling, two losses, their sum and the mean.
+        # That is 2.5 per sample-step; the count repeats exactly, so ops
+        # recorded per block or per gate would show here.
+        assert result["metrics"]["tensor.tape_ops_per_sample_step"]["value"] <= 3
 
 
 def test_wrap_points_resolve():

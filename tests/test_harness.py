@@ -261,6 +261,35 @@ class TestBatchedForward:
         assert unselected > 0
 
 
+class TestBankMajorStorage:
+    @pytest.mark.parametrize("method", ["smolora", "molora"])
+    def test_block_no_instance_selects_keeps_B_at_positive_zero(self, method):
+        # A bank's gradient is written whole, so an unselected block's share
+        # of it may be -0.0; its B must still stay +0.0 bit for bit. Each
+        # router's last row copies its first, so the two tie on every input
+        # and the last block never wins (ties go to the lower row, and
+        # routers do not train at top-1).
+        stream = prepared()
+        cfg = small_config(method)
+        model = ToyModel(cfg, 8, 4, 3)
+        banks = []
+        for adapter in model.layers:
+            layer = adapter.layer
+            if method == "molora":
+                pairs = [(layer.router, layer.bank)]
+            else:
+                pairs = [(layer.R_vu, layer.vu_bank), (layer.R_if, layer.if_bank)]
+            for router, bank in pairs:
+                router.a[-1] = router.a[0]
+                banks.append(bank)
+        train_stage(model, stream[0][1], cfg)
+        for bank in banks:
+            assert np.any(bank.B.a != 0.0)
+            B = bank.blocks[-1].B.a
+            assert np.all(B == 0.0) and not np.signbit(B).any()
+            assert np.shares_memory(B, model.trainable().flat)
+
+
 class TestTopOneRouting:
     def test_routers_get_exactly_zero_gradient_at_top_one(self):
         # A softmax over one kept logit is constantly 1, so at top-1 no

@@ -3,17 +3,17 @@ import pytest
 from _oracles import central_diff, rel_err, scalar_softmax, straight_line_smolora
 
 from smolora.errors import ShapeError
+from smolora.harness import AdapterLayer, RunConfig
 from smolora.lora import (
+    LoRABank,
     LoRABlock,
     MoLoRALayer,
-    SMoLoRALayer,
     adaptive_fusion,
     init_lora_block,
     init_molora,
     init_smolora,
     lora_apply,
     molora_forward,
-    smolora_delta,
     smolora_forward,
 )
 from smolora.tensor import (
@@ -124,42 +124,38 @@ class TestMoLoRAForward:
 
 class TestAdaptiveFusion:
     def test_equal_scores_average(self):
-        x_vu = Matrix([[2.0, 4.0], [0.0, 2.0]])
-        x_if = Matrix([[0.0, 2.0], [2.0, 0.0]])
+        x_vu = np.array([[2.0, 4.0], [0.0, 2.0]])
+        x_if = np.array([[0.0, 2.0], [2.0, 0.0]])
         # Zero importances give u == v == 0 everywhere.
-        y, alpha, beta = adaptive_fusion(x_vu, x_if, Matrix([[0.0, 0.0]]), Matrix([[0.0, 0.0]]))
-        assert np.allclose(alpha.a, 0.5) and np.allclose(beta.a, 0.5)
-        assert np.allclose(y.a, 0.5 * (x_vu.a + x_if.a))
+        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert np.allclose(alpha, 0.5) and np.allclose(beta, 0.5)
+        assert np.allclose(y, 0.5 * (x_vu + x_if))
 
     def test_large_gap_saturates(self):
-        x_vu = Matrix([[1.0], [2.0]])
-        x_if = Matrix([[-3.0], [5.0]])
+        x_vu = np.array([[1.0], [2.0]])
+        x_if = np.array([[-3.0], [5.0]])
         # u - v = 50 >= 40 at the single position.
-        y, alpha, beta = adaptive_fusion(
-            x_vu, x_if, Matrix([[50.0, 0.0]]), Matrix([[0.0, 0.0]])
-        )
-        assert alpha.a[0, 0] > 1.0 - 1e-12
-        assert np.max(np.abs(y.a - x_vu.a)) < 1e-12
+        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.array([[50.0, 0.0]]), np.zeros((1, 2)))
+        assert alpha[0, 0] > 1.0 - 1e-12
+        assert np.max(np.abs(y - x_vu)) < 1e-12
 
     def test_scalar_softmax_oracle(self):
         # Importances picked so u = [1.5], v = [0.9].
-        x_vu = Matrix([[1.5]])
-        x_if = Matrix([[0.9]])
-        y, alpha, beta = adaptive_fusion(x_vu, x_if, Matrix([[1.0]]), Matrix([[1.0]]))
+        x_vu = np.array([[1.5]])
+        x_if = np.array([[0.9]])
+        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.array([[1.0]]), np.array([[1.0]]))
         expected = scalar_softmax([1.5, 0.9])
-        assert alpha.a[0, 0] == pytest.approx(expected[0], abs=1e-12)
-        assert alpha.a[0, 0] == pytest.approx(0.6457, abs=1e-4)
-        assert beta.a[0, 0] == pytest.approx(0.3543, abs=1e-4)
+        assert alpha[0, 0] == pytest.approx(expected[0], abs=1e-12)
+        assert alpha[0, 0] == pytest.approx(0.6457, abs=1e-4)
+        assert beta[0, 0] == pytest.approx(0.3543, abs=1e-4)
 
     def test_fusion_simplex(self):
         rng = np.random.default_rng(13)
-        x_vu = Matrix(rng.normal(size=(5, 7)))
-        x_if = Matrix(rng.normal(size=(5, 7)))
-        _, alpha, beta = adaptive_fusion(
-            x_vu, x_if, Matrix(rng.normal(size=(1, 5))), Matrix(rng.normal(size=(1, 5)))
-        )
-        assert np.all(alpha.a > 0) and np.all(alpha.a < 1)
-        assert np.all(np.abs(alpha.a + beta.a - 1.0) <= 1e-12)
+        x_vu = rng.normal(size=(5, 7))
+        x_if = rng.normal(size=(5, 7))
+        _, alpha, beta = adaptive_fusion(x_vu, x_if, rng.normal(size=(1, 5)), rng.normal(size=(1, 5)))
+        assert np.all(alpha > 0) and np.all(alpha < 1)
+        assert np.all(np.abs(alpha + beta - 1.0) <= 1e-12)
 
 
 class TestSMoLoRAForward:
@@ -183,10 +179,10 @@ class TestSMoLoRAForward:
         [trace] = traces
         assert trace.vu_selected == [(0, 1.0)]
         assert trace.if_selected == [(0, 1.0)]
-        x_vu = lora_apply(layer.vu_blocks[0], x)
-        x_if = lora_apply(layer.if_blocks[0], x)
-        fused, _, _ = adaptive_fusion(x_vu, x_if, layer.I_vu, layer.I_if)
-        assert np.allclose(y.a, layer.W0.a @ x.a + fused.a, atol=1e-12)
+        x_vu = lora_apply(layer.vu_blocks[0], x).a
+        x_if = lora_apply(layer.if_blocks[0], x).a
+        fused, _, _ = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
+        assert np.allclose(y.a, layer.W0.a @ x.a + fused, atol=1e-12)
 
     def test_straight_line_oracle(self):
         layer = _seeded_smolora(seed=21, top_k=2)
@@ -213,14 +209,18 @@ class TestSMoLoRAForward:
         assert np.allclose(y.a, expected, rtol=1e-12, atol=1e-12)
 
     def test_linearity_in_base_weight(self):
+        # The output is W0 @ x plus an update that does not read W0: the
+        # update is the output of the same layer with W0 zeroed.
         layer = _seeded_smolora(seed=30)
         rng = np.random.default_rng(31)
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 4)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        delta = smolora_delta(layer, x, emb)
         y = smolora_forward(layer, x, emb)
-        assert np.array_equal(y.a, add(matmul(layer.W0, x), delta).a)
+        W0 = layer.W0.a.copy()
+        layer.W0.a[...] = 0.0
+        delta = smolora_forward(layer, x, emb)
+        assert np.array_equal(y.a, add(matmul(Matrix(W0), x), delta).a)
 
     def test_gate_and_fusion_simplex_on_trace(self):
         layer = _seeded_smolora(seed=40, top_k=2)
@@ -238,14 +238,15 @@ class TestSMoLoRAForward:
         assert abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-9
 
     def test_mixed_ranks_in_a_bank_rejected(self):
-        # A bank runs as one stacked matmul, so its blocks must share a rank.
-        layer = _seeded_smolora(M=2, nm=2)
-        odd = init_lora_block(8, 8, 1, np.random.default_rng(0))
+        # A bank is stored as one stacked A and one B of whole rank-r blocks:
+        # three rows at rank 2 would be a rank-2 block and a rank-1 block.
         with pytest.raises(ShapeError):
-            SMoLoRALayer(
-                W0=layer.W0, vu_blocks=[layer.vu_blocks[0], odd], if_blocks=layer.if_blocks,
-                R_vu=layer.R_vu, R_if=layer.R_if, I_vu=layer.I_vu, I_if=layer.I_if, top_k=1,
-            )
+            LoRABank(A=Matrix(np.ones((3, 8))), B=Matrix.zeros(8, 3), rank=2)
+        with pytest.raises(ShapeError):
+            LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix.zeros(8, 2), rank=2)
+        bank = LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix.zeros(8, 4), rank=2)
+        assert [b.A.shape for b in bank.blocks] == [(2, 8), (2, 8)]
+        assert [b.B.shape for b in bank.blocks] == [(8, 2), (8, 2)]
 
     def test_embedding_shape_checked(self):
         layer = _seeded_smolora()
@@ -372,3 +373,63 @@ class TestGradients:
                     fd = central_diff(lambda: loss().item(), param.a, i, j)
                     worst = max(worst, rel_err(g[i, j], fd))
         assert worst < 1e-4
+
+    def test_seqlora_layer_gradients_match_finite_differences(self):
+        # The layer is one tape record; its input comes from a watched P, so
+        # the gradient pushed into the input is checked as well.
+        rng = np.random.default_rng(80)
+        layer = AdapterLayer("hidden", "seqlora", 6, 5, RunConfig(method="seqlora", rank=2), rng, 1)
+        layer.block.B.a[...] = rng.normal(size=layer.block.B.shape)
+        P = Matrix(rng.normal(size=(6, 4)))
+        x0 = Matrix(rng.normal(size=(4, 3)))
+        emb = Matrix(rng.normal(size=(64, 1)))
+
+        def loss(tape=None):
+            y = layer.forward(matmul(P, x0, tape), emb, tape)
+            return add(
+                cross_entropy(mean_over_columns(y, tape), 0, tape),
+                scale_const(sum_all(y, tape), 0.1, tape),
+                tape,
+            )
+
+        tape = Tape()
+        params = [*layer.trainable(), P]
+        tape.watch(*params)
+        grads = backward(tape, loss(tape))
+        worst = 0.0
+        for param in params:
+            g = grads[param].a
+            for i in range(param.rows):
+                for j in range(param.cols):
+                    fd = central_diff(lambda: loss().item(), param.a, i, j)
+                    worst = max(worst, rel_err(g[i, j], fd))
+        assert worst < 1e-4
+
+
+class TestRouterLogits:
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("router", ["R_vu", "R_if", "molora"])
+    def test_non_finite_logit_rejected_even_where_top_k_drops_it(self, router, bad):
+        # Positive inputs make a row of -inf a logit of -inf, which top-1
+        # drops; the logits are checked before the mask.
+        rng = np.random.default_rng(90)
+        x = Matrix(rng.uniform(0.5, 1.5, size=(8, 2)))
+        emb = Matrix(rng.uniform(0.5, 1.5, size=(6, 1)))
+        if router == "molora":
+            layer = init_molora(d=8, k_out=8, N=4, r=2, top_k=1, seed=91)
+            R = layer.router
+
+            def run():
+                return molora_forward(layer, x, Tape())
+        else:
+            layer = _seeded_smolora(seed=92)
+            R = getattr(layer, router)
+
+            def run():
+                return smolora_forward(layer, x, emb, Tape())
+
+        run()
+        R.a[2, :] = bad
+        # A matmul kernel may meet inf * 0 on the way and say so.
+        with np.errstate(invalid="ignore"), pytest.raises(ShapeError, match="router logits"):
+            run()

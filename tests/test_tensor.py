@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import central_diff, rel_err, scalar_softmax
+from _oracles import central_diff, mask_then_softmax, rel_err, scalar_softmax
 
 from smolora.errors import ContractError, ShapeError
+from smolora.routing import topk_softmax
 from smolora.tensor import (
-    SENTINEL,
     CosineSchedule,
     FlatParameters,
     Matrix,
@@ -19,10 +19,11 @@ from smolora.tensor import (
     relu,
     scale_const,
     sgd_step,
-    softmax_columns,
     sum_all,
-    topk_mask,
 )
+
+# The most negative finite float64.
+LOWEST = float(np.finfo(np.float64).min)
 
 
 class TestMatrix:
@@ -77,31 +78,36 @@ class TestMatmul:
 
 
 class TestSoftmaxColumns:
+    """The softmax half of the router gate, `routing.topk_softmax`, keeping every row."""
+
     def test_symmetry(self):
-        out = softmax_columns(Matrix([[0.0], [0.0]]))
+        out = topk_softmax(np.array([[0.0], [0.0]]), 2)
         assert out.tolist() == [[0.5], [0.5]]
 
     def test_scalar_oracle(self):
         expected = scalar_softmax([1.5, 0.9])
-        out = softmax_columns(Matrix([[1.5], [0.9]]))
-        assert out.a[0, 0] == pytest.approx(expected[0], abs=1e-4)
-        assert out.a[1, 0] == pytest.approx(expected[1], abs=1e-4)
-        assert out.a[0, 0] == pytest.approx(0.6457, abs=1e-4)
-        assert out.a[1, 0] == pytest.approx(0.3543, abs=1e-4)
+        out = topk_softmax(np.array([[1.5], [0.9]]), 2)
+        assert out[0, 0] == pytest.approx(expected[0], abs=1e-4)
+        assert out[1, 0] == pytest.approx(expected[1], abs=1e-4)
+        assert out[0, 0] == pytest.approx(0.6457, abs=1e-4)
+        assert out[1, 0] == pytest.approx(0.3543, abs=1e-4)
 
     def test_sentinel_maps_to_exact_zero(self):
-        out = softmax_columns(Matrix([[3.0], [SENTINEL]]))
-        assert out.tolist() == [[1.0], [0.0]]
+        # A dropped entry is an exact 0, not an underflowed exp.
+        for k in (1, 2):
+            out = topk_softmax(np.array([[3.0], [LOWEST], [2.0]]), k)
+            assert out[1, 0] == 0.0 and not np.signbit(out[1, 0])
+        assert topk_softmax(np.array([[3.0], [-3.0]]), 1).tolist() == [[1.0], [0.0]]
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(5)
-        m = Matrix(rng.normal(scale=10.0, size=(7, 9)))
-        out = softmax_columns(m)
-        assert np.all(np.abs(out.a.sum(axis=0) - 1.0) <= 1e-12)
+        out = topk_softmax(rng.normal(scale=10.0, size=(7, 9)), 7)
+        assert np.all(np.abs(out.sum(axis=0) - 1.0) <= 1e-12)
 
     def test_fully_masked_column_rejected(self):
+        # Keeping no entry would leave a column with nothing to normalize.
         with pytest.raises(ValueError):
-            softmax_columns(Matrix([[SENTINEL], [SENTINEL]]))
+            topk_softmax(np.array([[1.0], [2.0]]), 0)
 
 
 class TestMeanOverColumns:
@@ -117,34 +123,37 @@ class TestMeanOverColumns:
 
 
 class TestTopkMask:
+    """The top-k half of the router gate, `routing.topk_softmax`."""
+
     def test_exhaustive_sort_oracle(self):
         vals = [0.2, 1.5, -0.3, 0.9]
-        out = topk_mask(Matrix([[v] for v in vals]), 2)
+        out = topk_softmax(np.array([[v] for v in vals]), 2)
         order = sorted(range(4), key=lambda i: (-vals[i], i))
-        expected = [vals[i] if i in order[:2] else SENTINEL for i in range(4)]
-        assert out.a[:, 0].tolist() == expected
-        assert out.a[:, 0].tolist() == [SENTINEL, 1.5, SENTINEL, 0.9]
+        assert [i for i in range(4) if out[i, 0] > 0.0] == sorted(order[:2]) == [1, 3]
+        assert out[:, 0].tolist() == pytest.approx(mask_then_softmax(vals, 2), abs=1e-15)
 
     def test_full_selection_is_identity(self):
-        v = Matrix([[0.3], [-1.0], [2.2]])
-        assert topk_mask(v, 3).tolist() == v.tolist()
+        # Keeping every row is the plain softmax of the column.
+        v = [0.3, -1.0, 2.2]
+        out = topk_softmax(np.array([[x] for x in v]), 3)
+        assert out[:, 0].tolist() == pytest.approx(scalar_softmax(v), abs=1e-15)
 
     def test_tie_breaks_to_lowest_index(self):
-        out = topk_mask(Matrix([[7.0], [7.0]]), 1)
-        assert out.a[:, 0].tolist() == [7.0, SENTINEL]
+        for k in (1, 2):
+            out = topk_softmax(np.array([[7.0], [7.0], [7.0]]), k)
+            assert [i for i in range(3) if out[i, 0] > 0.0] == list(range(k))
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            topk_mask(Matrix([[1.0], [2.0]]), 3)
+            topk_softmax(np.array([[1.0], [2.0]]), 3)
         with pytest.raises(ValueError):
-            topk_mask(Matrix([[1.0], [2.0]]), 0)
+            topk_softmax(np.array([[1.0], [2.0]]), 0)
 
     def test_exactly_k_finite_survivors(self):
         rng = np.random.default_rng(3)
         for k in (1, 2, 5, 9):
-            v = Matrix(rng.normal(size=(9, 1)))
-            out = topk_mask(v, k)
-            assert int((out.a != SENTINEL).sum()) == k
+            out = topk_softmax(rng.normal(size=(9, 1)), k)
+            assert int((out != 0.0).sum()) == k
 
 
 class TestBackward:
