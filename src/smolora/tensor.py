@@ -235,7 +235,8 @@ class Gradients(Mapping):
 
     `flat` holds every watched parameter's gradient at the slot the tape
     gave it; a parameter that no gradient reached reads zero. The base of a
-    watched submatrix can be looked up too.
+    watched submatrix can be looked up too, but iteration and len() cover
+    only the watched matrices.
     """
 
     __slots__ = ("flat", "slots", "watched")

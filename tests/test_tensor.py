@@ -10,6 +10,7 @@ from smolora.tensor import (
     CosineSchedule,
     FlatParameters,
     Matrix,
+    SubMatrix,
     Tape,
     add,
     backward,
@@ -105,9 +106,11 @@ class TestSoftmaxColumns:
         assert np.all(np.abs(out.sum(axis=0) - 1.0) <= 1e-12)
 
     def test_fully_masked_column_rejected(self):
-        # Keeping no entry would leave a column with nothing to normalize.
-        with pytest.raises(ValueError):
-            topk_softmax(np.array([[1.0], [2.0]]), 0)
+        # A column of -inf logits, all masked, has nothing to normalize; it
+        # is rejected at every k, beside a column that is fine.
+        for k in (1, 2):
+            with pytest.raises(ShapeError):
+                topk_softmax(np.array([[1.0, -np.inf], [2.0, -np.inf]]), k)
 
 
 class TestMeanOverColumns:
@@ -126,11 +129,14 @@ class TestTopkMask:
     """The top-k half of the router gate, `routing.topk_softmax`."""
 
     def test_exhaustive_sort_oracle(self):
+        # Top-1, which writes its one-hot gate directly, and top-2, through
+        # the softmax, against the same oracle.
         vals = [0.2, 1.5, -0.3, 0.9]
-        out = topk_softmax(np.array([[v] for v in vals]), 2)
         order = sorted(range(4), key=lambda i: (-vals[i], i))
-        assert [i for i in range(4) if out[i, 0] > 0.0] == sorted(order[:2]) == [1, 3]
-        assert out[:, 0].tolist() == pytest.approx(mask_then_softmax(vals, 2), abs=1e-15)
+        for k, kept in ((1, [1]), (2, [1, 3])):
+            out = topk_softmax(np.array([[v] for v in vals]), k)
+            assert [i for i in range(4) if out[i, 0] > 0.0] == sorted(order[:k]) == kept
+            assert out[:, 0].tolist() == pytest.approx(mask_then_softmax(vals, k), abs=1e-15)
 
     def test_full_selection_is_identity(self):
         # Keeping every row is the plain softmax of the column.
@@ -201,6 +207,26 @@ class TestBackward:
         assert np.array_equal(second[W].a, 2.0 * kept)
         assert np.all(second[unused].a == 0.0) and second[unused].shape == (2, 5)
         assert set(second) == {W, unused}
+
+    def test_submatrix_gradient_is_a_block_of_its_base(self):
+        # W is read whole and its top rows again through a watched view:
+        # the two pushes add up in the base's slot.
+        rng = np.random.default_rng(2)
+        W = Matrix(rng.normal(size=(4, 3)))
+        top, bottom = SubMatrix(W, np.s_[:2, :]), SubMatrix(W, np.s_[2:, :])
+        x = Matrix(rng.normal(size=(3, 2)))
+        tape = Tape()
+        tape.watch(top, bottom)
+        whole = sum_all(matmul(W, x, tape), tape)
+        loss = add(whole, sum_all(matmul(top, x, tape), tape), tape)
+        grads = backward(tape, loss)
+        expected = np.tile(x.a.sum(axis=1), (4, 1))
+        expected[:2] *= 2.0
+        assert np.array_equal(grads[top].a, expected[:2])
+        assert np.array_equal(grads[bottom].a, expected[2:])
+        # The base can be looked up, but only what was watched is iterated.
+        assert W in grads and np.array_equal(grads[W].a, expected)
+        assert list(grads) == [top, bottom] and len(grads) == 2
 
     def test_unrecorded_loss_rejected(self):
         tape = Tape()
