@@ -1,6 +1,6 @@
 """Separable mixture-of-LoRA adapters with a continual-tuning simulator."""
 
-from .benchmark import TaskInstance, TaskSpec, format_check, generate_stream
+from .benchmark import TaskSpec, TaskSplit, format_check, generate_stream
 from .errors import (
     ConfigError,
     ContractError,

@@ -7,20 +7,20 @@ is split accordingly into a content class and a format tag, which keeps the
 format checker exact.
 
 Stream files are JSON Lines: a manifest header line followed by one object
-per instance.
+per instance. In memory each task's train and test split is columnar: one
+array per field, with instance j in column (or entry) j of each.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .routing import tokenize
-from .tensor import Matrix
 
 FORMAT_WORD = 0  # single word / short phrase
 FORMAT_SENTENCE = 1  # one full sentence
@@ -87,15 +87,34 @@ class TaskSpec:
 
 
 @dataclass
-class TaskInstance:
-    """One sample: visual features, instruction text, and the two answer heads."""
+class TaskSplit:
+    """One split of instances, stored by column: entry j of every field is instance j.
 
-    task_id: int
-    visual: np.ndarray  # (d_v,)
-    instruction_text: str
-    answer_class: int
-    format_id: int
-    instruction_embedding: Matrix | None = field(default=None, repr=False)
+    `embedding` is None until `harness.attach_embeddings` fills it. A split
+    read from a file in which only some records carry a precomputed vector
+    holds NaN in the other columns until then.
+    """
+
+    visual: np.ndarray  # (d_v, n)
+    texts: np.ndarray  # (n,) instruction texts, dtype object
+    answer_class: np.ndarray  # (n,)
+    format_id: np.ndarray  # (n,)
+    task_id: np.ndarray  # (n,)
+    embedding: np.ndarray | None = field(default=None, repr=False)  # (e, n)
+
+    def __len__(self) -> int:
+        return self.answer_class.shape[0]
+
+    def take(self, index) -> "TaskSplit":
+        """The instances at `index`, in that order: a selection of columns."""
+        return TaskSplit(
+            visual=self.visual.take(index, axis=1),
+            texts=self.texts.take(index),
+            answer_class=self.answer_class.take(index),
+            format_id=self.format_id.take(index),
+            task_id=self.task_id.take(index),
+            embedding=None if self.embedding is None else self.embedding.take(index, axis=1),
+        )
 
 
 def task_formats(task_count: int) -> list[int]:
@@ -135,25 +154,34 @@ def _draw_cluster_means(
     return means
 
 
-def _sample_instances(
-    rng: np.random.Generator, spec: TaskSpec, n: int, d_v: int
-) -> list[TaskInstance]:
+def _stack(spec: TaskSpec, visual: list, texts: list, classes, embeddings: list = ()) -> TaskSplit:
+    """One task's instances as a split; an instance without an embedding gets NaN."""
+    n = len(texts)
+    given = [(j, e) for j, e in enumerate(embeddings) if e is not None]
+    embedding = None
+    if given:
+        embedding = np.full((given[0][1].shape[0], n), np.nan)
+        for j, e in given:
+            embedding[:, j] = e
+    return TaskSplit(
+        visual=np.array(visual).T,
+        texts=np.array(texts, dtype=object),
+        answer_class=np.array(classes),
+        format_id=np.full(n, spec.format_id),
+        task_id=np.full(n, spec.task_id),
+        embedding=embedding,
+    )
+
+
+def _sample_split(rng: np.random.Generator, spec: TaskSpec, n: int, d_v: int) -> TaskSplit:
     classes = np.tile(np.arange(spec.class_count), (n + spec.class_count - 1) // spec.class_count)[:n]
     rng.shuffle(classes)
-    out = []
+    visual, texts = [], []
+    # Per instance, a normal draw then a template draw: this order fixes the stream.
     for c in classes:
-        visual = spec.visual_cluster_means[c] + rng.normal(0.0, spec.cluster_stddev, size=d_v)
-        template = spec.instruction_templates[int(rng.integers(len(spec.instruction_templates)))]
-        out.append(
-            TaskInstance(
-                task_id=spec.task_id,
-                visual=visual,
-                instruction_text=template,
-                answer_class=int(c),
-                format_id=spec.format_id,
-            )
-        )
-    return out
+        visual.append(spec.visual_cluster_means[c] + rng.normal(0.0, spec.cluster_stddev, size=d_v))
+        texts.append(spec.instruction_templates[int(rng.integers(len(spec.instruction_templates)))])
+    return _stack(spec, visual, texts, classes)
 
 
 def generate_stream(
@@ -165,8 +193,8 @@ def generate_stream(
     class_count: int = 8,
     instruction_mode: str = "single",
     cluster_stddev: float = 0.15,
-) -> list[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]]:
-    """Deterministic task stream: (spec, train set, test set) per task."""
+) -> list[tuple[TaskSpec, TaskSplit, TaskSplit]]:
+    """Deterministic task stream: (spec, train split, test split) per task."""
     if task_count < 2:
         raise ValueError(f"need at least 2 tasks, got {task_count}")
     for name, val in (
@@ -195,20 +223,16 @@ def generate_stream(
             instruction_templates=templates,
             format_id=formats[t],
         )
-        train = _sample_instances(rng, spec, train_per_task, d_v)
-        test = _sample_instances(rng, spec, test_per_task, d_v)
+        train = _sample_split(rng, spec, train_per_task, d_v)
+        test = _sample_split(rng, spec, test_per_task, d_v)
         stream.append((spec, train, test))
     return stream
 
 
-def nearest_mean_accuracy(spec: TaskSpec, instances: Iterable[TaskInstance]) -> float:
+def nearest_mean_accuracy(spec: TaskSpec, split: TaskSplit) -> float:
     """Accuracy (%) of a 1-nearest-cluster-mean classifier; separability oracle."""
-    hits = total = 0
-    for inst in instances:
-        dists = np.linalg.norm(spec.visual_cluster_means - inst.visual, axis=1)
-        hits += int(np.argmin(dists)) == inst.answer_class
-        total += 1
-    return 100.0 * hits / total
+    dists = np.linalg.norm(spec.visual_cluster_means[:, :, None] - split.visual[None], axis=1)
+    return 100.0 * np.count_nonzero(dists.argmin(axis=0) == split.answer_class) / len(split)
 
 
 # -- stream file format --------------------------------------------------------
@@ -216,7 +240,7 @@ def nearest_mean_accuracy(spec: TaskSpec, instances: Iterable[TaskInstance]) -> 
 
 def write_stream(
     path,
-    stream: list[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]],
+    stream: list[tuple[TaskSpec, TaskSplit, TaskSplit]],
     manifest: dict,
 ) -> None:
     """Write the JSONL stream file: manifest header, then one line per instance."""
@@ -234,19 +258,24 @@ def write_stream(
     ]
     with open(path, "w") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for spec, train, test in stream:
-            for split, insts in (("train", train), ("test", test)):
-                for inst in insts:
+        for _, train, test in stream:
+            for split, data in (("train", train), ("test", test)):
+                emb = data.embedding
+                vectors = [None] * len(data) if emb is None else emb.T.tolist()
+                for task_id, visual, text, answer_class, format_id, vector in zip(
+                    data.task_id.tolist(), data.visual.T.tolist(), data.texts.tolist(),
+                    data.answer_class.tolist(), data.format_id.tolist(), vectors,
+                ):
                     rec = {
-                        "task_id": inst.task_id,
+                        "task_id": task_id,
                         "split": split,
-                        "visual": inst.visual.tolist(),
-                        "instruction": inst.instruction_text,
-                        "answer_class": inst.answer_class,
-                        "format_id": inst.format_id,
+                        "visual": visual,
+                        "instruction": text,
+                        "answer_class": answer_class,
+                        "format_id": format_id,
                     }
-                    if inst.instruction_embedding is not None:
-                        rec["embedding"] = inst.instruction_embedding.a[:, 0].tolist()
+                    if vector is not None and not math.isnan(vector[0]):
+                        rec["embedding"] = vector
                     f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -311,8 +340,11 @@ def _task_spec(entry) -> TaskSpec:
 
 def _instance(
     rec, specs: dict[int, TaskSpec], d_v: int, emb_dim: int | None
-) -> tuple[str, TaskInstance]:
-    """One record checked against its task; returns (split, instance)."""
+) -> tuple[tuple[int, str], np.ndarray, str, int, np.ndarray | None]:
+    """One record checked against its task.
+
+    Returns ((task_id, split), visual, instruction, answer_class, embedding or None).
+    """
     task_id, split, visual, text, answer_class, format_id = _fields(rec, _RECORD_KEYS, "record")
     spec = specs.get(_int(task_id, "task_id"))
     if spec is None:
@@ -331,18 +363,11 @@ def _instance(
         emb = _finite(emb, "embedding", ndim=1)
         if emb_dim is not None and emb.shape[0] != emb_dim:
             raise ValueError(f"embedding has {emb.shape[0]} entries, earlier ones {emb_dim}")
-        emb = Matrix._wrap(emb.reshape(-1, 1))
-    return split, TaskInstance(
-        task_id=task_id,
-        visual=visual,
-        instruction_text=text,
-        answer_class=_int(answer_class, "answer_class", hi=spec.class_count),
-        format_id=format_id,
-        instruction_embedding=emb,
-    )
+    answer_class = _int(answer_class, "answer_class", hi=spec.class_count)
+    return (task_id, split), visual, text, answer_class, emb
 
 
-def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]]]:
+def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, TaskSplit, TaskSplit]]]:
     """Read a stream file back into (manifest, [(spec, train, test), ...]).
 
     Every record is checked against the manifest's task table as it loads:
@@ -380,21 +405,23 @@ def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, list[TaskInstance], li
     (d_v,) = widths
     emb_dim: int | None = None
     to_embed: dict[str, int] = {}  # instruction -> first line; texts repeat heavily
-    buckets: dict[int, dict[str, list[TaskInstance]]] = {
-        tid: {split: [] for split in _SPLITS} for tid in specs
+    # Per (task_id, split): the visual, instruction, answer_class and embedding columns.
+    columns: dict[tuple[int, str], tuple[list, list, list, list]] = {
+        (tid, split): ([], [], [], []) for tid in specs for split in _SPLITS
     }
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            split, inst = _instance(json.loads(line), specs, d_v, emb_dim)
+            key, visual, text, answer_class, emb = _instance(json.loads(line), specs, d_v, emb_dim)
         except ValueError as exc:  # json.JSONDecodeError included
             raise FormatError(f"{path}: bad instance record: {exc}", line=lineno) from None
-        if inst.instruction_embedding is not None:
-            emb_dim = inst.instruction_embedding.rows
+        if emb is not None:
+            emb_dim = emb.shape[0]
         else:
-            to_embed.setdefault(inst.instruction_text, lineno)
-        buckets[inst.task_id][split].append(inst)
+            to_embed.setdefault(text, lineno)
+        for column, value in zip(columns[key], (visual, text, answer_class, emb)):
+            column.append(value)
     for text, lineno in to_embed.items():
         if not tokenize(text):
             raise FormatError(
@@ -402,8 +429,9 @@ def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, list[TaskInstance], li
             )
     for tid in sorted(specs):
         for split in _SPLITS:
-            if not buckets[tid][split]:
+            if not columns[tid, split][1]:
                 raise FormatError(f"{path}: task {tid} has no {split} records", line=1)
     return manifest, [
-        (specs[tid], buckets[tid]["train"], buckets[tid]["test"]) for tid in sorted(specs)
+        (specs[tid], _stack(specs[tid], *columns[tid, "train"]), _stack(specs[tid], *columns[tid, "test"]))
+        for tid in sorted(specs)
     ]

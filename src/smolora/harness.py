@@ -9,10 +9,14 @@ predicts the content class, the other the answer-format tag. Only adapter
 parameters ever receive updates; they live in one flat array, so a training
 step updates and scans them once.
 
-The model runs a whole mini-batch at once: the instances' columns sit side
-by side, two per instance, with one embedding column per instance. Training
-records one tape per mini-batch, and evaluation runs one tape-free forward
-per test split.
+Task splits are columnar (`benchmark.TaskSplit`), and `attach_embeddings`
+embeds each distinct text once. The model runs a whole split or
+mini-batch at once: the instances' columns sit side by side, two per
+instance, with one embedding column per instance, taken from the split's
+arrays without a loop over instances. A training mini-batch is a column
+selection of its stage's split and records one tape; evaluation runs one
+tape-free forward per test split and builds its records from an array
+compare of the predictions with the label arrays.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -28,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .benchmark import TaskInstance, TaskSpec, format_check
+from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from .lora import init_lora_block, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, compute_report
@@ -174,36 +178,34 @@ class ToyModel:
         self.layers = [self.proj, self.hidden, self.head_content, self.head_format]
         self.params = FlatParameters(m for layer in self.layers for m in layer.trainable())
 
-    def _input(self, batch: Sequence[TaskInstance]) -> tuple[Matrix, Matrix]:
+    def _input(self, batch: TaskSplit) -> tuple[Matrix, Matrix]:
         """Input columns (d_v x 2n, two per instance) and embeddings (e x n)."""
-        if not batch:
+        if not len(batch):
             raise ValueError("forward requires at least one instance")
-        for inst in batch:
-            emb = inst.instruction_embedding
-            if emb is None:
-                raise ContractError("instance has no instruction embedding attached")
-            if emb.rows != self.config.embed_dim:
-                raise ContractError(
-                    f"embedding dim {emb.rows} != configured {self.config.embed_dim}"
-                )
-            if inst.visual.shape[0] != self.d_v:
-                raise ShapeError(f"visual dim {inst.visual.shape[0]} != model d_v {self.d_v}")
-        emb = np.hstack([inst.instruction_embedding.a for inst in batch])
+        emb = batch.embedding
+        if emb is None or np.isnan(emb[0]).any():  # NaN marks a column read without one
+            raise ContractError("instance has no instruction embedding attached")
+        if emb.shape[0] != self.config.embed_dim:
+            raise ContractError(
+                f"embedding dim {emb.shape[0]} != configured {self.config.embed_dim}"
+            )
+        if batch.visual.shape[0] != self.d_v:
+            raise ShapeError(f"visual dim {batch.visual.shape[0]} != model d_v {self.d_v}")
         x = np.empty((self.d_v, 2 * len(batch)))
-        x[:, 0::2] = np.column_stack([inst.visual for inst in batch])
+        x[:, 0::2] = batch.visual
         x[:, 1::2] = self.instr_proj.a @ emb
         return Matrix._wrap(x), Matrix._wrap(emb)
 
     def forward(
         self,
-        batch: Sequence[TaskInstance],
+        batch: TaskSplit,
         tape: Tape | None = None,
         traces: list[RoutingTrace] | None = None,
     ) -> tuple[Matrix, Matrix]:
         """Content logits (class_count x n) and format logits (format_count x n).
 
-        Column j belongs to batch[j]. Separable layers append one routing
-        trace per instance to `traces`, layer by layer.
+        Column j belongs to instance j of the batch. Separable layers append
+        one routing trace per instance to `traces`, layer by layer.
         """
         x, emb = self._input(batch)
         h1 = self.proj.forward(x, emb, tape, traces)
@@ -231,35 +233,43 @@ class ToyModel:
 
 
 def attach_embeddings(
-    stream: Sequence[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]],
+    stream: Sequence[tuple[TaskSpec, TaskSplit, TaskSplit]],
     embedder: HashingEmbedder,
 ) -> None:
-    """Fill instruction embeddings in place; precomputed vectors are kept."""
+    """Fill each split's embedding columns in place; precomputed vectors are kept.
+
+    The embedder memoizes, so each distinct text is embedded once.
+    """
     for _, train, test in stream:
-        for inst in list(train) + list(test):
-            if inst.instruction_embedding is None:
-                inst.instruction_embedding = embedder.embed(inst.instruction_text)
-            elif inst.instruction_embedding.rows != embedder.dimension:
+        for split in (train, test):
+            if split.embedding is None:
+                split.embedding = np.full((embedder.dimension, len(split)), np.nan)
+            elif split.embedding.shape[0] != embedder.dimension:
                 raise ConfigError(
-                    f"stream embedding dim {inst.instruction_embedding.rows} != "
+                    f"stream embedding dim {split.embedding.shape[0]} != "
                     f"configured {embedder.dimension}"
                 )
+            missing = np.isnan(split.embedding[0])
+            if missing.any():
+                vectors = [embedder.embed(text).a for text in split.texts[missing]]
+                split.embedding[:, missing] = np.hstack(vectors)
 
 
 def train_stage(
     model: ToyModel,
-    train_set: Sequence[TaskInstance],
+    train_set: TaskSplit,
     config: RunConfig,
     stage_index: int = 0,
 ) -> list[float]:
     """One sequential stage: epochs x shuffled mini-batches of summed-head CE.
 
-    Each mini-batch is one forward on one tape. The cosine schedule spans
-    exactly this stage's step count. Returns the per-step batch losses.
+    Each mini-batch is a column selection of the split, run as one forward
+    on one tape. The cosine schedule spans exactly this stage's step count.
+    Returns the per-step batch losses.
     """
-    if not train_set:
-        raise ValueError("train_stage requires a non-empty train set")
     n = len(train_set)
+    if not n:
+        raise ValueError("train_stage requires a non-empty train set")
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     if total_steps == 0:
@@ -271,13 +281,13 @@ def train_stage(
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
+            batch = train_set.take(order[start : start + config.batch_size])
             tape = Tape()
             tape.watch(params)
             content, fmt = model.forward(batch, tape)
             total = add(
-                cross_entropy(content, [inst.answer_class for inst in batch], tape),
-                cross_entropy(fmt, [inst.format_id for inst in batch], tape),
+                cross_entropy(content, batch.answer_class.tolist(), tape),
+                cross_entropy(fmt, batch.format_id.tolist(), tape),
                 tape,
             )
             mean_loss = scale_const(total, 1.0 / len(batch), tape)
@@ -290,31 +300,30 @@ def train_stage(
 
 def evaluate_task(
     model: ToyModel,
-    test_set: Sequence[TaskInstance],
+    test_set: TaskSplit,
     collect_traces: bool = False,
 ) -> tuple[float, float, list[dict], list[RoutingTrace]]:
     """Accuracy percentages plus per-sample records for a frozen model.
 
-    The whole split runs as one tape-free forward. Records are ordered by
+    The whole split runs as one tape-free forward, and the argmax predictions
+    are compared with the label arrays at once. Records are ordered by
     instance index.
     """
-    if not test_set:
+    n = len(test_set)
+    if not n:
         raise ValueError("evaluate_task requires a non-empty test set")
     traces: list[RoutingTrace] = []
     content, fmt = model.forward(test_set, traces=traces if collect_traces else None)
-    pred_class = np.argmax(content.a, axis=0)
-    pred_format = np.argmax(fmt.a, axis=0)
+    content_ok = (np.argmax(content.a, axis=0) == test_set.answer_class).astype(int)
+    format_ok = (np.argmax(fmt.a, axis=0) == test_set.format_id).astype(int)
     records = [
-        {
-            "task_id": inst.task_id,
-            "instance_index": i,
-            "content_correct": int(pred_class[i] == inst.answer_class),
-            "format_correct": format_check(int(pred_format[i]), inst.format_id),
-        }
-        for i, inst in enumerate(test_set)
+        {"task_id": t, "instance_index": i, "content_correct": c, "format_correct": f}
+        for i, (t, c, f) in enumerate(
+            zip(test_set.task_id.tolist(), content_ok.tolist(), format_ok.tolist())
+        )
     ]
-    content_acc = 100.0 * sum(r["content_correct"] for r in records) / len(records)
-    format_acc = 100.0 * sum(r["format_correct"] for r in records) / len(records)
+    content_acc = 100.0 * int(content_ok.sum()) / n
+    format_acc = 100.0 * int(format_ok.sum()) / n
     return content_acc, format_acc, records, traces
 
 
@@ -334,13 +343,13 @@ class RunReport:
 
 def run_cvit(
     config: RunConfig,
-    stream: Sequence[tuple[TaskSpec, list[TaskInstance], list[TaskInstance]]],
+    stream: Sequence[tuple[TaskSpec, TaskSplit, TaskSplit]],
 ) -> tuple[ToyModel, RunReport]:
     """Train sequentially over the stream, evaluating all seen tasks per stage."""
     if not stream:
         raise ValueError("run_cvit requires a non-empty stream")
     attach_embeddings(stream, HashingEmbedder(config.embed_dim))
-    d_v = stream[0][1][0].visual.shape[0]
+    d_v = stream[0][1].visual.shape[0]
     class_count = max(spec.class_count for spec, _, _ in stream)
     format_count = max(2, max(spec.format_id for spec, _, _ in stream) + 1)
     model = ToyModel(config, d_v, class_count, format_count)

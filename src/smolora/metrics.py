@@ -198,9 +198,10 @@ def read_accuracy_csv(path) -> AccuracyMatrix:
 
 
 def write_records_jsonl(path, records: Iterable[Mapping]) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as f:
         for r in records:
-            f.write(json.dumps(r, sort_keys=True) + "\n")
+            f.write(encode(r) + "\n")
 
 
 def read_records_jsonl(path) -> list[dict]:

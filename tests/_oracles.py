@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's tape machinery: finite differences
 probe gradients, and the straight-line forward below re-evaluates the
-separable layer with plain numpy, step by step.
+separable layer with plain numpy, step by step. The per-instance model input
+and records rebuild, one instance at a time, what the harness builds from a
+split's arrays.
 """
 
 from __future__ import annotations
@@ -79,3 +81,40 @@ def straight_line_smolora(
         alpha, beta = scalar_softmax([u[0, t], v[0, t]])
         fused[:, t] = alpha * x_vu[:, t] + beta * x_if[:, t]
     return W0 @ x + fused
+
+
+def per_instance_input(
+    instr_proj: np.ndarray, visuals: list[np.ndarray], embeddings: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model input x (d_v x 2n) and embeddings (e x n) assembled one instance at a time.
+
+    visuals holds one (d_v,) vector and embeddings one (e, 1) column per instance.
+    """
+    emb = np.hstack(embeddings)
+    x = np.empty((instr_proj.shape[0], 2 * len(visuals)))
+    x[:, 0::2] = np.column_stack(visuals)
+    x[:, 1::2] = instr_proj @ emb
+    return x, emb
+
+
+def per_instance_records(
+    content: np.ndarray, fmt: np.ndarray, labels: list[tuple[int, int, int]]
+) -> tuple[float, float, list[dict]]:
+    """Accuracies and records from logits, one instance at a time.
+
+    labels holds (task_id, answer_class, format_id) per instance.
+    """
+    pred_class = np.argmax(content, axis=0)
+    pred_format = np.argmax(fmt, axis=0)
+    records = [
+        {
+            "task_id": task_id,
+            "instance_index": i,
+            "content_correct": int(pred_class[i] == answer_class),
+            "format_correct": 1 if int(pred_format[i]) == format_id else 0,
+        }
+        for i, (task_id, answer_class, format_id) in enumerate(labels)
+    ]
+    content_acc = 100.0 * sum(r["content_correct"] for r in records) / len(records)
+    format_acc = 100.0 * sum(r["format_correct"] for r in records) / len(records)
+    return content_acc, format_acc, records

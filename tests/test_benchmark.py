@@ -16,6 +16,15 @@ from smolora.benchmark import (
 from smolora.errors import ConfigError, FormatError
 
 
+def _same_instances(a, b):
+    """Two splits hold the same instances in the same order."""
+    assert np.array_equal(a.visual, b.visual)
+    assert a.texts.tolist() == b.texts.tolist()
+    assert np.array_equal(a.answer_class, b.answer_class)
+    assert np.array_equal(a.format_id, b.format_id)
+    assert np.array_equal(a.task_id, b.task_id)
+
+
 def _small_stream(seed=0, **kw):
     defaults = dict(
         task_count=3, train_per_task=12, test_per_task=8, d_v=16, class_count=4
@@ -30,29 +39,27 @@ class TestGenerateStream:
         b = _small_stream(seed=5)
         for (spec_a, train_a, test_a), (spec_b, train_b, test_b) in zip(a, b):
             assert np.array_equal(spec_a.visual_cluster_means, spec_b.visual_cluster_means)
-            for ia, ib in zip(train_a + test_a, train_b + test_b):
-                assert np.array_equal(ia.visual, ib.visual)
-                assert ia.instruction_text == ib.instruction_text
-                assert ia.answer_class == ib.answer_class
+            _same_instances(train_a, train_b)
+            _same_instances(test_a, test_b)
 
     def test_single_mode_uses_one_template(self):
         stream = _small_stream(task_count=2, instruction_mode="single")
         for spec, train, test in stream:
             assert len(spec.instruction_templates) == 1
             only = spec.instruction_templates[0]
-            assert all(i.instruction_text == only for i in train + test)
+            assert all(text == only for split in (train, test) for text in split.texts)
 
     def test_multi_mode_has_multiple_templates(self):
         stream = _small_stream(task_count=2, instruction_mode="multi")
         for spec, train, _ in stream:
             assert len(spec.instruction_templates) >= 2
-            assert len({i.instruction_text for i in train}) >= 2
+            assert len(set(train.texts)) >= 2
 
     def test_zero_noise_is_perfectly_separable(self):
         stream = _small_stream(cluster_stddev=0.0)
         for spec, train, test in stream:
-            for inst in train + test:
-                assert np.array_equal(inst.visual, spec.visual_cluster_means[inst.answer_class])
+            for split in (train, test):
+                assert np.array_equal(split.visual, spec.visual_cluster_means[split.answer_class].T)
             assert nearest_mean_accuracy(spec, test) == 100.0
 
     def test_default_separability_oracle(self):
@@ -101,9 +108,10 @@ class TestFormatCheck:
     def test_all_correct_stream_scores_100(self):
         stream = _small_stream()
         checks = [
-            format_check(inst.format_id, spec)
+            format_check(format_id, spec)
             for spec, train, test in stream
-            for inst in train + test
+            for split in (train, test)
+            for format_id in split.format_id.tolist()
         ]
         assert 100.0 * sum(checks) / len(checks) == 100.0
 
@@ -122,11 +130,8 @@ class TestStreamFile:
             assert spec_a.instruction_templates == spec_b.instruction_templates
             assert np.array_equal(spec_a.visual_cluster_means, spec_b.visual_cluster_means)
             assert len(train_a) == len(train_b) and len(test_a) == len(test_b)
-            for ia, ib in zip(train_a + test_a, train_b + test_b):
-                assert np.array_equal(ia.visual, ib.visual)
-                assert ia.instruction_text == ib.instruction_text
-                assert ia.answer_class == ib.answer_class
-                assert ia.format_id == ib.format_id
+            _same_instances(train_a, train_b)
+            _same_instances(test_a, test_b)
 
     def test_write_is_byte_deterministic(self, tmp_path):
         manifest = {"seed": 1}
@@ -157,11 +162,10 @@ class TestStreamFile:
         stream = _small_stream(seed=4)
         embedder = HashingEmbedder(8)
         for _, train, test in stream:
-            for inst in train + test:
-                inst.instruction_embedding = embedder.embed(inst.instruction_text)
+            for split in (train, test):
+                split.embedding = np.hstack([embedder.embed(text).a for text in split.texts])
         path = tmp_path / "stream.jsonl"
         write_stream(path, stream, {"seed": 4})
         _, back = read_stream(path)
         for (_, train_a, _), (_, train_b, _) in zip(stream, back):
-            for ia, ib in zip(train_a, train_b):
-                assert np.array_equal(ia.instruction_embedding.a, ib.instruction_embedding.a)
+            assert np.array_equal(train_a.embedding, train_b.embedding)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from _oracles import per_instance_input, per_instance_records
 from smolora import harness
-from smolora.benchmark import generate_stream
+from smolora.benchmark import TaskSplit, generate_stream, read_stream, write_stream
 from smolora.errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from smolora.harness import (
     METHODS,
@@ -46,6 +49,18 @@ def prepared(seed=0, tasks=2, e=16, **kw):
     return stream
 
 
+def concat(*splits):
+    """The splits' instances side by side, as one split."""
+    return TaskSplit(
+        visual=np.hstack([s.visual for s in splits]),
+        texts=np.concatenate([s.texts for s in splits]),
+        answer_class=np.concatenate([s.answer_class for s in splits]),
+        format_id=np.concatenate([s.format_id for s in splits]),
+        task_id=np.concatenate([s.task_id for s in splits]),
+        embedding=np.hstack([s.embedding for s in splits]),
+    )
+
+
 class TestRunConfig:
     def test_defaults_match_reference_recipe(self):
         cfg = RunConfig()
@@ -72,9 +87,9 @@ class TestToyModel:
         stream = prepared()
         cfg = small_config(method)
         model = ToyModel(cfg, d_v=8, class_count=4, format_count=3)
-        inst = stream[0][1][0]
-        content, fmt = model.forward([inst])
-        x, _ = model._input([inst])
+        one = stream[0][1].take([0])
+        content, fmt = model.forward(one)
+        x, _ = model._input(one)
         h1 = model.proj.W0.a @ x.a
         h2 = np.maximum(model.hidden.W0.a @ h1, 0.0)
         pooled = h2.mean(axis=1, keepdims=True)
@@ -121,14 +136,34 @@ class TestToyModel:
         stream = small_stream()
         model = ToyModel(small_config(), 8, 4, 3)
         with pytest.raises(ContractError):
-            model.forward([stream[0][1][0]])
+            model.forward(stream[0][1].take([0]))
+
+    def test_precomputed_embeddings_are_kept_and_the_rest_filled(self, tmp_path):
+        # A stream file may carry a vector on some records only: the others
+        # read as NaN columns, which a forward rejects until they are filled.
+        stream = small_stream()
+        train = stream[0][1]
+        train.embedding = np.full((16, len(train)), np.nan)
+        train.embedding[:, ::2] = np.random.default_rng(5).normal(size=(16, (len(train) + 1) // 2))
+        path = tmp_path / "stream.jsonl"
+        write_stream(path, stream, {"seed": 0})
+        _, back = read_stream(path)
+        got = back[0][1]
+        assert np.isnan(got.embedding[:, 1::2]).all()
+        with pytest.raises(ContractError):
+            ToyModel(small_config(), 8, 4, 3).forward(got)
+        embedder = HashingEmbedder(16)
+        attach_embeddings(back, embedder)
+        assert np.array_equal(got.embedding[:, ::2], train.embedding[:, ::2])
+        for j in range(1, len(got), 2):
+            assert np.array_equal(got.embedding[:, j : j + 1], embedder.embed(got.texts[j]).a)
 
 
 class TestTrainStage:
     def test_empty_train_set_rejected(self):
         model = ToyModel(small_config(), 8, 4, 3)
         with pytest.raises(ValueError):
-            train_stage(model, [], small_config())
+            train_stage(model, small_stream()[0][1].take([]), small_config())
 
     def test_zero_epochs_leaves_model_unchanged(self):
         stream = prepared()
@@ -174,7 +209,7 @@ class TestTrainStage:
 
 
 def _live_model_and_batch(method):
-    """A model whose B matrices are nonzero, and six instances of two formats."""
+    """A model whose B matrices are nonzero, and a batch of six instances of two formats."""
     stream = prepared()
     assert stream[0][0].format_id != stream[1][0].format_id
     model = ToyModel(small_config(method), 8, 4, 3)
@@ -182,14 +217,14 @@ def _live_model_and_batch(method):
     for name, m in model.named_matrices().items():
         if name.endswith(".B"):
             m.a[...] = rng.normal(size=m.shape)
-    return model, stream[0][1][:3] + stream[1][1][:3]
+    return model, concat(stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3)))
 
 
 def _batch_loss(model, batch, tape=None, traces=None):
     content, fmt = model.forward(batch, tape, traces)
     loss = add(
-        cross_entropy(content, [inst.answer_class for inst in batch], tape),
-        cross_entropy(fmt, [inst.format_id for inst in batch], tape),
+        cross_entropy(content, batch.answer_class, tape),
+        cross_entropy(fmt, batch.format_id, tape),
         tape,
     )
     return content, fmt, loss
@@ -210,10 +245,10 @@ class TestBatchedForward:
         grads = backward(tape, loss)
 
         summed = {p: np.zeros_like(p.a) for p in params}
-        for j, inst in enumerate(batch):
+        for j in range(len(batch)):
             single = Tape()
             single.watch(*params)
-            c1, f1, loss1 = _batch_loss(model, [inst], single)
+            c1, f1, loss1 = _batch_loss(model, batch.take([j]), single)
             assert _rel_close(content.a[:, j : j + 1], c1.a)
             assert _rel_close(fmt.a[:, j : j + 1], f1.a)
             for p, g in backward(single, loss1).items():
@@ -296,7 +331,7 @@ class TestTopOneRouting:
         # router gradient reaches R_vu, R_if or the molora router, and
         # routing stays at its random initialization.
         stream = prepared()
-        train, batch = stream[0][1], stream[1][1][:6]
+        train, batch = stream[0][1], stream[1][1].take(np.arange(6))
         for method in ("molora", "smolora"):
             config = small_config(method)
             assert config.top_k == 1
@@ -344,11 +379,11 @@ class _OracleModel:
         self.format_count = format_count
 
     def forward(self, batch, tape=None, traces=None):
+        columns = np.arange(len(batch))
         content = np.zeros((self.class_count, len(batch)))
         fmt = np.zeros((self.format_count, len(batch)))
-        for j, inst in enumerate(batch):
-            content[inst.answer_class, j] = 1.0
-            fmt[inst.format_id, j] = 1.0
+        content[batch.answer_class, columns] = 1.0
+        fmt[batch.format_id, columns] = 1.0
         return Matrix(content), Matrix(fmt)
 
 
@@ -387,7 +422,44 @@ class TestEvaluateTask:
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_task(_OracleModel(), [])
+            evaluate_task(_OracleModel(), small_stream()[0][2].take([]))
+
+
+def _trained_smolora():
+    stream = prepared()
+    cfg = small_config("smolora")
+    model = ToyModel(cfg, 8, 4, 3)
+    train_stage(model, stream[0][1], cfg)
+    return model
+
+
+class TestColumnarPaths:
+    """The array paths against per-instance references, bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_input_matches_per_instance_assembly(self, method):
+        model, batch = _live_model_and_batch(method)
+        assert len(set(batch.task_id.tolist())) == 2
+        embedder = HashingEmbedder(16)
+        want_x, want_emb = per_instance_input(
+            model.instr_proj.a,
+            [batch.visual[:, j] for j in range(len(batch))],
+            [embedder.embed(text).a for text in batch.texts],
+        )
+        x, emb = model._input(batch)
+        assert np.array_equal(x.a, want_x)
+        assert np.array_equal(emb.a, want_emb)
+
+    @pytest.mark.parametrize("make_model", [_trained_smolora, _OracleModel, _ConstantModel])
+    def test_records_match_per_instance_records(self, make_model):
+        model = make_model()
+        _, batch = _live_model_and_batch("smolora")
+        for split in (batch, prepared()[1][2]):
+            content, fmt = model.forward(split)
+            labels = list(zip(split.task_id.tolist(), split.answer_class.tolist(), split.format_id.tolist()))
+            c_acc, f_acc, records, _ = evaluate_task(model, split)
+            assert (c_acc, f_acc, records) == per_instance_records(content.a, fmt.a, labels)
+            assert all(type(v) is int for r in records for v in r.values())
 
 
 class TestRunCvit:
@@ -425,7 +497,7 @@ class TestRunCvit:
         original = harness.train_stage
 
         def spy(model, train_set, config, stage_index=0):
-            calls.append({inst.task_id for inst in train_set})
+            calls.append(set(train_set.task_id.tolist()))
             return original(model, train_set, config, stage_index)
 
         monkeypatch.setattr(harness, "train_stage", spy)
@@ -445,9 +517,18 @@ class TestRunCvit:
 
     def test_stage_errors_carry_stage_index(self):
         stream = prepared(tasks=3)
-        broken = [stream[0], (stream[1][0], stream[1][1], []), stream[2]]
+        broken = [stream[0], (stream[1][0], stream[1][1], stream[1][2].take([])), stream[2]]
         with pytest.raises(StageError, match="stage 2"):
             run_cvit(small_config("seqlora", epochs=1), broken)
+
+    def test_wrong_visual_width_carries_stage_index(self):
+        stream = prepared(tasks=3)
+        spec, train, test = stream[1]
+        narrow = dataclasses.replace(train, visual=train.visual[:-1])
+        broken = [stream[0], (spec, narrow, test), stream[2]]
+        with pytest.raises(StageError, match="stage 2") as caught:
+            run_cvit(small_config("seqlora", epochs=1), broken)
+        assert isinstance(caught.value.__cause__, ShapeError)
 
     def test_seqlora_forgets_on_small_stream(self):
         cfg = small_config("seqlora", epochs=8)
@@ -465,8 +546,8 @@ class TestRunCvit:
         assert not set(texts[0].split()) & set(texts[1].split())
         for (spec, train, test), text in zip(stream, texts):
             spec.instruction_templates = [text]
-            for inst in train + test:
-                inst.instruction_text = text
+            train.texts[:] = text
+            test.texts[:] = text
         cfg = small_config("smolora", epochs=4)
         _, report = run_cvit(cfg, stream)
         hist = report.routing_hist
@@ -567,9 +648,9 @@ class TestCheckpoint:
         save_checkpoint(fresh, path)
         target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 999}), 8, 4, 3)
         load_checkpoint(path, target)
-        inst = stream[0][1][0]
-        content, _ = target.forward([inst])
-        x, _ = target._input([inst])
+        one = stream[0][1].take([0])
+        content, _ = target.forward(one)
+        x, _ = target._input(one)
         h1 = fresh.proj.W0.a @ x.a
         h2 = np.maximum(fresh.hidden.W0.a @ h1, 0.0)
         expected = fresh.head_content.W0.a @ h2.mean(axis=1, keepdims=True)
