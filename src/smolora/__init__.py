@@ -23,7 +23,7 @@ from .lora import (
     molora_forward,
     smolora_forward,
 )
-from .metrics import AccuracyMatrix, MetricReport, ap, bwt, compute_report, mean_ap, mif
+from .metrics import AccuracyMatrix, MetricReport, Records, ap, bwt, compute_report, mean_ap, mif
 from .routing import (
     HashingEmbedder,
     RoutingTrace,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_utf8
 from .routing import tokenize
 
 FORMAT_WORD = 0  # single word / short phrase
@@ -374,12 +374,7 @@ def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, TaskSplit, TaskSplit]]
     known task, split, visual width, label ranges, format tag, finite values
     and one embedding width. Any fault raises FormatError naming its line.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8", offset=exc.start) from None
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty stream file", line=1)
     try:

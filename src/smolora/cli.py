@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import benchmark, harness, metrics
-from .errors import ConfigError, ContractError, FormatError, StageError, UsageError
+from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, read_utf8
 from .metrics import round_display
 from .routing import read_routing_csv, write_routing_csv
 
@@ -43,6 +45,18 @@ def _dump_json(path: Path, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        obj = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:  # an int of too many digits
+        raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: not a JSON object", line=1)
+    return obj
 
 
 def _report_dict(report: metrics.MetricReport) -> dict:
@@ -102,11 +116,7 @@ _CONFIG_FLAGS = {
 def _build_config(args) -> harness.RunConfig:
     values: dict = {}
     if args.config:
-        try:
-            with open(args.config) as f:
-                loaded = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.config}: not valid JSON: {exc}") from None
+        loaded = _read_json_object(Path(args.config))
         unknown = set(loaded) - {f.name for f in harness.RunConfig.__dataclass_fields__.values()}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -189,12 +199,14 @@ def _write_fusion_csv(path: Path, stats: list[dict]) -> None:
 
 
 def read_fusion_csv(path) -> list[dict]:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    try:
         return [
             {"layer": int(r["layer"]), **{k: float(r[k]) for k in _FUSION_FIELDS[1:]}}
             for r in reader
         ]
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num) from None
 
 
 # -- metrics --------------------------------------------------------------------
@@ -215,13 +227,14 @@ def _load_run(run_dir: Path) -> dict:
     metrics_path = run_dir / "metrics.json"
     if not metrics_path.exists():
         raise FileNotFoundError(f"no metrics.json in {run_dir}")
-    with open(metrics_path) as f:
-        report = json.load(f)
+    report = _read_json_object(metrics_path)
+    numbers = [report.get("ap"), report.get("map")] + [report[k] for k in ("bwt", "mif") if k in report]
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
+        raise FormatError(f"{metrics_path}: ap, map, bwt and mif must be finite numbers", line=1)
     out = {"dir": run_dir, "metrics": report}
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
-        with open(manifest_path) as f:
-            out["manifest"] = json.load(f)
+        out["manifest"] = _read_json_object(manifest_path)
     out["content"] = metrics.read_accuracy_csv(run_dir / "accuracy.csv")
     fmt_path = run_dir / "accuracy.format.csv"
     if fmt_path.exists():
@@ -260,8 +273,8 @@ def cmd_report(args) -> int:
         if routing_path.exists():
             lines.append("  routing frequencies (per task and bank):")
             for task_id, banks in sorted(read_routing_csv(routing_path).items()):
-                for bank in ("vu", "if"):
-                    freqs = " ".join(f"{x:.3f}" for x in banks[bank])
+                for bank, freq in banks.items():
+                    freqs = " ".join(f"{x:.3f}" for x in freq)
                     lines.append(f"    task {task_id} {bank}: {freqs}")
         fusion_path = run["dir"] / "fusion.csv"
         if fusion_path.exists():

@@ -1,4 +1,10 @@
-"""Exception types shared across the package; the CLI maps them to exit codes."""
+"""Exception types shared across the package; the CLI maps them to exit codes.
+
+`read_utf8` is the one way the readers load a text file, so that bad UTF-8
+is a FormatError with a byte offset everywhere.
+"""
+
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -20,6 +26,14 @@ class FormatError(ValueError):
         super().__init__(message)
         self.line = line
         self.offset = offset
+
+
+def read_utf8(path) -> str:
+    """A file's text, or FormatError at the byte offset of its first non-UTF-8 byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8", offset=exc.start) from None
 
 
 class ConfigError(ValueError):

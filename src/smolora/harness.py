@@ -15,8 +15,10 @@ mini-batch at once: the instances' columns sit side by side, two per
 instance, with one embedding column per instance, taken from the split's
 arrays without a loop over instances. A training mini-batch is a column
 selection of its stage's split and records one tape; evaluation runs one
-tape-free forward per test split and builds its records from an array
-compare of the predictions with the label arrays.
+tape-free forward per test split and compares the argmax predictions with
+the label arrays, and the run stacks those correctness arrays into one
+columnar `metrics.Records` table: no per-sample Python object is built
+between the forward and `records.jsonl`.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -35,7 +37,7 @@ import numpy as np
 from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from .lora import init_lora_block, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
-from .metrics import AccuracyMatrix, MetricReport, compute_report
+from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
 from .routing import HashingEmbedder, RoutingTrace, routing_histogram
 from .tensor import (
     CosineSchedule,
@@ -302,29 +304,23 @@ def evaluate_task(
     model: ToyModel,
     test_set: TaskSplit,
     collect_traces: bool = False,
-) -> tuple[float, float, list[dict], list[RoutingTrace]]:
-    """Accuracy percentages plus per-sample records for a frozen model.
+) -> tuple[float, float, np.ndarray, list[RoutingTrace]]:
+    """Accuracy percentages plus per-sample correctness for a frozen model.
 
     The whole split runs as one tape-free forward, and the argmax predictions
-    are compared with the label arrays at once. Records are ordered by
-    instance index.
+    are compared with the label arrays at once. The correctness array is
+    2 x n ints, content then format, column j for instance j.
     """
     n = len(test_set)
     if not n:
         raise ValueError("evaluate_task requires a non-empty test set")
     traces: list[RoutingTrace] = []
     content, fmt = model.forward(test_set, traces=traces if collect_traces else None)
-    content_ok = (np.argmax(content.a, axis=0) == test_set.answer_class).astype(int)
-    format_ok = (np.argmax(fmt.a, axis=0) == test_set.format_id).astype(int)
-    records = [
-        {"task_id": t, "instance_index": i, "content_correct": c, "format_correct": f}
-        for i, (t, c, f) in enumerate(
-            zip(test_set.task_id.tolist(), content_ok.tolist(), format_ok.tolist())
-        )
-    ]
-    content_acc = 100.0 * int(content_ok.sum()) / n
-    format_acc = 100.0 * int(format_ok.sum()) / n
-    return content_acc, format_acc, records, traces
+    correct = np.empty((2, n), dtype=np.int64)
+    correct[0] = np.argmax(content.a, axis=0) == test_set.answer_class
+    correct[1] = np.argmax(fmt.a, axis=0) == test_set.format_id
+    content_hits, format_hits = correct.sum(axis=1).tolist()
+    return 100.0 * content_hits / n, 100.0 * format_hits / n, correct, traces
 
 
 @dataclass
@@ -334,7 +330,7 @@ class RunReport:
     config: RunConfig
     content: AccuracyMatrix
     format: AccuracyMatrix
-    records: list[dict]
+    records: Records
     metrics: MetricReport
     routing_hist: dict | None = None
     fusion_stats: list[dict] | None = None
@@ -356,7 +352,7 @@ def run_cvit(
 
     content = AccuracyMatrix()
     fmt = AccuracyMatrix()
-    records: list[dict] = []
+    evaluated: list[tuple[int, TaskSplit, np.ndarray]] = []  # (stage, test split, correctness)
     step_losses: list[list[float]] = []
     traces_by_task: dict[int, list[RoutingTrace]] = {}
     last_stage = len(stream)
@@ -367,11 +363,10 @@ def run_cvit(
             collect = config.method == "smolora" and k == last_stage
             for j in range(k):
                 _, _, test_j = stream[j]
-                c_acc, f_acc, recs, traces = evaluate_task(model, test_j, collect_traces=collect)
+                c_acc, f_acc, ok, traces = evaluate_task(model, test_j, collect_traces=collect)
                 c_row.append(c_acc)
                 f_row.append(f_acc)
-                for r in recs:
-                    records.append({"stage": k, **r})
+                evaluated.append((k, test_j, ok))
                 if collect and traces:
                     traces_by_task.setdefault(stream[j][0].task_id, []).extend(traces)
             content.add_row(c_row)
@@ -379,6 +374,14 @@ def run_cvit(
         except Exception as exc:  # noqa: BLE001 - annotate with the stage index
             raise StageError(k, exc) from exc
 
+    correct = np.concatenate([ok for _, _, ok in evaluated], axis=1)
+    records = Records(
+        stage=np.concatenate([np.full(len(split), k) for k, split, _ in evaluated]),
+        task_id=np.concatenate([split.task_id for _, split, _ in evaluated]),
+        instance_index=np.concatenate([np.arange(len(split)) for _, split, _ in evaluated]),
+        content_correct=correct[0],
+        format_correct=correct[1],
+    )
     report = RunReport(
         config=config,
         content=content,

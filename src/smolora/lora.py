@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .routing import RoutingTrace, route_instance, route_instruction, selected_from_gate
-from .tensor import Matrix, SubMatrix, Tape, softmax_back
+from .tensor import Matrix, SubMatrix, Tape, run_means, softmax_back
 
 
 @dataclass
@@ -135,7 +135,9 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
-    full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
+    full = gate.repeat(r, axis=0)
+    if s > 1:
+        full = full.repeat(s, axis=1)
     z = a_stack @ x
     zg = full * z
     out = b_cat @ zg
@@ -278,9 +280,9 @@ def adaptive_fusion(
     """
     if x_vu.shape != x_if.shape:
         raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
-    uv = np.concatenate([I_vu @ x_vu, I_if @ x_if])
-    e = np.exp(uv - uv.max(axis=0))
-    ab = e / e.sum(axis=0)
+    u, v = I_vu @ x_vu, I_if @ x_if
+    e = np.exp(np.concatenate([u, v]) - np.maximum(u, v))
+    ab = e / (e[:1] + e[1:])
     alpha, beta = ab[:1], ab[1:]
     return alpha * x_vu + beta * x_if, alpha, beta
 
@@ -339,7 +341,7 @@ def smolora_forward(
                 # instruction logits from the embeddings.
                 dl_vu = softmax_back(vu_gate, d_vu_gate)
                 dl_if = softmax_back(if_gate, d_if_gate)
-                push(layer.R_vu, dl_vu @ xa.reshape(x.rows, n, s).mean(axis=2).T)
+                push(layer.R_vu, dl_vu @ run_means(xa, s).T)
                 push(layer.R_if, dl_if @ emb.T)
                 if need_x:
                     dx = dx + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1)

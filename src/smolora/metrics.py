@@ -5,17 +5,24 @@ on task j after training stage k. Average performance (AP) averages the last
 row seen so far, MAP averages the APs of all stages, backward transfer (BWT)
 averages each task's drop between its own stage and the final stage, and mean
 instruction following (MIF) averages per-task format-correctness rates.
+
+Per-sample records are columnar: one `Records` table of five int arrays, built
+from the evaluation's arrays, written to `records.jsonl` one JSON object per
+line through a single template and read back into the same table.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractError, FormatError, MetricUndefinedError
+import numpy as np
+
+from .errors import ContractError, FormatError, MetricUndefinedError, read_utf8
 
 
 class AccuracyMatrix:
@@ -76,8 +83,44 @@ def bwt(a: AccuracyMatrix, k: int) -> float:
     return sum(a.score(k, j) - a.score(j, j) for j in range(1, k)) / (k - 1)
 
 
+_INT64_MAX = 2**63 - 1
+# Each record field with the least and greatest value a records file may hold.
+_RECORD_RANGES = {
+    "stage": (1, _INT64_MAX),
+    "task_id": (0, _INT64_MAX),
+    "instance_index": (0, _INT64_MAX),
+    "content_correct": (0, 1),
+    "format_correct": (0, 1),
+}
+# One records.jsonl line: json.dumps(record, sort_keys=True) for int values.
+_RECORD_LINE = "{" + ", ".join(f'"{key}": %d' for key in sorted(_RECORD_RANGES)) + "}\n"
+
+
+@dataclass(eq=False)
+class Records:
+    """Per-sample evaluation results as five int columns; entry i of each is sample i.
+
+    Sample i is test instance `instance_index[i]` of task `task_id[i]`, scored
+    after training stage `stage[i]`; the two correctness columns hold 0 or 1.
+    """
+
+    stage: np.ndarray
+    task_id: np.ndarray
+    instance_index: np.ndarray
+    content_correct: np.ndarray
+    format_correct: np.ndarray
+
+    def __len__(self) -> int:
+        return self.stage.shape[0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Records) and all(
+            np.array_equal(getattr(self, key), getattr(other, key)) for key in _RECORD_RANGES
+        )
+
+
 def mif(
-    records: Iterable[Mapping],
+    records: Records,
     stage: int | None = None,
     expected_tasks: Iterable[int] | None = None,
 ) -> float:
@@ -87,22 +130,21 @@ def mif(
     fraction of samples whose format matched, averaged over tasks, x100.
     Per-task sample counts may differ; each task weighs equally.
     """
-    records = list(records)
-    if not records:
+    if not len(records):
         raise ContractError("mif requires at least one record")
     if stage is None:
-        stage = max(r["stage"] for r in records)
-    per_task: dict[int, list[int]] = {}
-    for r in records:
-        if r["stage"] == stage:
-            per_task.setdefault(r["task_id"], []).append(int(r["format_correct"]))
-    if not per_task:
+        stage = int(records.stage.max())
+    at = records.stage == stage
+    tasks, task_of, counts = np.unique(records.task_id[at], return_inverse=True, return_counts=True)
+    if not tasks.size:
         raise ContractError(f"no records for stage {stage}")
     if expected_tasks is not None:
-        missing = sorted(set(expected_tasks) - set(per_task))
+        missing = sorted(set(expected_tasks) - set(tasks.tolist()))
         if missing:
             raise ContractError(f"tasks with zero records at stage {stage}: {missing}")
-    rates = [sum(v) / len(v) for _, v in sorted(per_task.items())]
+    hits = np.zeros(tasks.size, dtype=np.int64)
+    np.add.at(hits, task_of, records.format_correct[at])
+    rates = [h / n for h, n in zip(hits.tolist(), counts.tolist())]
     return 100.0 * sum(rates) / len(rates)
 
 
@@ -136,7 +178,7 @@ class MetricReport:
         )
 
 
-def compute_report(a: AccuracyMatrix, records: Iterable[Mapping] | None = None) -> MetricReport:
+def compute_report(a: AccuracyMatrix, records: Records | None = None) -> MetricReport:
     """Full MetricReport for the final stage of an accuracy table."""
     k = a.stages
     if k < 1:
@@ -170,48 +212,67 @@ def write_accuracy_csv(path, a: AccuracyMatrix, task_count: int | None = None) -
 
 
 def read_accuracy_csv(path) -> AccuracyMatrix:
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}", line=reader.line_num) from None
+    if not rows or not rows[0] or rows[0][0] != "stage":
+        raise FormatError(f"{path}: missing 'stage' header", line=1)
     a = AccuracyMatrix()
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "stage":
-            raise FormatError(f"{path}: missing 'stage' header", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            cells = [c for c in row[1:] if c != ""]
-            scores = []
-            for col, cell in enumerate(cells, start=2):
-                try:
-                    scores.append(float(cell))
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: non-numeric cell {cell!r} in column {col}", line=lineno
-                    ) from None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        cells = [c for c in row[1:] if c != ""]
+        scores = []
+        for col, cell in enumerate(cells, start=2):
             try:
-                a.add_row(scores)
-            except ContractError as exc:
-                raise FormatError(f"{path}: {exc}", line=lineno) from None
+                scores.append(float(cell))
+            except ValueError:
+                raise FormatError(
+                    f"{path}: non-numeric cell {cell!r} in column {col}", line=lineno
+                ) from None
+        try:
+            a.add_row(scores)
+        except ContractError as exc:
+            raise FormatError(f"{path}: {exc}", line=lineno) from None
     if a.stages == 0:
         raise FormatError(f"{path}: no data rows", line=2)
     return a
 
 
-def write_records_jsonl(path, records: Iterable[Mapping]) -> None:
-    encode = json.JSONEncoder(sort_keys=True).encode
+def write_records_jsonl(path, records: Records) -> None:
+    """One JSON object per sample and line, keys sorted, as json.dumps(sort_keys=True) writes it."""
+    rows = zip(*(getattr(records, key).tolist() for key in sorted(_RECORD_RANGES)))
     with open(path, "w") as f:
-        for r in records:
-            f.write(encode(r) + "\n")
+        f.writelines(map(_RECORD_LINE.__mod__, rows))
 
 
-def read_records_jsonl(path) -> list[dict]:
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: bad record: {exc}", line=lineno) from None
-    return out
+def read_records_jsonl(path) -> Records:
+    """The records of a records file, each checked as it fills the columns.
+
+    A record is a JSON object with exactly the five fields, each an int (not
+    a bool) within its range: stage >= 1, task_id and instance_index >= 0,
+    both correctness fields 0 or 1. Any fault raises FormatError naming its
+    line, or the byte offset of a byte that is not UTF-8.
+    """
+    columns: dict[str, list[int]] = {key: [] for key in _RECORD_RANGES}
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # json.JSONDecodeError, or an int of too many digits
+            raise FormatError(f"{path}: bad record: {exc}", line=lineno) from None
+        if type(record) is not dict or record.keys() != columns.keys():
+            raise FormatError(
+                f"{path}: a record must be an object with the keys {', '.join(columns)}",
+                line=lineno,
+            )
+        for key, (lo, hi) in _RECORD_RANGES.items():
+            value = record[key]
+            if type(value) is not int or not lo <= value <= hi:
+                wanted = "0 or 1" if hi == 1 else f"an int64 >= {lo}"
+                raise FormatError(f"{path}: {key} must be {wanted}, got {value!r}", line=lineno)
+            columns[key].append(value)
+    return Records(**{key: np.array(values, dtype=np.int64) for key, values in columns.items()})

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
-from .tensor import Matrix, check_finite
+from .errors import ContractError, FormatError, ShapeError, read_utf8
+from .tensor import Matrix, check_finite, run_means
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
 # runs and platforms.
@@ -92,7 +93,7 @@ def topk_softmax(logits: np.ndarray, top_k: int) -> np.ndarray:
     check_finite(logits, "router logits")
     if top_k == 1:
         # exp(0) / exp(0): the one kept entry is exactly 1.
-        gate = np.zeros_like(logits)
+        gate = np.zeros(logits.shape)
         gate[logits.argmax(axis=0), np.arange(cols)] = 1.0
         return gate
     e = np.exp(logits - logits.max(axis=0))
@@ -119,10 +120,11 @@ def route_instance(R_vu: np.ndarray, x: np.ndarray, top_k: int, instances: int =
     x holds `instances` equal runs of consecutive columns, one per instance;
     column j gates the visual-understanding bank on the mean of run j.
     """
-    rows, cols = x.shape
+    cols = x.shape[1]
     if instances < 1 or cols % instances:
         raise ShapeError(f"cannot split {cols} columns into {instances} equal groups")
-    return route_instruction(R_vu, x.reshape(rows, instances, -1).mean(axis=2), top_k)
+    s = cols // instances
+    return route_instruction(R_vu, x if s == 1 else run_means(x, s), top_k)
 
 
 @dataclass
@@ -186,12 +188,17 @@ def write_routing_csv(path, hist: Mapping[int, Mapping[str, np.ndarray]]) -> Non
 
 
 def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
+    """Frequencies per task and bank, in file order; a malformed row raises FormatError."""
     out: dict[int, dict[str, np.ndarray]] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)  # header
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        next(reader, None)  # header
         for row in reader:
             task_id, bank = int(row[0]), row[1]
+            if bank not in ("vu", "if"):
+                raise ValueError(f"bank must be 'vu' or 'if', got {bank!r}")
             freq = np.array([float(x) for x in row[2:] if x != ""])
             out.setdefault(task_id, {})[bank] = freq
+    except (csv.Error, IndexError, ValueError) as exc:
+        raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num) from None
     return out

@@ -350,6 +350,15 @@ def scale_const(m: Matrix, c: float, tape: Tape | None = None) -> Matrix:
     return out
 
 
+def run_means(a: np.ndarray, s: int) -> np.ndarray:
+    """Row-wise means of each run of s consecutive columns of a.
+
+    np.add.reduce and one division: the two ufunc calls `ndarray.mean`
+    makes, bit for bit, without its Python-level wrapper.
+    """
+    return np.add.reduce(a.reshape(a.shape[0], -1, s), axis=2) / s
+
+
 def mean_over_columns(m: Matrix, tape: Tape | None = None, groups: int = 1) -> Matrix:
     """Row-wise mean over each of `groups` equal runs of consecutive columns.
 
@@ -358,7 +367,7 @@ def mean_over_columns(m: Matrix, tape: Tape | None = None, groups: int = 1) -> M
     if groups < 1 or m.cols % groups:
         raise ShapeError(f"cannot split {m.cols} columns into {groups} equal groups")
     s = m.cols // groups
-    out = Matrix._wrap(m.a.reshape(m.rows, groups, s).mean(axis=2))
+    out = Matrix._wrap(run_means(m.a, s))
     if tape is not None:
         push = tape._push
 
@@ -402,7 +411,7 @@ def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     For a top-k gate, a dropped entry has y = 0 and gets exactly 0; at top-1
     the kept entry has y = 1 exactly, so its gradient is exactly 0 too.
     """
-    return y * (dy - np.sum(dy * y, axis=0, keepdims=True))
+    return y * (dy - np.add.reduce(dy * y, axis=0, keepdims=True))
 
 
 def cross_entropy(

@@ -4,12 +4,18 @@ These deliberately avoid the library's tape machinery: finite differences
 probe gradients, and the straight-line forward below re-evaluates the
 separable layer with plain numpy, step by step. The per-instance model input
 and records rebuild, one instance at a time, what the harness builds from a
-split's arrays.
+split's arrays. The dict-based records, their writer and MIF, the
+double-repeat bank and the two-row fusion below are earlier versions of the
+library's code, kept as bit-for-bit references for the array versions.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from smolora.errors import ContractError
 
 FD_H = 1e-5
 
@@ -118,3 +124,68 @@ def per_instance_records(
     content_acc = 100.0 * sum(r["content_correct"] for r in records) / len(records)
     format_acc = 100.0 * sum(r["format_correct"] for r in records) / len(records)
     return content_acc, format_acc, records
+
+
+def stage_records(stage: int, task_ids, correct: np.ndarray) -> list[dict]:
+    """One split's per-sample records of one stage, one dict per sample.
+
+    correct is the split's 2 x n correctness array (content, then format).
+    """
+    records = [
+        {"task_id": t, "instance_index": i, "content_correct": c, "format_correct": f}
+        for i, (t, c, f) in enumerate(zip(list(task_ids), correct[0].tolist(), correct[1].tolist()))
+    ]
+    return [{"stage": stage, **r} for r in records]
+
+
+def write_dict_records(path, records: list[dict]) -> None:
+    """One json.dumps(record, sort_keys=True) line per record."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w") as f:
+        for r in records:
+            f.write(encode(r) + "\n")
+
+
+def dict_mif(records: list[dict], stage: int | None = None, expected_tasks=None) -> float:
+    """MIF over dict records: per-task format rates in task order, averaged, x100."""
+    if not records:
+        raise ContractError("mif requires at least one record")
+    if stage is None:
+        stage = max(r["stage"] for r in records)
+    per_task: dict[int, list[int]] = {}
+    for r in records:
+        if r["stage"] == stage:
+            per_task.setdefault(r["task_id"], []).append(int(r["format_correct"]))
+    if not per_task:
+        raise ContractError(f"no records for stage {stage}")
+    if expected_tasks is not None:
+        missing = sorted(set(expected_tasks) - set(per_task))
+        if missing:
+            raise ContractError(f"tasks with zero records at stage {stage}: {missing}")
+    rates = [sum(v) / len(v) for _, v in sorted(per_task.items())]
+    return 100.0 * sum(rates) / len(rates)
+
+
+def double_repeat_bank(a_stack, b_cat, r: int, gate, x, s: int, g):
+    """A bank's output and its gradients (A, B, x, gate) with the gate expanded twice.
+
+    The gate is expanded by np.repeat over the rank rows and then over each
+    instance's s columns, even where s = 1.
+    """
+    full = np.repeat(np.repeat(gate, r, axis=0), s, axis=1)
+    z = a_stack @ x
+    zg = full * z
+    out = b_cat @ zg
+    dzg = b_cat.T @ g
+    dz = dzg * full
+    d_gate = (dzg * z).reshape(gate.shape[0], r, gate.shape[1], s).sum(axis=(1, 3))
+    return out, dz @ x.T, g @ zg.T, a_stack.T @ dz, d_gate
+
+
+def two_row_fusion(x_vu, x_if, I_vu, I_if):
+    """adaptive_fusion with the pairwise softmax as a max and a sum over two rows."""
+    uv = np.concatenate([I_vu @ x_vu, I_if @ x_if])
+    e = np.exp(uv - uv.max(axis=0))
+    ab = e / e.sum(axis=0)
+    alpha, beta = ab[:1], ab[1:]
+    return alpha * x_vu + beta * x_if, alpha, beta

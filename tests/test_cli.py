@@ -128,6 +128,19 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
         assert code == 1
 
+    @pytest.mark.parametrize("text, where", [('{"method": "seqlora",\n oops}', "(line 2)"),
+                                             ('["seqlora"]', "(line 1)"),
+                                             (b'{"method": "seq\xfflora"}', "(byte offset 15)")])
+    def test_malformed_config_is_format_error(self, stream_file, tmp_path, capsys, text, where):
+        cfg_path = tmp_path / "cfg.json"
+        if isinstance(text, bytes):
+            cfg_path.write_bytes(text)
+        else:
+            cfg_path.write_text(text)
+        err = format_error(capsys, "train", "--stream", str(stream_file),
+                           "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
+        assert "cfg.json" in err and where in err
+
 
 def _edit_line(path, lineno, change):
     """Apply `change` to the JSON object on a 1-based line of a stream file."""
@@ -257,3 +270,88 @@ class TestFig4Series:
         assert series[0] == ["task", "stage_1", "stage_2"]
         # Entry (task 1, stage 2) must equal accuracy.csv entry (stage 2, task 1).
         assert series[1][2] == acc_rows[1][1]
+
+
+_GOOD_RECORD = ('{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": 1, '
+                '"task_id": 0}\n')
+
+
+def format_error(capsys, *argv) -> str:
+    """Run the CLI, expect exit 3 with one `format error:` line, and return that line."""
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestMalformedRecords:
+    @pytest.fixture
+    def accuracy_file(self, tmp_path):
+        path = tmp_path / "accuracy.csv"
+        write_accuracy_csv(path, AccuracyMatrix([[55.5]]), 1)
+        return path
+
+    @pytest.mark.parametrize(
+        "second_line, where",
+        [
+            (b'{"content_correct": 1, "instance_index": 0, "stage": 1, "task_id": 0}', "(line 2)"),
+            (b"[1,2]", "(line 2)"),
+            (b'{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": "x", '
+             b'"task_id": 0}', "(line 2)"),
+            (b'{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": 1, '
+             b'"task_id": 0\xff}', f"(byte offset {2 * len(_GOOD_RECORD) - 2})"),
+        ],
+        ids=["missing-key", "array", "string-stage", "non-utf8"],
+    )
+    def test_bad_records_exit_3_naming_the_place(self, accuracy_file, tmp_path, capsys,
+                                                  second_line, where):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(_GOOD_RECORD.encode() + second_line + b"\n")
+        err = format_error(capsys, "metrics", "--accuracy", str(accuracy_file), "--records", str(path))
+        assert "records.jsonl" in err and where in err
+
+    def test_non_utf8_accuracy_exits_3_with_offset(self, tmp_path, capsys):
+        path = tmp_path / "accuracy.csv"
+        path.write_bytes(b"stage,task_1\n1,5\xe95\n")
+        err = format_error(capsys, "metrics", "--accuracy", str(path))
+        assert "accuracy.csv" in err and "(byte offset 16)" in err
+
+
+class TestMalformedRunDirectory:
+    @pytest.fixture
+    def run_dir(self, stream_file, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run_cli(*train_args(stream_file, out_dir, method="smolora")) == 0
+        return out_dir
+
+    @pytest.mark.parametrize("name", ["metrics.json", "manifest.json"])
+    def test_json_that_does_not_parse(self, run_dir, capsys, name):
+        (run_dir / name).write_text('{\n  "ap": 1.0,\n  oops\n}\n')
+        err = format_error(capsys, "report", str(run_dir))
+        assert name in err and "(line 3)" in err
+
+    def test_int_too_long_to_convert(self, run_dir, capsys):
+        (run_dir / "metrics.json").write_text('{"ap": ' + "9" * 5000 + "}\n")
+        assert "metrics.json: not valid JSON" in format_error(capsys, "report", str(run_dir))
+
+    def test_metrics_without_ap(self, run_dir, capsys):
+        (run_dir / "metrics.json").write_text('{"map": 1.0}\n')
+        err = format_error(capsys, "report", str(run_dir))
+        assert "metrics.json" in err and "(line 1)" in err
+
+    def test_fusion_layer_not_an_integer(self, run_dir, capsys):
+        path = run_dir / "fusion.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "one" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert "fusion.csv" in err and "(line 3)" in err
+
+    def test_routing_row_too_short(self, run_dir, capsys):
+        path = run_dir / "routing.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = "1"
+        path.write_text("\n".join(lines) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert "routing.csv" in err and "(line 5)" in err

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import per_instance_input, per_instance_records
+from _oracles import (
+    dict_mif,
+    per_instance_input,
+    per_instance_records,
+    stage_records,
+    write_dict_records,
+)
 from smolora import harness
 from smolora.benchmark import TaskSplit, generate_stream, read_stream, write_stream
 from smolora.errors import ConfigError, ContractError, FormatError, ShapeError, StageError
@@ -18,6 +24,7 @@ from smolora.harness import (
     save_checkpoint,
     train_stage,
 )
+from smolora.metrics import write_records_jsonl
 from smolora.routing import HashingEmbedder
 from smolora.tensor import Matrix, Tape, add, backward, cross_entropy, mean_over_columns, relu
 
@@ -406,9 +413,9 @@ class TestEvaluateTask:
 
     def test_oracle_model_scores_100(self):
         stream = small_stream()
-        c, f, records, _ = evaluate_task(_OracleModel(), stream[0][2])
+        c, f, correct, _ = evaluate_task(_OracleModel(), stream[0][2])
         assert c == 100.0 and f == 100.0
-        assert all(r["content_correct"] == 1 and r["format_correct"] == 1 for r in records)
+        assert (correct == 1).all()
 
     def test_deterministic_and_thread_invariant(self):
         stream = prepared()
@@ -417,8 +424,8 @@ class TestEvaluateTask:
         train_stage(model, stream[0][1], cfg)
         a = evaluate_task(model, stream[0][2])
         b = evaluate_task(model, stream[0][2])
-        assert a[:3] == b[:3]
-        assert [r["instance_index"] for r in a[2]] == list(range(len(stream[0][2])))
+        assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
+        assert a[2].shape == (2, len(stream[0][2]))
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
@@ -457,9 +464,30 @@ class TestColumnarPaths:
         for split in (batch, prepared()[1][2]):
             content, fmt = model.forward(split)
             labels = list(zip(split.task_id.tolist(), split.answer_class.tolist(), split.format_id.tolist()))
-            c_acc, f_acc, records, _ = evaluate_task(model, split)
-            assert (c_acc, f_acc, records) == per_instance_records(content.a, fmt.a, labels)
-            assert all(type(v) is int for r in records for v in r.values())
+            c_acc, f_acc, correct, _ = evaluate_task(model, split)
+            want_c, want_f, want = per_instance_records(content.a, fmt.a, labels)
+            assert (c_acc, f_acc) == (want_c, want_f)
+            assert stage_records(1, split.task_id.tolist(), correct) == [{"stage": 1, **r} for r in want]
+            assert correct.dtype == np.int64
+
+    def test_run_records_match_dict_assembly(self, monkeypatch, tmp_path):
+        # Eleven tasks, so that stage, task and index values reach two digits.
+        evaluated = []
+
+        def evaluate(model, test_set, collect_traces=False):
+            out = evaluate_task(model, test_set, collect_traces)
+            evaluated.append((test_set.task_id.tolist(), out[2]))
+            return out
+
+        monkeypatch.setattr(harness, "evaluate_task", evaluate)
+        _, report = run_cvit(small_config("seqlora", epochs=1), prepared(tasks=11, train=8, test=12))
+        stages = [k for k in range(1, 12) for _ in range(k)]
+        assert len(evaluated) == len(stages)
+        dicts = [r for k, (tasks, ok) in zip(stages, evaluated) for r in stage_records(k, tasks, ok)]
+        write_records_jsonl(tmp_path / "got.jsonl", report.records)
+        write_dict_records(tmp_path / "want.jsonl", dicts)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert report.metrics.mif == dict_mif(dicts)
 
 
 class TestRunCvit:

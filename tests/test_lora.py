@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from _oracles import central_diff, rel_err, scalar_softmax, straight_line_smolora
+from _oracles import (
+    central_diff,
+    double_repeat_bank,
+    rel_err,
+    scalar_softmax,
+    straight_line_smolora,
+    two_row_fusion,
+)
 
 from smolora.errors import ShapeError
 from smolora.harness import AdapterLayer, RunConfig
@@ -8,6 +15,7 @@ from smolora.lora import (
     LoRABank,
     LoRABlock,
     MoLoRALayer,
+    _bank,
     adaptive_fusion,
     init_lora_block,
     init_molora,
@@ -16,6 +24,7 @@ from smolora.lora import (
     molora_forward,
     smolora_forward,
 )
+from smolora.routing import topk_softmax
 from smolora.tensor import (
     Matrix,
     Tape,
@@ -122,7 +131,35 @@ class TestMoLoRAForward:
             assert np.max(np.abs(molora_forward(layer, x).a - plain)) <= 1e-12
 
 
+class TestBankGateExpansion:
+    """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_output_and_gradients_match(self, s, top_k):
+        rng = np.random.default_rng(10 * s + top_k)
+        n, r, d, k_out, instances = 4, 3, 8, 6, 5
+        bank = LoRABank(Matrix(rng.normal(size=(n * r, d))), Matrix(rng.normal(size=(k_out, n * r))), r)
+        gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
+        x = rng.normal(size=(d, instances * s))
+        g = rng.normal(size=(k_out, instances * s))
+        pushed = {}
+        out, back = _bank(bank, gate, x, s)
+        dx, d_gate = back(g, lambda m, v: pushed.__setitem__(id(m), v), True, True)
+        got = (out, pushed[id(bank.A)], pushed[id(bank.B)], dx, d_gate)
+        for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
+            assert np.array_equal(have, want)
+
+
 class TestAdaptiveFusion:
+    def test_matches_two_row_max_and_sum(self):
+        rng = np.random.default_rng(21)
+        for cols in (1, 8, 192):
+            args = (rng.normal(size=(6, cols)), rng.normal(size=(6, cols)),
+                    3.0 * rng.normal(size=(1, 6)), 3.0 * rng.normal(size=(1, 6)))
+            for have, want in zip(adaptive_fusion(*args), two_row_fusion(*args)):
+                assert np.array_equal(have, want)
+
     def test_equal_scores_average(self):
         x_vu = np.array([[2.0, 4.0], [0.0, 2.0]])
         x_if = np.array([[0.0, 2.0], [2.0, 0.0]])

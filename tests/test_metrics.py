@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from _oracles import dict_mif, write_dict_records
 from _reference_tables import EXCLUSIONS, HEADLINE, TABLES
 
 from smolora.errors import ContractError, FormatError, MetricUndefinedError
 from smolora.metrics import (
     AccuracyMatrix,
     MetricReport,
+    Records,
     ap,
     bwt,
     compute_report,
@@ -133,44 +135,86 @@ class TestPublishedTablesOracle:
         assert mean_ap(fixed, 6) == pytest.approx(map_ref, abs=0.01)
 
 
-class TestMIF:
-    def _rec(self, stage, task, ok):
-        return {
-            "stage": stage,
-            "task_id": task,
-            "instance_index": 0,
-            "content_correct": 1,
-            "format_correct": int(ok),
-        }
+_KEYS = ("stage", "task_id", "instance_index", "content_correct", "format_correct")
 
+
+def records_of(rows) -> Records:
+    """A Records table from (stage, task_id, format_ok) rows: index 0, content correct."""
+    rows = list(rows)
+    return Records(
+        stage=np.array([r[0] for r in rows], dtype=np.int64),
+        task_id=np.array([r[1] for r in rows], dtype=np.int64),
+        instance_index=np.zeros(len(rows), dtype=np.int64),
+        content_correct=np.ones(len(rows), dtype=np.int64),
+        format_correct=np.array([int(r[2]) for r in rows], dtype=np.int64),
+    )
+
+
+def as_dicts(records: Records) -> list[dict]:
+    columns = [getattr(records, k).tolist() for k in _KEYS]
+    return [dict(zip(_KEYS, row)) for row in zip(*columns)]
+
+
+def random_records(seed, n=500, stages=12, tasks=12, index_limit=300) -> Records:
+    """Random records whose stage, task and index values run to two and three digits."""
+    rng = np.random.default_rng(seed)
+    return Records(
+        stage=rng.integers(1, stages + 1, n),
+        task_id=rng.integers(0, tasks, n),
+        instance_index=rng.integers(0, index_limit, n),
+        content_correct=rng.integers(0, 2, n),
+        format_correct=rng.integers(0, 2, n),
+    )
+
+
+class TestMIF:
     def test_all_correct(self):
-        records = [self._rec(2, t, True) for t in (0, 1)] * 3
+        records = records_of([(2, t, True) for t in (0, 1)] * 3)
         assert mif(records) == 100.0
 
     def test_half_split(self):
-        records = [self._rec(1, 0, True), self._rec(1, 1, False)]
+        records = records_of([(1, 0, True), (1, 1, False)])
         assert mif(records) == 50.0
 
     def test_hand_count(self):
-        records = (
-            [self._rec(3, 0, True)] * 3
-            + [self._rec(3, 0, False)]
-            + [self._rec(3, 1, True), self._rec(3, 1, False)]
-        )
+        records = records_of([(3, 0, True)] * 3 + [(3, 0, False)] + [(3, 1, True), (3, 1, False)])
         assert mif(records) == pytest.approx(62.5)
 
     def test_uses_latest_stage_by_default(self):
-        records = [self._rec(1, 0, False), self._rec(2, 0, True)]
+        records = records_of([(1, 0, False), (2, 0, True)])
         assert mif(records) == 100.0
 
     def test_zero_record_task_is_contract_error(self):
-        records = [self._rec(1, 0, True)]
-        with pytest.raises(ContractError):
+        records = records_of([(1, 0, True)])
+        with pytest.raises(ContractError, match=r"zero records at stage 1: \[1\]"):
             mif(records, expected_tasks=[0, 1])
 
     def test_empty_records_rejected(self):
         with pytest.raises(ContractError):
-            mif([])
+            mif(records_of([]))
+
+    def test_absent_stage_rejected(self):
+        with pytest.raises(ContractError, match="no records for stage 5"):
+            mif(records_of([(1, 0, True)]), stage=5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dict_mif(self, seed):
+        def outcome(fn, records, **kw):
+            try:
+                return fn(records, **kw)
+            except ContractError as exc:
+                return str(exc)
+
+        records = random_records(seed, n=300)
+        dicts = as_dicts(records)
+        outcomes = []
+        for kw in ({}, {"expected_tasks": [0, 99]}, {"expected_tasks": range(12)},
+                   *({"stage": k} for k in (1, 7, 12, 13)),
+                   *({"stage": k, "expected_tasks": range(12)} for k in (1, 7, 12))):
+            got = outcome(mif, records, **kw)
+            assert got == outcome(dict_mif, dicts, **kw)
+            outcomes.append(type(got))
+        assert outcomes.count(float) >= 4 and outcomes.count(str) >= 2
 
 
 class TestReport:
@@ -219,10 +263,70 @@ class TestCsvRoundTrip:
             read_accuracy_csv(path)
 
     def test_records_round_trip(self, tmp_path):
-        records = [
-            {"stage": 1, "task_id": 0, "instance_index": i, "content_correct": 1, "format_correct": 0}
-            for i in range(4)
-        ]
+        records = Records(
+            stage=np.ones(4, dtype=np.int64),
+            task_id=np.zeros(4, dtype=np.int64),
+            instance_index=np.arange(4),
+            content_correct=np.ones(4, dtype=np.int64),
+            format_correct=np.zeros(4, dtype=np.int64),
+        )
         path = tmp_path / "records.jsonl"
         write_records_jsonl(path, records)
         assert read_records_jsonl(path) == records
+
+    def test_nul_byte_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"stage,task_1\n1,80\x00.0\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_accuracy_csv(path)
+
+
+class TestRecordsFile:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_match_json_dumps(self, tmp_path, seed):
+        records = random_records(seed)
+        assert max(records.stage) >= 10 and max(records.task_id) >= 10
+        assert max(records.instance_index) >= 100
+        write_records_jsonl(tmp_path / "got.jsonl", records)
+        write_dict_records(tmp_path / "want.jsonl", as_dicts(records))
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_empty_file_reads_as_no_records(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(path, records_of([]))
+        assert path.read_bytes() == b""
+        assert len(read_records_jsonl(path)) == 0
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"content_correct": 1, "instance_index": 0, "stage": 1, "task_id": 0}', "keys"),
+            ("[1,2]", "keys"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
+             '"task_id": 0, "extra": 0}', "keys"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": "x", '
+             '"task_id": 0}', "stage must be an int64 >= 1, got 'x'"),
+            ('{"content_correct": true, "format_correct": 1, "instance_index": 0, "stage": 1, '
+             '"task_id": 0}', "content_correct must be 0 or 1, got True"),
+            ('{"content_correct": 1, "format_correct": 2, "instance_index": 0, "stage": 1, '
+             '"task_id": 0}', "format_correct must be 0 or 1"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 0, '
+             '"task_id": 0}', "stage must be an int64 >= 1"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": -1, "stage": 1, '
+             '"task_id": 0}', "instance_index must be an int64 >= 0"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
+             '"task_id": 1.0}', "task_id must be an int64 >= 0"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
+             '"task_id": 9223372036854775808}', "task_id must be an int64 >= 0"),
+            ('{"content_correct": 1,', "bad record"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
+             '"task_id": ' + "9" * 5000 + "}", "bad record"),
+        ],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, line, problem):
+        good = '{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, "task_id": 0}'
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{good}\n\n{line}\n")
+        with pytest.raises(FormatError, match="line 3") as exc:
+            read_records_jsonl(path)
+        assert problem in str(exc.value)

@@ -95,6 +95,15 @@ class TestRouteInstance:
         gate_twice = route_instance(R, np.hstack([x, x]), 2)
         assert np.array_equal(gate_once, gate_twice)
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pools_as_ndarray_mean(self, s):
+        rng = np.random.default_rng(40 + s)
+        R = rng.normal(size=(4, 6))
+        x = rng.normal(size=(6, 5 * s))
+        for k in (1, 2, 4):
+            want = route_instruction(R, x.reshape(6, 5, s).mean(axis=2), k)
+            assert np.array_equal(route_instance(R, x, k, 5), want)
+
     def test_gate_simplex(self):
         rng = np.random.default_rng(2)
         for k in (1, 2, 3):

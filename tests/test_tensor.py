@@ -18,8 +18,10 @@ from smolora.tensor import (
     matmul,
     mean_over_columns,
     relu,
+    run_means,
     scale_const,
     sgd_step,
+    softmax_back,
     sum_all,
 )
 
@@ -123,6 +125,20 @@ class TestMeanOverColumns:
 
     def test_zero_case(self):
         assert mean_over_columns(Matrix([[0.0, 0.0, 0.0]])).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    def test_bit_equal_to_ndarray_mean(self, s):
+        a = 1e3 * np.random.default_rng(s).normal(size=(9, 4 * s))
+        want = a.reshape(9, 4, s).mean(axis=2)
+        assert np.array_equal(mean_over_columns(Matrix(a), groups=4).a, want)
+        assert np.array_equal(run_means(a, s), want)
+
+
+def test_softmax_back_matches_np_sum():
+    rng = np.random.default_rng(8)
+    y = topk_softmax(rng.normal(size=(5, 6)), 3)
+    dy = rng.normal(size=(5, 6))
+    assert np.array_equal(softmax_back(y, dy), y * (dy - np.sum(dy * y, axis=0, keepdims=True)))
 
 
 class TestTopkMask:
