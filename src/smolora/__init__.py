@@ -1,6 +1,6 @@
 """Separable mixture-of-LoRA adapters with a continual-tuning simulator."""
 
-from .benchmark import TaskSpec, TaskSplit, format_check, generate_stream
+from .benchmark import TaskSpec, TaskSplit, generate_stream
 from .errors import (
     ConfigError,
     ContractError,
@@ -26,7 +26,7 @@ from .lora import (
 from .metrics import AccuracyMatrix, MetricReport, Records, ap, bwt, compute_report, mean_ap, mif
 from .routing import (
     HashingEmbedder,
-    RoutingTrace,
+    LayerRouting,
     embed_text,
     route_instance,
     route_instruction,

@@ -122,12 +122,6 @@ def task_formats(task_count: int) -> list[int]:
     return [_DEFAULT_FORMAT_CYCLE[i % len(_DEFAULT_FORMAT_CYCLE)] for i in range(task_count)]
 
 
-def format_check(predicted_format: int, task: "TaskSpec | int") -> int:
-    """1 iff the predicted format tag matches the task's required format."""
-    required = task.format_id if isinstance(task, TaskSpec) else task
-    return 1 if predicted_format == required else 0
-
-
 def _draw_cluster_means(
     rng: np.random.Generator, total: int, d_v: int
 ) -> np.ndarray:

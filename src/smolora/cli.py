@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import benchmark, harness, metrics
-from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, read_utf8
+from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, finite_float, read_utf8
 from .metrics import round_display
 from .routing import read_routing_csv, write_routing_csv
 
@@ -202,7 +202,7 @@ def read_fusion_csv(path) -> list[dict]:
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     try:
         return [
-            {"layer": int(r["layer"]), **{k: float(r[k]) for k in _FUSION_FIELDS[1:]}}
+            {"layer": int(r["layer"]), **{k: finite_float(r[k]) for k in _FUSION_FIELDS[1:]}}
             for r in reader
         ]
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
@@ -215,6 +215,12 @@ def read_fusion_csv(path) -> list[dict]:
 def cmd_metrics(args) -> int:
     a = metrics.read_accuracy_csv(args.accuracy)
     records = metrics.read_records_jsonl(args.records) if args.records else None
+    if records and records.stage.max() > a.stages:
+        i = int((records.stage > a.stages).argmax())
+        raise FormatError(
+            f"{args.records}: record {i + 1} is of stage {records.stage[i]}, past the "
+            f"{a.stages} stages of {args.accuracy}"
+        )
     report = metrics.compute_report(a, records)
     print(json.dumps(_report_dict(report), sort_keys=True, indent=2))
     return EXIT_OK

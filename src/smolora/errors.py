@@ -1,9 +1,11 @@
 """Exception types shared across the package; the CLI maps them to exit codes.
 
 `read_utf8` is the one way the readers load a text file, so that bad UTF-8
-is a FormatError with a byte offset everywhere.
+is a FormatError with a byte offset everywhere; `finite_float` parses their
+float cells.
 """
 
+import math
 from pathlib import Path
 
 
@@ -34,6 +36,14 @@ def read_utf8(path) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8", offset=exc.start) from None
+
+
+def finite_float(text: str) -> float:
+    """float(text), or ValueError where that is NaN or an infinity, which float() accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 class ConfigError(ValueError):

@@ -18,7 +18,9 @@ selection of its stage's split and records one tape; evaluation runs one
 tape-free forward per test split and compares the argmax predictions with
 the label arrays, and the run stacks those correctness arrays into one
 columnar `metrics.Records` table: no per-sample Python object is built
-between the forward and `records.jsonl`.
+between the forward and `records.jsonl`. An evaluation forward also
+returns one `routing.LayerRouting` per separable layer, and the run reduces
+the last stage's to the routing histogram and fusion statistics.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -38,7 +40,7 @@ from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from .lora import init_lora_block, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
-from .routing import HashingEmbedder, RoutingTrace, routing_histogram
+from .routing import HashingEmbedder, LayerRouting, routing_histogram
 from .tensor import (
     CosineSchedule,
     FlatParameters,
@@ -144,13 +146,13 @@ class AdapterLayer:
         x: Matrix,
         instr_emb: Matrix,
         tape: Tape | None = None,
-        traces: list[RoutingTrace] | None = None,
+        routing: list[LayerRouting] | None = None,
     ) -> Matrix:
         if self.kind == "seqlora":
             return lora_apply(self.block, x, tape, self.W0)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
-        return smolora_forward(self.layer, x, instr_emb, tape, traces)
+        return smolora_forward(self.layer, x, instr_emb, tape, routing)
 
     def trainable(self) -> list[Matrix]:
         return [m for key, m in self.params.items() if key != "W0"]
@@ -202,19 +204,19 @@ class ToyModel:
         self,
         batch: TaskSplit,
         tape: Tape | None = None,
-        traces: list[RoutingTrace] | None = None,
+        routing: list[LayerRouting] | None = None,
     ) -> tuple[Matrix, Matrix]:
         """Content logits (class_count x n) and format logits (format_count x n).
 
         Column j belongs to instance j of the batch. Separable layers append
-        one routing trace per instance to `traces`, layer by layer.
+        one LayerRouting each to `routing`, in layer order.
         """
         x, emb = self._input(batch)
-        h1 = self.proj.forward(x, emb, tape, traces)
-        h2 = relu(self.hidden.forward(h1, emb, tape, traces), tape)
+        h1 = self.proj.forward(x, emb, tape, routing)
+        h2 = relu(self.hidden.forward(h1, emb, tape, routing), tape)
         pooled = mean_over_columns(h2, tape, len(batch))
-        content = self.head_content.forward(pooled, emb, tape, traces)
-        fmt = self.head_format.forward(pooled, emb, tape, traces)
+        content = self.head_content.forward(pooled, emb, tape, routing)
+        fmt = self.head_format.forward(pooled, emb, tape, routing)
         return content, fmt
 
     def trainable(self) -> FlatParameters:
@@ -301,26 +303,25 @@ def train_stage(
 
 
 def evaluate_task(
-    model: ToyModel,
-    test_set: TaskSplit,
-    collect_traces: bool = False,
-) -> tuple[float, float, np.ndarray, list[RoutingTrace]]:
-    """Accuracy percentages plus per-sample correctness for a frozen model.
+    model: ToyModel, test_set: TaskSplit
+) -> tuple[float, float, np.ndarray, list[LayerRouting]]:
+    """Accuracy percentages, per-sample correctness and routing for a frozen model.
 
     The whole split runs as one tape-free forward, and the argmax predictions
     are compared with the label arrays at once. The correctness array is
-    2 x n ints, content then format, column j for instance j.
+    2 x n ints, content then format, column j for instance j. The routing
+    holds one LayerRouting per separable layer (none for the other methods).
     """
     n = len(test_set)
     if not n:
         raise ValueError("evaluate_task requires a non-empty test set")
-    traces: list[RoutingTrace] = []
-    content, fmt = model.forward(test_set, traces=traces if collect_traces else None)
+    routing: list[LayerRouting] = []
+    content, fmt = model.forward(test_set, routing=routing)
     correct = np.empty((2, n), dtype=np.int64)
     correct[0] = np.argmax(content.a, axis=0) == test_set.answer_class
     correct[1] = np.argmax(fmt.a, axis=0) == test_set.format_id
     content_hits, format_hits = correct.sum(axis=1).tolist()
-    return 100.0 * content_hits / n, 100.0 * format_hits / n, correct, traces
+    return 100.0 * content_hits / n, 100.0 * format_hits / n, correct, routing
 
 
 @dataclass
@@ -354,21 +355,19 @@ def run_cvit(
     fmt = AccuracyMatrix()
     evaluated: list[tuple[int, TaskSplit, np.ndarray]] = []  # (stage, test split, correctness)
     step_losses: list[list[float]] = []
-    traces_by_task: dict[int, list[RoutingTrace]] = {}
-    last_stage = len(stream)
     for k, (spec, train, test) in enumerate(stream, start=1):
         try:
             step_losses.append(train_stage(model, train, config, stage_index=k - 1))
             c_row, f_row = [], []
-            collect = config.method == "smolora" and k == last_stage
+            # Reset per stage: the report keeps the last stage's routing.
+            routing_by_task: dict[int, list[LayerRouting]] = {}
             for j in range(k):
-                _, _, test_j = stream[j]
-                c_acc, f_acc, ok, traces = evaluate_task(model, test_j, collect_traces=collect)
+                spec_j, _, test_j = stream[j]
+                c_acc, f_acc, ok, routing = evaluate_task(model, test_j)
                 c_row.append(c_acc)
                 f_row.append(f_acc)
                 evaluated.append((k, test_j, ok))
-                if collect and traces:
-                    traces_by_task.setdefault(stream[j][0].task_id, []).extend(traces)
+                routing_by_task.setdefault(spec_j.task_id, []).extend(routing)
             content.add_row(c_row)
             fmt.add_row(f_row)
         except Exception as exc:  # noqa: BLE001 - annotate with the stage index
@@ -390,32 +389,23 @@ def run_cvit(
         metrics=compute_report(content, records),
         step_losses=step_losses,
     )
-    if config.method == "smolora" and traces_by_task:
-        report.routing_hist = routing_histogram(
-            traces_by_task, config.vu_blocks, config.if_blocks
-        )
-        report.fusion_stats = _fusion_stats(traces_by_task)
+    if config.method == "smolora":
+        report.routing_hist = routing_histogram(routing_by_task)
+        report.fusion_stats = _fusion_stats(routing_by_task)
     return model, report
 
 
-def _fusion_stats(traces_by_task: dict[int, list[RoutingTrace]]) -> list[dict]:
-    by_layer: dict[int, list[tuple[float, float]]] = {}
-    for traces in traces_by_task.values():
-        for tr in traces:
-            by_layer.setdefault(tr.layer_id, []).append((tr.alpha_mean, tr.beta_mean))
+def _fusion_stats(routing_by_task: dict[int, list[LayerRouting]]) -> list[dict]:
+    """Per layer, the mean and sd of the instances' mean alpha and beta, tasks in run order."""
+    records = [r for routing in routing_by_task.values() for r in routing]
     stats = []
-    for layer_id in sorted(by_layer):
-        alphas = np.array([a for a, _ in by_layer[layer_id]])
-        betas = np.array([b for _, b in by_layer[layer_id]])
-        stats.append(
-            {
-                "layer": layer_id,
-                "mean_alpha": float(alphas.mean()),
-                "std_alpha": float(alphas.std()),
-                "mean_beta": float(betas.mean()),
-                "std_beta": float(betas.std()),
-            }
-        )
+    for layer_id in sorted({r.layer_id for r in records}):
+        row = {"layer": layer_id}
+        for key in ("alpha", "beta"):
+            means = np.concatenate([getattr(r, key).reshape(r.vu_gate.shape[1], -1).mean(axis=1)
+                                    for r in records if r.layer_id == layer_id])
+            row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
+        stats.append(row)
     return stats
 
 
@@ -466,6 +456,7 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
         if name in seen:
             raise FormatError(f"{path}: parameter {name!r} appears twice", offset=name_at)
         rows, cols = struct.unpack("<II", take(8, "shape"))
+        data_at = pos
         raw = take(rows * cols * 8, f"data of {name}")
         arr = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
         target = expected.get(name)
@@ -475,6 +466,12 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
             raise ContractError(
                 f"checkpoint parameter {name!r} is {rows}x{cols}, model expects "
                 f"{target.rows}x{target.cols}"
+            )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise FormatError(
+                f"{path}: parameter {name!r} holds a non-finite value",
+                offset=data_at + 8 * int(finite.argmin()),
             )
         target.a[...] = arr
         seen.add(name)

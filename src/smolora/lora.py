@@ -19,7 +19,9 @@ each block's A and B being submatrices of the two. A bank is then two
 matmuls, and its gradient two whole arrays.
 
 A top-1 gate is one-hot whatever its logits, so its gradient is exactly 0;
-at top-1 the backward computes no router gradient at all.
+at top-1 the backward computes no router gradient at all. Given a list, the
+separable layer appends a `routing.LayerRouting` of the gate and fusion
+arrays it computed, which costs no copy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .routing import RoutingTrace, route_instance, route_instruction, selected_from_gate
+from .routing import LayerRouting, route_instance, route_instruction
 from .tensor import Matrix, SubMatrix, Tape, run_means, softmax_back
 
 
@@ -292,7 +294,7 @@ def smolora_forward(
     x: Matrix,
     instr_emb: Matrix,
     tape: Tape | None = None,
-    traces: list[RoutingTrace] | None = None,
+    routing: list[LayerRouting] | None = None,
 ) -> Matrix:
     """The layer output W0 @ x + the fused update of both banks, as one tape record.
 
@@ -300,7 +302,8 @@ def smolora_forward(
     columns in order, x.cols // instr_emb.cols of them each. The backward
     pushes into both banks, both importance rows, both routers (above
     top-1), and x and instr_emb when the tape reads their gradients. When
-    `traces` is given, one RoutingTrace per instance is appended to it.
+    `routing` is given, one LayerRouting holding this call's gates and fusion
+    weights is appended to it; that takes no copy and no per-instance work.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -352,19 +355,8 @@ def smolora_forward(
                 push(x, dx)
 
         tape._record(out, back)
-    if traces is not None:
-        alpha_means = alpha.reshape(n, -1).mean(axis=1)
-        beta_means = beta.reshape(n, -1).mean(axis=1)
-        traces.extend(
-            RoutingTrace(
-                layer_id=layer.layer_id,
-                vu_selected=selected_from_gate(vu_gate[:, j]),
-                if_selected=selected_from_gate(if_gate[:, j]),
-                alpha_mean=float(alpha_means[j]),
-                beta_mean=float(beta_means[j]),
-            )
-            for j in range(n)
-        )
+    if routing is not None:
+        routing.append(LayerRouting(layer.layer_id, vu_gate, if_gate, alpha, beta))
     return out
 
 

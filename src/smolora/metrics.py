@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -167,16 +167,6 @@ class MetricReport:
             "per_stage_ap": self.per_stage_ap,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "MetricReport":
-        return cls(
-            ap=d["ap"],
-            map=d["map"],
-            bwt=d.get("bwt"),
-            mif=d.get("mif"),
-            per_stage_ap=list(d.get("per_stage_ap", [])),
-        )
-
 
 def compute_report(a: AccuracyMatrix, records: Records | None = None) -> MetricReport:
     """Full MetricReport for the final stage of an accuracy table."""
@@ -253,10 +243,12 @@ def read_records_jsonl(path) -> Records:
 
     A record is a JSON object with exactly the five fields, each an int (not
     a bool) within its range: stage >= 1, task_id and instance_index >= 0,
-    both correctness fields 0 or 1. Any fault raises FormatError naming its
-    line, or the byte offset of a byte that is not UTF-8.
+    both correctness fields 0 or 1; no two records share their stage, task_id
+    and instance_index. Any fault raises FormatError naming its line, or the
+    byte offset of a byte that is not UTF-8.
     """
     columns: dict[str, list[int]] = {key: [] for key in _RECORD_RANGES}
+    seen: dict[tuple[int, int, int], int] = {}  # (stage, task_id, instance_index) -> line
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -275,4 +267,11 @@ def read_records_jsonl(path) -> Records:
                 wanted = "0 or 1" if hi == 1 else f"an int64 >= {lo}"
                 raise FormatError(f"{path}: {key} must be {wanted}, got {value!r}", line=lineno)
             columns[key].append(value)
+        first = seen.setdefault((record["stage"], record["task_id"], record["instance_index"]), lineno)
+        if first != lineno:
+            raise FormatError(
+                f"{path}: stage {record['stage']}, task {record['task_id']}, instance "
+                f"{record['instance_index']} repeats the record of line {first}",
+                line=lineno,
+            )
     return Records(**{key: np.array(values, dtype=np.int64) for key, values in columns.items()})

@@ -14,12 +14,11 @@ import csv
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError, read_utf8
+from .errors import ContractError, FormatError, ShapeError, finite_float, read_utf8
 from .tensor import Matrix, check_finite, run_means
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
@@ -127,43 +126,41 @@ def route_instance(R_vu: np.ndarray, x: np.ndarray, top_k: int, instances: int =
     return route_instruction(R_vu, x if s == 1 else run_means(x, s), top_k)
 
 
-@dataclass
-class RoutingTrace:
-    """Routing of one instance through one layer: selected blocks, gate weights, fusion means."""
+class LayerRouting(NamedTuple):
+    """One separable layer forward's routing: the arrays the layer computed.
+
+    The gates are blocks x instances, column j for instance j; alpha and beta
+    are the fusion weights, 1 x columns, each instance's columns consecutive.
+    """
 
     layer_id: int
-    vu_selected: list[tuple[int, float]] = field(default_factory=list)
-    if_selected: list[tuple[int, float]] = field(default_factory=list)
-    alpha_mean: float = 0.0
-    beta_mean: float = 0.0
-
-
-def selected_from_gate(col: np.ndarray) -> list[tuple[int, float]]:
-    """Nonzero (block index, weight) pairs of one gate column."""
-    return [(int(i), float(w)) for i, w in enumerate(col) if w > 0.0]
+    vu_gate: np.ndarray
+    if_gate: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 def routing_histogram(
-    traces_by_task: Mapping[int, Sequence[RoutingTrace]],
-    vu_blocks: int,
-    if_blocks: int,
+    routing_by_task: Mapping[int, Sequence[LayerRouting]],
 ) -> dict[int, dict[str, np.ndarray]]:
-    """Gate-weighted block-usage frequencies per task and bank; rows sum to 1."""
-    if not traces_by_task:
-        raise ValueError("routing_histogram requires at least one trace")
+    """Gate-weighted block-usage frequencies per task and bank; rows sum to 1.
+
+    A block's usage is its gate weights added in forward order, layer by
+    layer and then instance by instance: a cumulative sum, since numpy's
+    pairwise sum would round differently above top-1.
+    """
+    if not routing_by_task:
+        raise ValueError("routing_histogram requires at least one layer record")
     out: dict[int, dict[str, np.ndarray]] = {}
-    for task_id in sorted(traces_by_task):
-        traces = traces_by_task[task_id]
-        if not traces:
-            raise ValueError(f"task {task_id} has no traces")
-        vu = np.zeros(vu_blocks)
-        if_ = np.zeros(if_blocks)
-        for tr in traces:
-            for i, w in tr.vu_selected:
-                vu[i] += w
-            for j, w in tr.if_selected:
-                if_[j] += w
-        out[task_id] = {"vu": vu / vu.sum(), "if": if_ / if_.sum()}
+    for task_id in sorted(routing_by_task):
+        layers = routing_by_task[task_id]
+        if not layers:
+            raise ValueError(f"task {task_id} has no layer records")
+        usage = {
+            "vu": np.cumsum(np.hstack([r.vu_gate for r in layers]), axis=1)[:, -1],
+            "if": np.cumsum(np.hstack([r.if_gate for r in layers]), axis=1)[:, -1],
+        }
+        out[task_id] = {bank: u / u.sum() for bank, u in usage.items()}
     return out
 
 
@@ -197,7 +194,7 @@ def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
             task_id, bank = int(row[0]), row[1]
             if bank not in ("vu", "if"):
                 raise ValueError(f"bank must be 'vu' or 'if', got {bank!r}")
-            freq = np.array([float(x) for x in row[2:] if x != ""])
+            freq = np.array([finite_float(x) for x in row[2:] if x != ""])
             out.setdefault(task_id, {})[bank] = freq
     except (csv.Error, IndexError, ValueError) as exc:
         raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num) from None

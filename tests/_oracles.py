@@ -5,8 +5,9 @@ probe gradients, and the straight-line forward below re-evaluates the
 separable layer with plain numpy, step by step. The per-instance model input
 and records rebuild, one instance at a time, what the harness builds from a
 split's arrays. The dict-based records, their writer and MIF, the
-double-repeat bank and the two-row fusion below are earlier versions of the
-library's code, kept as bit-for-bit references for the array versions.
+double-repeat bank, the two-row fusion and the per-instance routing traces
+below are earlier versions of the library's code, kept as bit-for-bit
+references for the array versions.
 """
 
 from __future__ import annotations
@@ -189,3 +190,55 @@ def two_row_fusion(x_vu, x_if, I_vu, I_if):
     ab = e / e.sum(axis=0)
     alpha, beta = ab[:1], ab[1:]
     return alpha * x_vu + beta * x_if, alpha, beta
+
+
+def trace_routing(routing_by_task) -> tuple[dict, list[dict]]:
+    """Routing histogram and fusion statistics through one trace per instance and layer.
+
+    routing_by_task maps each task to its LayerRouting records. Each trace
+    holds an instance's nonzero (block, weight) pairs and its mean alpha and
+    beta. A block's usage adds the weights trace by trace (layer by layer,
+    then instance by instance) from 0.0; the fusion statistics pool the
+    instances' means per layer, tasks in dict order.
+    """
+    traces_by_task = {}
+    for task_id, layers in routing_by_task.items():
+        traces = traces_by_task.setdefault(task_id, [])
+        for r in layers:
+            n = r.vu_gate.shape[1]
+            s = r.alpha.shape[1] // n
+            for j in range(n):
+                traces.append((
+                    r.layer_id,
+                    [(i, float(w)) for i, w in enumerate(r.vu_gate[:, j]) if w > 0.0],
+                    [(i, float(w)) for i, w in enumerate(r.if_gate[:, j]) if w > 0.0],
+                    float(r.alpha[0, j * s : (j + 1) * s].mean()),
+                    float(r.beta[0, j * s : (j + 1) * s].mean()),
+                ))
+    hist = {}
+    for task_id in sorted(traces_by_task):
+        layers = routing_by_task[task_id]
+        vu = np.zeros(layers[0].vu_gate.shape[0])
+        if_ = np.zeros(layers[0].if_gate.shape[0])
+        for _, vu_selected, if_selected, _, _ in traces_by_task[task_id]:
+            for i, w in vu_selected:
+                vu[i] += w
+            for i, w in if_selected:
+                if_[i] += w
+        hist[task_id] = {"vu": vu / vu.sum(), "if": if_ / if_.sum()}
+    by_layer = {}
+    for traces in traces_by_task.values():
+        for layer_id, _, _, alpha_mean, beta_mean in traces:
+            by_layer.setdefault(layer_id, []).append((alpha_mean, beta_mean))
+    fusion = []
+    for layer_id in sorted(by_layer):
+        alphas = np.array([a for a, _ in by_layer[layer_id]])
+        betas = np.array([b for _, b in by_layer[layer_id]])
+        fusion.append({
+            "layer": layer_id,
+            "mean_alpha": float(alphas.mean()),
+            "std_alpha": float(alphas.std()),
+            "mean_beta": float(betas.mean()),
+            "std_beta": float(betas.std()),
+        })
+    return hist, fusion

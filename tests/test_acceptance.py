@@ -226,12 +226,12 @@ class TestDegeneracySuite:
         for _ in range(50):
             x = Matrix(rng.normal(size=(8, 3)))
             emb = Matrix(rng.normal(size=(6, 1)))
-            traces = []
-            smolora_forward(smo, x, emb, traces=traces)
-            [trace] = traces
-            for sel in (trace.vu_selected, trace.if_selected):
-                c_ok = c_ok and len(sel) == 1 and sel[0][1] == 1.0
-            d_ok = d_ok and abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-12
+            routing = []
+            smolora_forward(smo, x, emb, routing=routing)
+            [r] = routing
+            for gate in (r.vu_gate, r.if_gate):
+                c_ok = c_ok and np.count_nonzero(gate) == 1 and gate.max() == 1.0
+            d_ok = d_ok and np.abs(r.alpha + r.beta - 1.0).max() <= 1e-12
 
         _report(
             "degeneracy suite",

@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from smolora.benchmark import (
-    FORMAT_LETTER,
-    FORMAT_SENTENCE,
-    FORMAT_WORD,
-    TaskSpec,
-    format_check,
     generate_stream,
     nearest_mean_accuracy,
     read_stream,
@@ -89,32 +84,10 @@ class TestGenerateStream:
         for t in range(2, 9):
             assert len(set(task_formats(t))) >= 2
 
-
-class TestFormatCheck:
-    def test_match(self):
-        spec = TaskSpec(
-            task_id=0,
-            class_count=1,
-            visual_cluster_means=np.zeros((1, 4)),
-            cluster_stddev=0.1,
-            instruction_templates=["Answer in one word."],
-            format_id=FORMAT_WORD,
-        )
-        assert format_check(FORMAT_WORD, spec) == 1
-
-    def test_mismatch(self):
-        assert format_check(FORMAT_LETTER, FORMAT_SENTENCE) == 0
-
-    def test_all_correct_stream_scores_100(self):
-        stream = _small_stream()
-        checks = [
-            format_check(format_id, spec)
-            for spec, train, test in stream
-            for split in (train, test)
-            for format_id in split.format_id.tolist()
-        ]
-        assert 100.0 * sum(checks) / len(checks) == 100.0
-
+    def test_every_instance_carries_its_task_format(self):
+        for spec, train, test in _small_stream():
+            for split in (train, test):
+                assert (split.format_id == spec.format_id).all()
 
 class TestStreamFile:
     def test_round_trip(self, tmp_path):

@@ -301,8 +301,9 @@ class TestMalformedRecords:
              b'"task_id": 0}', "(line 2)"),
             (b'{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": 1, '
              b'"task_id": 0\xff}', f"(byte offset {2 * len(_GOOD_RECORD) - 2})"),
+            (_GOOD_RECORD.strip().encode(), "repeats the record of line 1 (line 2)"),
         ],
-        ids=["missing-key", "array", "string-stage", "non-utf8"],
+        ids=["missing-key", "array", "string-stage", "non-utf8", "repeated"],
     )
     def test_bad_records_exit_3_naming_the_place(self, accuracy_file, tmp_path, capsys,
                                                   second_line, where):
@@ -310,6 +311,12 @@ class TestMalformedRecords:
         path.write_bytes(_GOOD_RECORD.encode() + second_line + b"\n")
         err = format_error(capsys, "metrics", "--accuracy", str(accuracy_file), "--records", str(path))
         assert "records.jsonl" in err and where in err
+
+    def test_record_past_the_last_stage_exits_3(self, accuracy_file, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text(_GOOD_RECORD + _GOOD_RECORD.replace('"stage": 1', '"stage": 2'))
+        err = format_error(capsys, "metrics", "--accuracy", str(accuracy_file), "--records", str(path))
+        assert "record 2 is of stage 2, past the 1 stages of" in err
 
     def test_non_utf8_accuracy_exits_3_with_offset(self, tmp_path, capsys):
         path = tmp_path / "accuracy.csv"
@@ -347,6 +354,18 @@ class TestMalformedRunDirectory:
         path.write_text("\n".join(lines) + "\n")
         err = format_error(capsys, "report", str(run_dir))
         assert "fusion.csv" in err and "(line 3)" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, line, column", [("routing.csv", 3, 4), ("fusion.csv", 2, 2)])
+    def test_non_finite_cell(self, run_dir, capsys, cell, name, line, column):
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = cell
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert name in err and f"(line {line})" in err and "non-finite" in err
 
     def test_routing_row_too_short(self, run_dir, capsys):
         path = run_dir / "routing.csv"

@@ -8,6 +8,7 @@ from _oracles import (
     per_instance_input,
     per_instance_records,
     stage_records,
+    trace_routing,
     write_dict_records,
 )
 from smolora import harness
@@ -227,8 +228,8 @@ def _live_model_and_batch(method):
     return model, concat(stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3)))
 
 
-def _batch_loss(model, batch, tape=None, traces=None):
-    content, fmt = model.forward(batch, tape, traces)
+def _batch_loss(model, batch, tape=None, routing=None):
+    content, fmt = model.forward(batch, tape, routing)
     loss = add(
         cross_entropy(content, batch.answer_class, tape),
         cross_entropy(fmt, batch.format_id, tape),
@@ -271,16 +272,16 @@ class TestBatchedForward:
         model, batch = _live_model_and_batch(method)
         tape = Tape()
         tape.watch(*model.trainable())
-        traces = []
-        grads = backward(tape, _batch_loss(model, batch, tape, traces)[2])
+        routing = []
+        grads = backward(tape, _batch_loss(model, batch, tape, routing)[2])
         n = len(batch)
         if method == "smolora":
             banks = []
-            for k, layer in enumerate(model.layers):
-                layer_traces = traces[k * n : (k + 1) * n]  # one per instance, layer by layer
-                for bank, blocks in (("vu", layer.layer.vu_blocks), ("if", layer.layer.if_blocks)):
-                    chosen = {i for tr in layer_traces for i, _ in getattr(tr, f"{bank}_selected")}
-                    banks.append((blocks, chosen))
+            for layer, r in zip(model.layers, routing):  # one record per layer, in order
+                assert r.layer_id == layer.layer_id and r.vu_gate.shape[1] == n
+                for blocks, gate in ((layer.layer.vu_blocks, r.vu_gate),
+                                     (layer.layer.if_blocks, r.if_gate)):
+                    banks.append((blocks, set(np.flatnonzero(gate.any(axis=1)).tolist())))
         else:
             # Top-1 token-wise routing: each column picks its largest router logit.
             x, emb = model._input(batch)
@@ -385,7 +386,7 @@ class _OracleModel:
         self.class_count = class_count
         self.format_count = format_count
 
-    def forward(self, batch, tape=None, traces=None):
+    def forward(self, batch, tape=None, routing=None):
         columns = np.arange(len(batch))
         content = np.zeros((self.class_count, len(batch)))
         fmt = np.zeros((self.format_count, len(batch)))
@@ -397,7 +398,7 @@ class _OracleModel:
 class _ConstantModel:
     """Stand-in model that always answers class 0 / format 0."""
 
-    def forward(self, batch, tape=None, traces=None):
+    def forward(self, batch, tape=None, routing=None):
         content = np.zeros((4, len(batch)))
         content[0, :] = 1.0
         fmt = np.zeros((3, len(batch)))
@@ -474,8 +475,8 @@ class TestColumnarPaths:
         # Eleven tasks, so that stage, task and index values reach two digits.
         evaluated = []
 
-        def evaluate(model, test_set, collect_traces=False):
-            out = evaluate_task(model, test_set, collect_traces)
+        def evaluate(model, test_set):
+            out = evaluate_task(model, test_set)
             evaluated.append((test_set.task_id.tolist(), out[2]))
             return out
 
@@ -488,6 +489,27 @@ class TestColumnarPaths:
         write_dict_records(tmp_path / "want.jsonl", dicts)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
         assert report.metrics.mif == dict_mif(dicts)
+
+    @pytest.mark.parametrize("blocks, top_k, mode", [(4, 1, "single"), (16, 2, "multi")])
+    def test_routing_outputs_match_per_instance_traces(self, blocks, top_k, mode):
+        # Top-2 is where the order of the usage sum shows: a pairwise sum
+        # over the gate columns rounds differently from the trace sum.
+        stream = generate_stream(1, task_count=3, train_per_task=8, test_per_task=16, d_v=8,
+                                 class_count=4, instruction_mode=mode)
+        cfg = small_config("smolora", vu_blocks=blocks, if_blocks=blocks, top_k=top_k, epochs=2)
+        model, report = run_cvit(cfg, stream)
+        # The last stage's evaluation ran this final model over every test split.
+        routing = {}
+        for spec, _, test in stream:
+            routing.setdefault(spec.task_id, []).extend(evaluate_task(model, test)[3])
+        hist, fusion = trace_routing(routing)
+        assert list(report.routing_hist) == list(hist)
+        for task_id, banks in hist.items():
+            assert report.routing_hist[task_id].keys() == banks.keys()
+            for bank, freq in banks.items():
+                assert freq.shape == (blocks,)
+                assert np.array_equal(report.routing_hist[task_id][bank], freq)
+        assert report.fusion_stats == fusion
 
 
 class TestRunCvit:
@@ -639,6 +661,27 @@ class TestCheckpoint:
         data[11] = 0xFF  # third byte of the first name, after magic and length
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="not valid UTF-8 .*byte offset 11"):
+            load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_format_error_at_its_offset(self, tmp_path, value):
+        cfg, model = self._trained_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        # Walk to the data of the second matrix and spoil its fourth entry.
+        pos = 5
+        for _ in range(2):
+            name_len = int.from_bytes(data[pos : pos + 4], "little")
+            name = data[pos + 4 : pos + 4 + name_len].decode()
+            rows = int.from_bytes(data[pos + 4 + name_len : pos + 8 + name_len], "little")
+            cols = int.from_bytes(data[pos + 8 + name_len : pos + 12 + name_len], "little")
+            data_at = pos + 12 + name_len
+            pos = data_at + 8 * rows * cols
+        at = data_at + 8 * 3
+        data[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{name!r} holds a non-finite value .*byte offset {at}"):
             load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
 
     def test_shape_mismatch_is_contract_error(self, tmp_path):

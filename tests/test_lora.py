@@ -211,11 +211,11 @@ class TestSMoLoRAForward:
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 2)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        traces = []
-        y = smolora_forward(layer, x, emb, traces=traces)
-        [trace] = traces
-        assert trace.vu_selected == [(0, 1.0)]
-        assert trace.if_selected == [(0, 1.0)]
+        routing = []
+        y = smolora_forward(layer, x, emb, routing=routing)
+        [r] = routing
+        assert r.vu_gate.tolist() == [[1.0]]
+        assert r.if_gate.tolist() == [[1.0]]
         x_vu = lora_apply(layer.vu_blocks[0], x).a
         x_if = lora_apply(layer.if_blocks[0], x).a
         fused, _, _ = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
@@ -259,20 +259,23 @@ class TestSMoLoRAForward:
         delta = smolora_forward(layer, x, emb)
         assert np.array_equal(y.a, add(matmul(Matrix(W0), x), delta).a)
 
-    def test_gate_and_fusion_simplex_on_trace(self):
+    def test_gate_and_fusion_simplex_on_routing(self):
         layer = _seeded_smolora(seed=40, top_k=2)
+        layer.layer_id = 3
         rng = np.random.default_rng(41)
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(8, 3)))
         emb = Matrix(rng.normal(size=(6, 1)))
-        traces = []
-        smolora_forward(layer, x, emb, traces=traces)
-        [trace] = traces
-        for selected in (trace.vu_selected, trace.if_selected):
-            assert len(selected) == 2
-            assert all(w > 0 for _, w in selected)
-            assert abs(sum(w for _, w in selected) - 1.0) <= 1e-12
-        assert abs(trace.alpha_mean + trace.beta_mean - 1.0) <= 1e-9
+        routing = []
+        smolora_forward(layer, x, emb, routing=routing)
+        [r] = routing
+        assert r.layer_id == 3
+        for gate in (r.vu_gate, r.if_gate):
+            assert gate.shape[1] == 1
+            assert np.count_nonzero(gate) == 2 and (gate >= 0).all()
+            assert abs(gate.sum() - 1.0) <= 1e-12
+        assert r.alpha.shape == r.beta.shape == (1, 3)
+        assert np.all(np.abs(r.alpha + r.beta - 1.0) <= 1e-12)
 
     def test_mixed_ranks_in_a_bank_rejected(self):
         # A bank is stored as one stacked A and one B of whole rank-r blocks:
@@ -345,10 +348,11 @@ class TestGradients:
         tape.watch(*params)
         grads = backward(tape, self._loss_through_layer(layer, x, emb, tape))
 
-        traces = []
-        smolora_forward(layer, x, emb, traces=traces)
-        vu_sel = {i for trace in traces for i, _ in trace.vu_selected}
-        if_sel = {j for trace in traces for j, _ in trace.if_selected}
+        routing = []
+        smolora_forward(layer, x, emb, routing=routing)
+        [r] = routing
+        vu_sel = set(np.flatnonzero(r.vu_gate.any(axis=1)).tolist())
+        if_sel = set(np.flatnonzero(r.if_gate.any(axis=1)).tolist())
 
         rng_pick = np.random.default_rng(seed + 2)
         checked = 0

@@ -2,11 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from _oracles import mask_then_softmax
+from _oracles import mask_then_softmax, trace_routing
 
 from smolora.routing import (
     HashingEmbedder,
-    RoutingTrace,
+    LayerRouting,
     embed_text,
     histogram_entropy,
     read_routing_csv,
@@ -14,6 +14,7 @@ from smolora.routing import (
     route_instruction,
     routing_histogram,
     token_hash,
+    topk_softmax,
     write_routing_csv,
 )
 
@@ -137,46 +138,79 @@ class TestRouteInstruction:
         assert np.array_equal(g1, g2)
 
 
+def _gate(rows: int, columns) -> np.ndarray:
+    """A rows x len(columns) gate; columns holds one {block: weight} per instance."""
+    gate = np.zeros((rows, len(columns)))
+    for j, weights in enumerate(columns):
+        for i, w in weights.items():
+            gate[i, j] = w
+    return gate
+
+
+def _routing(vu: np.ndarray, if_: np.ndarray, layer_id: int = 0) -> LayerRouting:
+    """One layer record of the given gates, with fusion weights 1/2 over 2 columns each."""
+    half = np.full((1, 2 * vu.shape[1]), 0.5)
+    return LayerRouting(layer_id, vu, if_, half, half)
+
+
 class TestRoutingHistogram:
-    def test_single_trace_top1(self):
-        tr = RoutingTrace(layer_id=0, vu_selected=[(2, 1.0)], if_selected=[(0, 1.0)])
-        hist = routing_histogram({5: [tr]}, vu_blocks=4, if_blocks=4)
+    def test_single_instance_top1(self):
+        r = _routing(_gate(4, [{2: 1.0}]), _gate(4, [{0: 1.0}]))
+        hist = routing_histogram({5: [r]})
         assert hist[5]["vu"].tolist() == [0.0, 0.0, 1.0, 0.0]
 
-    def test_identical_traces_identical_rows(self):
-        tr = RoutingTrace(layer_id=0, vu_selected=[(1, 0.7), (3, 0.3)], if_selected=[(0, 1.0)])
-        hist = routing_histogram({0: [tr], 1: [tr]}, vu_blocks=4, if_blocks=2)
+    def test_identical_gates_identical_rows(self):
+        r = _routing(_gate(4, [{1: 0.7, 3: 0.3}]), _gate(2, [{0: 1.0}]))
+        hist = routing_histogram({0: [r], 1: [r]})
         assert np.array_equal(hist[0]["vu"], hist[1]["vu"])
         assert np.array_equal(hist[0]["if"], hist[1]["if"])
+        assert hist[0]["if"].shape == (2,)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(7)
-        traces = {}
+        routing = {}
         for task in range(3):
-            ts = []
+            vu, if_ = [], []
             for _ in range(20):
                 picks = rng.choice(4, size=2, replace=False)
                 w = rng.uniform(0.2, 0.8)
-                ts.append(
-                    RoutingTrace(
-                        layer_id=0,
-                        vu_selected=[(int(picks[0]), w), (int(picks[1]), 1 - w)],
-                        if_selected=[(int(rng.integers(4)), 1.0)],
-                    )
-                )
-            traces[task] = ts
-        hist = routing_histogram(traces, vu_blocks=4, if_blocks=4)
+                vu.append({int(picks[0]): w, int(picks[1]): 1 - w})
+                if_.append({int(rng.integers(4)): 1.0})
+            routing[task] = [_routing(_gate(4, vu), _gate(4, if_))]
+        hist = routing_histogram(routing)
         for banks in hist.values():
             assert abs(banks["vu"].sum() - 1.0) <= 1e-9
             assert abs(banks["if"].sum() - 1.0) <= 1e-9
 
+    def test_usage_adds_in_forward_order(self):
+        # Top-2 weights over 3 layers of 50 instances: the usage is the
+        # per-instance trace sum, layer by layer, then instance by instance,
+        # bit for bit; numpy's pairwise sum rounds some of these differently.
+        rng = np.random.default_rng(8)
+        routing = {
+            task: [
+                _routing(topk_softmax(rng.normal(size=(6, 50)), 2),
+                         topk_softmax(rng.normal(size=(5, 50)), 2), layer_id)
+                for layer_id in range(3)
+            ]
+            for task in (4, 1)
+        }
+        want, _ = trace_routing(routing)
+        got = routing_histogram(routing)
+        assert list(got) == [1, 4]
+        for task in got:
+            for bank in ("vu", "if"):
+                assert np.array_equal(got[task][bank], want[task][bank])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            routing_histogram({}, 4, 4)
+            routing_histogram({})
+        with pytest.raises(ValueError):
+            routing_histogram({0: []})
 
     def test_csv_round_trip(self, tmp_path):
-        tr = RoutingTrace(layer_id=0, vu_selected=[(1, 1.0)], if_selected=[(2, 0.5), (3, 0.5)])
-        hist = routing_histogram({0: [tr]}, vu_blocks=4, if_blocks=4)
+        r = _routing(_gate(4, [{1: 1.0}]), _gate(4, [{2: 0.5, 3: 0.5}]))
+        hist = routing_histogram({0: [r]})
         path = tmp_path / "routing.csv"
         write_routing_csv(path, hist)
         back = read_routing_csv(path)
