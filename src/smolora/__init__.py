@@ -32,15 +32,6 @@ from .routing import (
     route_instruction,
     routing_histogram,
 )
-from .tensor import (
-    CosineSchedule,
-    FlatParameters,
-    Matrix,
-    Tape,
-    backward,
-    matmul,
-    mean_over_columns,
-    sgd_step,
-)
+from .tensor import CosineSchedule, FlatParameters, Matrix, Tape, backward, cross_entropy, sgd_step
 
 __version__ = "0.1.0"

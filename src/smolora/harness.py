@@ -46,12 +46,9 @@ from .tensor import (
     FlatParameters,
     Matrix,
     Tape,
-    add,
     backward,
     cross_entropy,
-    mean_over_columns,
-    relu,
-    scale_const,
+    relu_pool,
     sgd_step,
 )
 
@@ -209,15 +206,31 @@ class ToyModel:
         """Content logits (class_count x n) and format logits (format_count x n).
 
         Column j belongs to instance j of the batch. Separable layers append
-        one LayerRouting each to `routing`, in layer order.
+        one LayerRouting each to `routing`, in layer order. A tape gets one
+        rule per layer and one for the ReLU with the pooling.
         """
         x, emb = self._input(batch)
         h1 = self.proj.forward(x, emb, tape, routing)
-        h2 = relu(self.hidden.forward(h1, emb, tape, routing), tape)
-        pooled = mean_over_columns(h2, tape, len(batch))
+        pooled = relu_pool(self.hidden.forward(h1, emb, tape, routing), len(batch), tape)
         content = self.head_content.forward(pooled, emb, tape, routing)
         fmt = self.head_format.forward(pooled, emb, tape, routing)
+        if tape is not None:
+            # Both heads read `pooled`: the format head's rule hands the
+            # content gradient on, with its own input gradient for the
+            # content head's rule to add to.
+            format_back = tape._ops[-1]
+            tape._ops[-1] = lambda d_content, d_format: (d_content, format_back(d_format))
         return content, fmt
+
+    @staticmethod
+    def loss(batch: TaskSplit, content: Matrix, fmt: Matrix, tape: Tape | None = None) -> float:
+        """The batch mean of the two heads' cross-entropies; a tape gets its rule."""
+        content_loss, d_content = cross_entropy(content, batch.answer_class)
+        format_loss, d_format = cross_entropy(fmt, batch.format_id)
+        scale = 1.0 / len(batch)
+        if tape is not None:
+            tape._ops.append(lambda g: (g * scale * d_content, g * scale * d_format))
+        return (content_loss + format_loss) * scale
 
     def trainable(self) -> FlatParameters:
         """Every adapter matrix, layer by layer, packed in one flat array."""
@@ -268,7 +281,8 @@ def train_stage(
     """One sequential stage: epochs x shuffled mini-batches of summed-head CE.
 
     Each mini-batch is a column selection of the split, run as one forward
-    on one tape. The cosine schedule spans exactly this stage's step count.
+    on one tape, then one backward sweep and one SGD step. The cosine
+    schedule spans exactly this stage's step count.
     Returns the per-step batch losses.
     """
     n = len(train_set)
@@ -287,18 +301,12 @@ def train_stage(
         for start in range(0, n, config.batch_size):
             batch = train_set.take(order[start : start + config.batch_size])
             tape = Tape()
-            tape.watch(params)
             content, fmt = model.forward(batch, tape)
-            total = add(
-                cross_entropy(content, batch.answer_class.tolist(), tape),
-                cross_entropy(fmt, batch.format_id.tolist(), tape),
-                tape,
-            )
-            mean_loss = scale_const(total, 1.0 / len(batch), tape)
-            grads = backward(tape, mean_loss)
-            sgd_step(params, grads, schedule.rate())
+            loss = model.loss(batch, content, fmt, tape)
+            backward(tape, loss)
+            sgd_step(params, schedule.rate())
             schedule.advance()
-            losses.append(mean_loss.item())
+            losses.append(loss)
     return losses
 
 
@@ -427,9 +435,13 @@ def save_checkpoint(model: ToyModel, path) -> None:
 
 
 def load_checkpoint(path, model: ToyModel) -> ToyModel:
-    """Fill a freshly constructed model's matrices from a checkpoint in place."""
+    """Fill a freshly constructed model's matrices from a checkpoint in place.
+
+    The whole file is read and checked before any matrix is written, so a
+    rejected file leaves the model as it was.
+    """
     expected = model.named_matrices()
-    seen: set[str] = set()
+    loaded: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         data = f.read()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -453,7 +465,7 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
             raise FormatError(
                 f"{path}: parameter name is not valid UTF-8", offset=name_at + exc.start
             ) from None
-        if name in seen:
+        if name in loaded:
             raise FormatError(f"{path}: parameter {name!r} appears twice", offset=name_at)
         rows, cols = struct.unpack("<II", take(8, "shape"))
         data_at = pos
@@ -473,9 +485,10 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
                 f"{path}: parameter {name!r} holds a non-finite value",
                 offset=data_at + 8 * int(finite.argmin()),
             )
-        target.a[...] = arr
-        seen.add(name)
-    missing = set(expected) - seen
+        loaded[name] = arr
+    missing = set(expected) - set(loaded)
     if missing:
         raise ContractError(f"checkpoint missing parameters: {sorted(missing)}")
+    for name, arr in loaded.items():
+        expected[name].a[...] = arr
     return model

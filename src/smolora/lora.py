@@ -12,16 +12,17 @@ Blocks initialize with B = 0 so a fresh layer is exactly W0 @ x.
 
 Each layer is one function on arrays. Gates, banks and fusion are plain
 numpy, and the layer output W0 @ x + update is one tape record whose
-hand-written backward pushes into the trainable matrices and the layer
-input. A bank of N rank-r blocks is stored bank-major: the blocks' A
-matrices stacked (N*r x d) and their B matrices side by side (k_out x N*r),
-each block's A and B being submatrices of the two. A bank is then two
-matmuls, and its gradient two whole arrays.
+hand-written rule writes the trainable matrices' gradients into their
+views of the gradient buffer and returns the layer input's. A bank of N
+rank-r blocks is stored bank-major: the blocks' A matrices stacked
+(N*r x d) and their B matrices side by side (k_out x N*r), each block's A
+and B being submatrices of the two. A bank is then two matmuls, and its
+gradient two whole arrays.
 
 A top-1 gate is one-hot whatever its logits, so its gradient is exactly 0;
-at top-1 the backward computes no router gradient at all. Given a list, the
-separable layer appends a `routing.LayerRouting` of the gate and fusion
-arrays it computed, which costs no copy.
+at top-1 the rule computes no router gradient and writes zeros. Given a
+list, the separable layer appends a `routing.LayerRouting` of the gate and
+fusion arrays it computed, which costs no copy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .routing import LayerRouting, route_instance, route_instruction
-from .tensor import Matrix, SubMatrix, Tape, run_means, softmax_back
+from .tensor import Matrix, SubMatrix, Tape, require_grads, run_means, softmax_back
 
 
 @dataclass
@@ -66,8 +67,8 @@ def lora_apply(
 ) -> Matrix:
     """B @ (A @ x), plus base @ x when a frozen base weight is given, as one tape record.
 
-    The k_out x d product is never materialized. The backward pushes into A,
-    B and x: A.T @ dz first, then base.T @ g.
+    The k_out x d product is never materialized. The rule writes the
+    gradients of A and B and returns x's: A.T @ dz first, then base.T @ g.
     """
     A, B, xa = block.A.a, block.B.a, x.a
     if x.rows != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.rows)):
@@ -75,20 +76,26 @@ def lora_apply(
     z = A @ xa
     out = Matrix._wrap(B @ z if base is None else base.a @ xa + B @ z)
     if tape is not None:
-        push = tape._push
-        need_x = tape._needs(x)
+        require_grads(block.A, block.B)
+        gA, gB, need_x = block.A.grad, block.B.grad, bool(tape._ops)
 
-        def back(g):
+        def back(g, dx=None):
             dz = B.T @ g
-            push(block.B, g @ z.T)
-            push(block.A, dz @ xa.T)
+            np.matmul(g, z.T, out=gB)
+            np.matmul(dz, xa.T, out=gA)
             if need_x:
-                push(x, A.T @ dz)
+                dx = _plus(dx, A.T @ dz)
                 if base is not None:
-                    push(x, base.a.T @ g)
+                    dx = _plus(dx, base.a.T @ g)
+            return dx
 
-        tape._record(out, back)
+        tape._ops.append(back)
     return out
+
+
+def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """acc + term, or term when nothing has accumulated yet."""
+    return term if acc is None else acc + term
 
 
 def _named_blocks(prefix: str, blocks: list[LoRABlock]) -> dict[str, Matrix]:
@@ -130,10 +137,10 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
     """One bank in two matmuls, B @ (G * (A @ x)), and its backward rule.
 
     Gate entry (i, j) scales block i's rank rows over instance j's s columns.
-    The rule takes the gradient of the bank output, a push function and
-    whether x and the gate need gradients; it pushes the gradients of the
-    bank's A and B whole and returns those of x and of the gate (None where
-    not needed). A block that no instance selected gets zeros.
+    The rule takes the gradient of the bank output and whether x and the
+    gate need gradients; it writes the gradients of the bank's A and B whole
+    into their views and returns those of x and of the gate (None where not
+    needed). A block that no instance selected gets zeros.
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
@@ -144,11 +151,11 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
     zg = full * z
     out = b_cat @ zg
 
-    def back(g: np.ndarray, push, need_x: bool, need_gate: bool):
+    def back(g: np.ndarray, need_x: bool, need_gate: bool):
         dzg = b_cat.T @ g
         dz = dzg * full
-        push(bank.A, dz @ x.T)
-        push(bank.B, g @ zg.T)
+        np.matmul(dz, x.T, out=bank.A.grad)
+        np.matmul(g, zg.T, out=bank.B.grad)
         dx = a_stack.T @ dz if need_x else None
         if not need_gate:
             return dx, None
@@ -184,16 +191,14 @@ class MoLoRALayer:
         """Trainable matrices by checkpoint name, in checkpoint order."""
         return {"router": self.router, **_named_blocks("block", self.blocks)}
 
-    def trainable(self) -> list[Matrix]:
-        return list(self.named().values())
-
 
 def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> Matrix:
     """W0 @ x plus the gate-weighted block updates, gated per token, as one tape record.
 
     Each column of x routes independently through :func:`route_instruction`'s
-    gate, and the bank runs with one gate column per input column. The
-    backward pushes into the bank, the router (above top-1) and x.
+    gate, and the bank runs with one gate column per input column. The rule
+    writes the gradients of the bank and the router (zeros at top-1) and
+    returns x's.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -202,21 +207,23 @@ def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> M
     delta, bank_back = _bank(layer.bank, gate, xa, 1)
     out = Matrix._wrap(W0 @ xa + delta)
     if tape is not None:
-        push = tape._push
-        need_x, routed = tape._needs(x), layer.top_k > 1
+        require_grads(layer.router, layer.bank.A, layer.bank.B)
+        need_x, routed, g_router = bool(tape._ops), layer.top_k > 1, layer.router.grad
 
-        def back(g):
-            dx, d_gate = bank_back(g, push, need_x, routed)
+        def back(g, dx=None):
+            dx_bank, d_gate = bank_back(g, need_x, routed)
             if routed:
                 dl = softmax_back(gate, d_gate)
-                push(layer.router, dl @ xa.T)
+                np.matmul(dl, xa.T, out=g_router)
                 if need_x:
-                    dx = dx + layer.router.a.T @ dl
+                    dx_bank = dx_bank + layer.router.a.T @ dl
+            else:
+                g_router[...] = 0.0
             if need_x:
-                push(x, W0.T @ g)
-                push(x, dx)
+                dx = _plus(_plus(dx, W0.T @ g), dx_bank)
+            return dx
 
-        tape._record(out, back)
+        tape._ops.append(back)
     return out
 
 
@@ -263,9 +270,6 @@ class SMoLoRALayer:
             **_named_blocks("if", self.if_blocks),
         }
 
-    def trainable(self) -> list[Matrix]:
-        return list(self.named().values())
-
 
 def adaptive_fusion(
     x_vu: np.ndarray,
@@ -299,11 +303,12 @@ def smolora_forward(
     """The layer output W0 @ x + the fused update of both banks, as one tape record.
 
     instr_emb holds one embedding column per instance, and x the instances'
-    columns in order, x.cols // instr_emb.cols of them each. The backward
-    pushes into both banks, both importance rows, both routers (above
-    top-1), and x and instr_emb when the tape reads their gradients. When
-    `routing` is given, one LayerRouting holding this call's gates and fusion
-    weights is appended to it; that takes no copy and no per-instance work.
+    columns in order, x.cols // instr_emb.cols of them each. The rule writes
+    the gradients of both banks, importance rows and routers (zeros at
+    top-1) and returns x's; the embeddings, model inputs, take none. When
+    `routing` is given, one LayerRouting holding this call's gates and
+    fusion weights is appended to it; that takes no copy and no
+    per-instance work.
     """
     if x.rows != layer.W0.cols:
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
@@ -324,37 +329,40 @@ def smolora_forward(
     fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
     out = Matrix._wrap(W0 @ xa + fused)
     if tape is not None:
-        push = tape._push
-        need_x, need_emb, routed = tape._needs(x), tape._needs(instr_emb), layer.top_k > 1
+        R_vu, R_if, I_vu, I_if = layer.R_vu, layer.R_if, layer.I_vu, layer.I_if
+        require_grads(R_vu, R_if, I_vu, I_if, layer.vu_bank.A, layer.vu_bank.B,
+                      layer.if_bank.A, layer.if_bank.B)
+        need_x, routed = bool(tape._ops), layer.top_k > 1
         ab = np.concatenate([alpha, beta])
 
-        def back(g):
+        def back(g, dx=None):
             # Fusion: a pairwise softmax of u = I_vu @ x_vu and v = I_if @ x_if.
-            d_ab = np.concatenate([(g * x_vu).sum(axis=0, keepdims=True),
-                                   (g * x_if).sum(axis=0, keepdims=True)])
+            d_ab = np.concatenate([np.add.reduce(g * x_vu, axis=0, keepdims=True),
+                                   np.add.reduce(g * x_if, axis=0, keepdims=True)])
             d_uv = softmax_back(ab, d_ab)
             du, dv = d_uv[:1], d_uv[1:]
-            push(layer.I_vu, du @ x_vu.T)
-            push(layer.I_if, dv @ x_if.T)
-            dx_vu, d_vu_gate = vu_back(g * alpha + layer.I_vu.a.T @ du, push, need_x, routed)
-            dx_if, d_if_gate = if_back(g * beta + layer.I_if.a.T @ dv, push, need_x, routed)
-            dx = dx_vu + dx_if if need_x else None
+            np.matmul(du, x_vu.T, out=I_vu.grad)
+            np.matmul(dv, x_if.T, out=I_if.grad)
+            dx_vu, d_vu_gate = vu_back(g * alpha + I_vu.a.T @ du, need_x, routed)
+            dx_if, d_if_gate = if_back(g * beta + I_if.a.T @ dv, need_x, routed)
+            dx_banks = dx_vu + dx_if if need_x else None
             if routed:
                 # Instance logits from the per-instance input means,
                 # instruction logits from the embeddings.
                 dl_vu = softmax_back(vu_gate, d_vu_gate)
                 dl_if = softmax_back(if_gate, d_if_gate)
-                push(layer.R_vu, dl_vu @ run_means(xa, s).T)
-                push(layer.R_if, dl_if @ emb.T)
+                np.matmul(dl_vu, run_means(xa, s).T, out=R_vu.grad)
+                np.matmul(dl_if, emb.T, out=R_if.grad)
                 if need_x:
-                    dx = dx + np.repeat((layer.R_vu.a.T @ dl_vu) / s, s, axis=1)
-                if need_emb:
-                    push(instr_emb, layer.R_if.a.T @ dl_if)
+                    dx_banks = dx_banks + np.repeat((R_vu.a.T @ dl_vu) / s, s, axis=1)
+            else:
+                R_vu.grad[...] = 0.0
+                R_if.grad[...] = 0.0
             if need_x:
-                push(x, W0.T @ g)
-                push(x, dx)
+                dx = _plus(_plus(dx, W0.T @ g), dx_banks)
+            return dx
 
-        tape._record(out, back)
+        tape._ops.append(back)
     if routing is not None:
         routing.append(LayerRouting(layer.layer_id, vu_gate, if_gate, alpha, beta))
     return out

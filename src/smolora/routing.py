@@ -92,9 +92,7 @@ def topk_softmax(logits: np.ndarray, top_k: int) -> np.ndarray:
     check_finite(logits, "router logits")
     if top_k == 1:
         # exp(0) / exp(0): the one kept entry is exactly 1.
-        gate = np.zeros(logits.shape)
-        gate[logits.argmax(axis=0), np.arange(cols)] = 1.0
-        return gate
+        return np.eye(rows).take(logits.argmax(axis=0), axis=1)
     e = np.exp(logits - logits.max(axis=0))
     if top_k < rows:
         keep = np.zeros(logits.shape, dtype=bool)

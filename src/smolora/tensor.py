@@ -1,21 +1,25 @@
-"""Dense float64 matrix engine with tape-based reverse-mode differentiation.
+"""Dense float64 matrices, the backward chain of a training step, and SGD.
 
 Everything is an explicit 2-D matrix (rows x cols). Operations are free
-functions; the differentiable ones take an optional :class:`Tape`, and when
-a tape is passed the operation is recorded so that :func:`backward` can
-push gradients into the tape's watched parameters. Without a tape the same
-functions are pure and cheap, which is the evaluation fast path.
+functions and pure; evaluation calls nothing else. A training step records
+one backward rule per kernel on a :class:`Tape`: each adapter layer
+(`lora`), the ReLU with the pooling, and the loss (`harness`). The model's
+trainable matrices live in one flat array with a gradient buffer of the
+same layout (:class:`FlatParameters`); each rule writes its parameters'
+gradients straight into their views of that buffer and returns its input's
+gradient, :func:`backward` calls the rules in reverse, and
+:func:`sgd_step` applies the buffer with one subtraction.
 
 Matrices and tapes are single-writer objects: they may move between threads
-but must not be mutated concurrently. Tape-free operations on distinct or
-read-only inputs are safe to call from multiple threads.
+but must not be mutated concurrently. Operations on distinct or read-only
+inputs are safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Callable, Iterable
 
 import numpy as np
@@ -33,10 +37,11 @@ class Matrix:
     """Dense 2-D float64 array with strictly positive dimensions.
 
     A matrix built from data or computed by an operation is C-contiguous; a
-    :class:`SubMatrix` may be strided.
+    :class:`SubMatrix` may be strided. `grad` is the matrix's view of its
+    FlatParameters' gradient buffer, None until it is packed in one.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "grad")
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C", ndmin=2)
@@ -49,6 +54,7 @@ class Matrix:
         # ndmin may return a view; a matrix built from data owns its array,
         # so that FlatParameters can adopt it.
         self.a = arr if arr.base is None else arr.copy()
+        self.grad = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Matrix":
@@ -57,13 +63,8 @@ class Matrix:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
         _check_dims(arr)
         check_finite(arr)
-        return cls._adopt(arr)
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "Matrix":
-        """Adopt a float64 array already known to be finite."""
         m = object.__new__(cls)
-        m.a = arr
+        m.a, m.grad = arr, None
         return m
 
     @classmethod
@@ -108,8 +109,8 @@ def _check_dims(arr: np.ndarray) -> None:
 class SubMatrix(Matrix):
     """A block of another matrix, `base.a[index]`, that reads and writes through to it.
 
-    A tape or a FlatParameters that is given a submatrix lays out its base,
-    and the submatrix's gradient is the same block of the base's.
+    A FlatParameters given a submatrix lays out its base, and the
+    submatrix's gradient is the same block of the base's.
     """
 
     __slots__ = ("base", "index")
@@ -120,45 +121,29 @@ class SubMatrix(Matrix):
         self.base, self.index = base, index
         _check_dims(self.a)
 
+    # Both are read on every access, so they follow the base into a FlatParameters.
     @property
     def a(self) -> np.ndarray:
-        # Read on every access, so it follows the base into a FlatParameters.
         return self.base.a[self.index]
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        g = self.base.grad
+        return None if g is None else g[self.index]
 
 
 def check_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
     """Raise ShapeError unless every entry of arr is finite."""
     # A sum is finite only if every entry is, so the full scan runs only when
     # the sum is not (a NaN or an infinity, or finite entries that overflow).
-    if not math.isfinite(arr.sum()):
+    # np.add.reduce is the sum `arr.sum()` computes, without its Python wrapper.
+    if not math.isfinite(np.add.reduce(arr, axis=None)):
         _scan_finite(arr, what)
 
 
 def _scan_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
     if not np.isfinite(arr).all():
         raise ShapeError(f"{what} must all be finite")
-
-
-def _lay_out(matrices: Iterable[Matrix], slots: dict, size: int) -> int:
-    """Give each matrix not in `slots` the next slot of a flat array; returns its new size.
-
-    Slots map id(m) to (m, first entry, end entry, shape, index) and start at
-    multiples of _ALIGN, in the order given. A whole matrix's index is `...`;
-    a submatrix takes its base's slot, laid out first if it is new, and its
-    own index within it.
-    """
-    for m in matrices:
-        key = id(m)
-        if key in slots:
-            continue
-        if isinstance(m, SubMatrix):
-            size = _lay_out((m.base,), slots, size)
-            slots[key] = (m, *slots[id(m.base)][1:4], m.index)
-        else:
-            a = m.a
-            slots[key] = (m, size, size + a.size, a.shape, ...)
-            size += -(-a.size // _ALIGN) * _ALIGN
-    return size
 
 
 def _aligned_zeros(n: int) -> np.ndarray:
@@ -173,181 +158,57 @@ def _fmt(arr: np.ndarray) -> str:
 
 
 class Tape:
-    """Records operations and accumulates gradients for watched parameters.
+    """The backward rules of one training step, in the order their kernels ran.
 
-    Gradients are laid out in one flat array, each watched parameter at its
-    own 64-byte-aligned slot in watch order, and a watched submatrix within
-    its base's. Every :func:`backward` call returns a new array, so an array
-    it handed out stays as it was returned.
+    A kernel given a tape appends one rule. The rule takes the gradient of
+    the kernel's output and, where a later kernel read the same input, the
+    gradient already accumulated for it; it writes the gradients of the
+    kernel's parameters into their views of the model's gradient buffer
+    (see :class:`FlatParameters`) and returns its input's gradient, or a
+    tuple of the arguments of the rule recorded before it. The first rule's
+    input is the step's input, which takes no gradient, so a kernel recorded
+    first computes none.
     """
+
+    __slots__ = ("_ops",)
 
     def __init__(self):
-        self._ops: list[tuple[int, Callable[[np.ndarray], None]]] = []
-        self._recorded: set[int] = set()
-        self._slots: dict[int, tuple] = {}
-        self._watched: tuple[Matrix, ...] = ()
-        self._size = 0
-        self._grads: np.ndarray | None = None
-        flow: dict[int, np.ndarray] = {}
-        self._flow = flow
-
-        def push(m: Matrix, g: np.ndarray) -> None:
-            key = id(m)
-            cur = flow.get(key)
-            # A pushed array may be shared with another input (add passes
-            # one gradient to both), so sums are new arrays, never in place.
-            flow[key] = g if cur is None else cur + g
-
-        # Recorded closures hold this function, not the tape, so a tape and
-        # its closures form no reference cycle: a dropped tape is freed at
-        # once instead of waiting for the cyclic garbage collector.
-        self._push = push
-
-    def watch(self, *matrices: Matrix | FlatParameters) -> None:
-        """Flag matrices as trainable parameters of this tape.
-
-        A FlatParameters argument stands for its matrices; given to a tape
-        that watches nothing yet, it lends its layout whole instead of laying
-        them out one by one. Watch before recording: an op decides when it
-        is recorded whether any gradient of its inputs is read.
-        """
-        for arg in matrices:
-            group = arg.matrices if isinstance(arg, FlatParameters) else (arg,)
-            if isinstance(arg, FlatParameters) and not self._slots:
-                self._slots, self._size = dict(arg.slots), arg.flat.size
-            else:
-                self._size = _lay_out(group, self._slots, self._size)
-            self._watched = tuple(dict.fromkeys(self._watched + group)) if self._watched else group
-
-    # -- recording internals -------------------------------------------------
-
-    def _record(self, out: Matrix, back: Callable[[np.ndarray], None]) -> None:
-        self._ops.append((id(out), back))
-        self._recorded.add(id(out))
-
-    def _needs(self, m: Matrix) -> bool:
-        """Whether a gradient of m is read: m is watched or a recorded op's output."""
-        return id(m) in self._slots or id(m) in self._recorded
+        self._ops: list[Callable] = []
 
 
-class Gradients(Mapping):
-    """Parameter -> gradient, as views into one flat array, iterated in watch order.
+def require_grads(*params: Matrix) -> None:
+    """Raise unless every matrix has a gradient view for a backward rule to write into."""
+    for p in params:
+        if p.grad is None:
+            raise ContractError(
+                f"{p!r} is not in a FlatParameters, so its gradient has nowhere to go"
+            )
 
-    `flat` holds every watched parameter's gradient at the slot the tape
-    gave it; a parameter that no gradient reached reads zero. The base of a
-    watched submatrix can be looked up too, but iteration and len() cover
-    only the watched matrices.
+
+def backward(tape: Tape, loss: float) -> None:
+    """Run a tape's rules in reverse, starting from d loss / d loss = 1.
+
+    The last rule recorded must be the loss's, and `loss` its value, which
+    must be finite. Every parameter gradient lands in its view of the
+    gradient buffer, which :func:`sgd_step` checks and applies.
     """
-
-    __slots__ = ("flat", "slots", "watched")
-
-    def __init__(self, flat: np.ndarray, slots: dict, watched: tuple[Matrix, ...]):
-        self.flat = flat
-        self.slots = slots
-        self.watched = watched
-
-    def __getitem__(self, p: Matrix) -> Matrix:
-        slot = self.slots.get(id(p))
-        if slot is None or slot[0] is not p:
-            raise KeyError(p)
-        _, lo, hi, shape, index = slot
-        return Matrix._adopt(self.flat[lo:hi].reshape(shape)[index])
-
-    def __iter__(self):
-        return iter(self.watched)
-
-    def __len__(self) -> int:
-        return len(self.watched)
-
-
-def backward(tape: Tape, loss: Matrix) -> Gradients:
-    """Reverse sweep from a recorded scalar; returns parameter -> gradient.
-
-    Gradients accumulate into the tape's parameters across calls; the
-    returned map reflects the accumulated values, with zeros for a watched
-    parameter that no gradient reached. Intermediate nodes carry no gradient
-    once the sweep finishes.
-    """
-    if loss.shape != (1, 1):
-        raise ContractError(f"loss must be a 1x1 scalar, got {_fmt(loss.a)}")
-    if id(loss) not in tape._recorded:
+    if not tape._ops:
         raise ContractError("loss was not recorded on this tape")
-    flow = tape._flow
-    flow.clear()
-    flow[id(loss)] = np.ones((1, 1))
-    for out_id, back in reversed(tape._ops):
-        g = flow.pop(out_id, None)
-        if g is None:
-            continue
-        back(g)
-    flat = _aligned_zeros(tape._size)
-    slots = tape._slots
-    for key, g in flow.items():
-        slot = slots.get(key)
-        if slot is not None:
-            # Added, not copied: a base and its submatrices may both get one.
-            _, lo, hi, shape, index = slot
-            flat[lo:hi].reshape(shape)[index] += g
-    flow.clear()
-    if tape._grads is not None:
-        flat[: tape._grads.size] += tape._grads
-    check_finite(flat)
-    tape._grads = flat
-    return Gradients(flat, dict(slots), tape._watched)
+    if not math.isfinite(loss):
+        raise ShapeError(f"loss must be finite, got {loss}")
+    g = 1.0
+    for rule in reversed(tape._ops):
+        g = rule(*g) if type(g) is tuple else rule(g)
 
 
 # -- core operations ---------------------------------------------------------
 
 
-def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
+def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product a @ b."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul shape mismatch: {_fmt(a.a)} @ {_fmt(b.a)}")
-    out = Matrix._wrap(a.a @ b.a)
-    if tape is not None:
-        push = tape._push
-        aa, bb = a.a, b.a
-        # A frozen weight or the model input gets no gradient: nothing reads it.
-        need_a, need_b = tape._needs(a), tape._needs(b)
-
-        def back(g):
-            if need_a:
-                push(a, g @ bb.T)
-            if need_b:
-                push(b, aa.T @ g)
-
-        tape._record(out, back)
-    return out
-
-
-def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {_fmt(a.a)} vs {_fmt(b.a)}")
-    out = Matrix._wrap(a.a + b.a)
-    if tape is not None:
-        push = tape._push
-
-        def back(g):
-            push(a, g)
-            push(b, g)
-
-        tape._record(out, back)
-    return out
-
-
-def scale_const(m: Matrix, c: float, tape: Tape | None = None) -> Matrix:
-    """Multiply by a plain (non-differentiated) scalar constant."""
-    if not math.isfinite(c):
-        raise ValueError(f"scale constant must be finite, got {c}")
-    out = Matrix._wrap(m.a * c)
-    if tape is not None:
-        push = tape._push
-
-        def back(g):
-            push(m, g * c)
-
-        tape._record(out, back)
-    return out
+    return Matrix._wrap(a.a @ b.a)
 
 
 def run_means(a: np.ndarray, s: int) -> np.ndarray:
@@ -359,49 +220,26 @@ def run_means(a: np.ndarray, s: int) -> np.ndarray:
     return np.add.reduce(a.reshape(a.shape[0], -1, s), axis=2) / s
 
 
-def mean_over_columns(m: Matrix, tape: Tape | None = None, groups: int = 1) -> Matrix:
+def mean_over_columns(m: Matrix, groups: int = 1) -> Matrix:
     """Row-wise mean over each of `groups` equal runs of consecutive columns.
 
     Returns rows x groups; with one group this is the mean across all columns.
     """
     if groups < 1 or m.cols % groups:
         raise ShapeError(f"cannot split {m.cols} columns into {groups} equal groups")
-    s = m.cols // groups
-    out = Matrix._wrap(run_means(m.a, s))
+    return Matrix._wrap(run_means(m.a, m.cols // groups))
+
+
+def relu(m: Matrix) -> Matrix:
+    return Matrix._wrap(np.maximum(m.a, 0.0))
+
+
+def relu_pool(m: Matrix, groups: int, tape: Tape | None = None) -> Matrix:
+    """mean_over_columns(relu(m), groups), as one tape record."""
+    out = mean_over_columns(relu(m), groups)
     if tape is not None:
-        push = tape._push
-
-        def back(g):
-            push(m, np.repeat(g / s, s, axis=1))
-
-        tape._record(out, back)
-    return out
-
-
-def relu(m: Matrix, tape: Tape | None = None) -> Matrix:
-    out = Matrix._wrap(np.maximum(m.a, 0.0))
-    if tape is not None:
-        push = tape._push
-        pos = m.a > 0
-
-        def back(g):
-            push(m, g * pos)
-
-        tape._record(out, back)
-    return out
-
-
-def sum_all(m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Sum of all entries as a 1x1 scalar."""
-    out = Matrix._wrap(np.array([[m.a.sum()]]))
-    if tape is not None:
-        push = tape._push
-        shape = m.shape
-
-        def back(g):
-            push(m, np.full(shape, g[0, 0]))
-
-        tape._record(out, back)
+        s, pos = m.cols // groups, m.a > 0
+        tape._ops.append(lambda g: np.repeat(g / s, s, axis=1) * pos)
     return out
 
 
@@ -414,38 +252,31 @@ def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - np.add.reduce(dy * y, axis=0, keepdims=True))
 
 
-def cross_entropy(
-    logits: Matrix, labels: int | Sequence[int], tape: Tape | None = None
-) -> Matrix:
-    """Summed negative log softmax probability of each column's label.
+def cross_entropy(logits: Matrix, labels) -> tuple[float, np.ndarray]:
+    """Summed negative log softmax probability of each column's label, and its gradient.
 
     logits is classes x n with one column per sample; `labels` holds n class
-    indices (a bare int for n = 1). Returns the 1x1 sum over the columns.
+    indices (an int array, or a bare int for n = 1). Returns the sum over
+    the columns and its gradient with respect to the logits, p - onehot.
     """
-    labels = [labels] if isinstance(labels, (int, np.integer)) else list(labels)
-    if len(labels) != logits.cols:
-        raise ShapeError(f"{len(labels)} labels for {logits.cols} logit columns")
-    for label in labels:
-        if not 0 <= label < logits.rows:
-            raise ValueError(f"label {label} out of range for {logits.rows} classes")
-    cols = np.arange(logits.cols)
+    labels = np.asarray(labels).reshape(-1)
+    rows, n = logits.shape
+    if labels.size != n:
+        raise ShapeError(f"{labels.size} labels for {n} logit columns")
+    outside = (labels < 0) | (labels >= rows)
+    if outside.any():
+        raise ValueError(f"label {labels[outside.argmax()]} out of range for {rows} classes")
+    cols = np.arange(n)
     z = logits.a
     zmax = z.max(axis=0)
     e = np.exp(z - zmax)
     denom = e.sum(axis=0)
     p = e / denom
     loss = float(np.sum(np.log(denom) - (z[labels, cols] - zmax)))
-    out = Matrix._wrap(np.array([[loss]]))
-    if tape is not None:
-        push = tape._push
-
-        def back(g):
-            d = p.copy()
-            d[labels, cols] -= 1.0
-            push(logits, g[0, 0] * d)
-
-        tape._record(out, back)
-    return out
+    if not math.isfinite(loss):
+        raise ShapeError(f"cross-entropy must be finite, got {loss}")
+    p[labels, cols] -= 1.0
+    return loss, p
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -482,33 +313,37 @@ class CosineSchedule:
 class FlatParameters(Sequence):
     """Trainable matrices whose arrays are views into one flat float64 array.
 
-    Each matrix keeps its values and shape and starts at a 64-byte boundary,
-    in the given order: the layout a tape that watches them in that order
-    gives their gradients, so one subtraction updates them all. A submatrix
-    moves with its base, which takes the slot of its first submatrix. Writes
+    Each whole matrix keeps its values and shape and starts at a 64-byte
+    boundary, in the given order; a submatrix moves with its base, which
+    takes the slot of its first submatrix. `grad` has the layout of `flat`,
+    and each matrix's `.grad` is its view of it, so backward rules write
+    gradients in place and one subtraction updates every matrix. Writes
     through a matrix's `.a` land in `flat`. Only matrices that own their
     arrays are adopted: a view (a matrix already in another buffer is one)
     is refused, so no matrix leaves a buffer that still updates it.
     """
 
-    __slots__ = ("matrices", "slots", "flat")
+    __slots__ = ("matrices", "flat", "grad")
 
     def __init__(self, matrices: Iterable[Matrix]):
         self.matrices = tuple(dict.fromkeys(matrices))
-        self.slots: dict = {}
-        size = _lay_out(self.matrices, self.slots, 0)
-        whole = [slot for slot in self.slots.values() if slot[4] is ...]
-        for m, *_ in whole:
+        whole = dict.fromkeys(m.base if isinstance(m, SubMatrix) else m for m in self.matrices)
+        starts, size = [], 0
+        for m in whole:
             if m.a.base is not None:
                 raise ContractError(
                     f"{m!r} is a view of another array, such as a FlatParameters; "
                     "pass that buffer instead of packing the matrix again"
                 )
+            starts.append(size)
+            size += -(-m.a.size // _ALIGN) * _ALIGN
         self.flat = _aligned_zeros(size)
-        for m, lo, hi, shape, _ in whole:
-            view = self.flat[lo:hi].reshape(shape)
+        self.grad = _aligned_zeros(size)
+        for m, lo in zip(whole, starts):
+            hi = lo + m.a.size
+            view = self.flat[lo:hi].reshape(m.shape)
             view[...] = m.a
-            m.a = view
+            m.a, m.grad = view, self.grad[lo:hi].reshape(m.shape)
 
     def __getitem__(self, i):
         return self.matrices[i]
@@ -517,28 +352,13 @@ class FlatParameters(Sequence):
         return len(self.matrices)
 
 
-def sgd_step(params: Iterable[Matrix], grads: Mapping[Matrix, Matrix], rate: float) -> None:
-    """p <- p - rate * g for every parameter, as one update of a flat array.
+def sgd_step(params: FlatParameters, rate: float) -> None:
+    """p <- p - rate * g for every parameter, as one update of the flat array.
 
-    `params` is a FlatParameters, or loose matrices, which are packed into a
-    new one here; a loop that steps the same matrices again packs them once
-    with FlatParameters and passes that buffer.
-    When `grads` comes from a tape that watched exactly those parameters in
-    that order, its flat array is used as it is; otherwise it is laid out
-    like the parameters first, a parameter without a gradient reading zero.
-    Frozen matrices are simply never passed in, so they are untouched
-    regardless of any gradient that may exist for them.
+    The gradients are the buffer the last backward sweep wrote. Both the
+    gradients and the updated parameters are checked for finiteness. Frozen
+    matrices are never packed, so they are untouched.
     """
-    buf = params if isinstance(params, FlatParameters) else FlatParameters(params)
-    if isinstance(grads, Gradients) and list(grads.slots) == list(buf.slots):
-        g = grads.flat
-    else:
-        g = np.zeros_like(buf.flat)
-        for p, lo, hi, shape, index in buf.slots.values():
-            gp = grads.get(p)
-            if gp is not None:
-                if gp.shape != p.shape:
-                    raise ShapeError(f"gradient shape {_fmt(gp.a)} != parameter shape {_fmt(p.a)}")
-                g[lo:hi].reshape(shape)[index] = gp.a
-    buf.flat -= rate * g
-    check_finite(buf.flat)
+    check_finite(params.grad, "gradients")
+    params.flat -= rate * params.grad
+    check_finite(params.flat, "parameters")

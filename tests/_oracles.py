@@ -1,6 +1,6 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's tape machinery: finite differences
+These deliberately avoid the library's backward rules: finite differences
 probe gradients, and the straight-line forward below re-evaluates the
 separable layer with plain numpy, step by step. The per-instance model input
 and records rebuild, one instance at a time, what the harness builds from a
@@ -17,6 +17,7 @@ import json
 import numpy as np
 
 from smolora.errors import ContractError
+from smolora.tensor import Tape
 
 FD_H = 1e-5
 
@@ -35,6 +36,39 @@ def central_diff(loss_fn, param: np.ndarray, i: int, j: int, h: float = FD_H) ->
 def rel_err(analytic: float, fd: float, floor: float = 1e-4) -> float:
     """Relative error with a floor so near-zero gradients compare on FD noise scale."""
     return abs(analytic - fd) / max(abs(analytic), abs(fd), floor)
+
+
+def rule_fd_error(run, params, x, G, per_matrix=None, rng=None) -> tuple[float, int]:
+    """Worst relative error of a kernel's backward rule against central differences.
+
+    `run(tape)` evaluates a kernel f on the current values of `params`
+    (matrices packed in a FlatParameters) and of its input matrix `x`,
+    recording its rule when given a tape. The rule gets the fixed output
+    gradient G; each parameter gradient it writes and the input gradient it
+    returns are compared with central differences of <G, f> = sum(G * f),
+    entry by entry, or at `per_matrix` random entries of each matrix.
+    Returns the worst error and the number of entries checked.
+    """
+    tape = Tape()
+    tape._ops.append(None)  # x is an earlier rule's output, so the rule returns its gradient
+    run(tape)
+    dx = tape._ops[-1](G)
+
+    def inner() -> float:
+        return float(np.sum(G * run(None).a))
+
+    worst, n = 0.0, 0
+    for values, grad in [(p.a, p.grad) for p in params] + [(x.a, dx)]:
+        grad = grad.copy()
+        rows, cols = values.shape
+        if per_matrix is None or per_matrix >= rows * cols:
+            entries = [(i, j) for i in range(rows) for j in range(cols)]
+        else:
+            entries = [(int(rng.integers(rows)), int(rng.integers(cols))) for _ in range(per_matrix)]
+        for i, j in entries:
+            worst = max(worst, rel_err(grad[i, j], central_diff(inner, values, i, j)))
+            n += 1
+    return worst, n
 
 
 def scalar_softmax(values) -> list[float]:

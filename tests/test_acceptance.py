@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import central_diff, rel_err
+from _oracles import central_diff, rel_err, rule_fd_error
 from _reference_tables import TABLES
 
-from smolora.benchmark import generate_stream
+from smolora.benchmark import TaskSplit, generate_stream
 from smolora.cli import main as cli_main
-from smolora.harness import RunConfig, run_cvit
+from smolora.harness import RunConfig, ToyModel, attach_embeddings, run_cvit
 from smolora.lora import (
     init_lora_block,
     init_molora,
@@ -26,18 +26,8 @@ from smolora.lora import (
     smolora_forward,
 )
 from smolora.metrics import AccuracyMatrix, write_accuracy_csv
-from smolora.routing import histogram_entropy
-from smolora.tensor import (
-    Matrix,
-    Tape,
-    add,
-    backward,
-    cross_entropy,
-    matmul,
-    mean_over_columns,
-    scale_const,
-    sum_all,
-)
+from smolora.routing import HashingEmbedder, histogram_entropy
+from smolora.tensor import FlatParameters, Matrix, Tape, backward, relu_pool
 
 SEEDS = (1, 2, 3)
 # Desk-scale training recipe for the forgetting experiment (plain SGD needs a
@@ -101,18 +91,41 @@ class TestMetricOracle:
 
 
 class TestGradientSuite:
+    """Every backward rule of a training step, and one whole step, against central differences.
+
+    A rule is checked on <G, f(x)> for a fixed random G: the parameter
+    gradients it writes and the input gradient it returns.
+    """
+
     h = 1e-5
     bound = 1e-4
 
-    def _check(self, params, grads, loss_fn, rng):
+    def _step_check(self, rng):
+        # A whole step of the smallest model: the flat gradient buffer
+        # against the batch's mean loss, over every trainable matrix.
+        stream = generate_stream(4, task_count=2, train_per_task=6, test_per_task=4, d_v=6,
+                                 class_count=4)
+        attach_embeddings(stream, HashingEmbedder(8))
+        batch = stream[0][1]
+        cfg = RunConfig(method="smolora", embed_dim=8, hidden=8, rank=2, vu_blocks=3,
+                        if_blocks=3, top_k=2, seed=4)
+        model = ToyModel(cfg, 6, 4, 3)
+        for m in model.trainable():
+            m.a[...] = rng.normal(0.0, 0.5, size=m.shape)
+        tape = Tape()
+        backward(tape, model.loss(batch, *model.forward(batch, tape), tape))
+        assert len(tape._ops) == 6
+
+        def loss():
+            return model.loss(batch, *model.forward(batch))
+
         worst, n = 0.0, 0
-        for p in params:
-            g = grads[p].a
-            for i in range(p.rows):
-                for j in range(p.cols):
-                    fd = central_diff(loss_fn, p.a, i, j, self.h)
-                    worst = max(worst, rel_err(g[i, j], fd))
-                    n += 1
+        for m in model.trainable():
+            grad = m.grad.copy()
+            for _ in range(3):
+                i, j = int(rng.integers(m.rows)), int(rng.integers(m.cols))
+                worst = max(worst, rel_err(grad[i, j], central_diff(loss, m.a, i, j, self.h)))
+                n += 1
         return worst, n
 
     def test_gradient_suite_all_layer_types(self):
@@ -120,70 +133,63 @@ class TestGradientSuite:
         rng = np.random.default_rng(8)
         results = {}
 
+        def layer_check(name, params, run, x, rows):
+            FlatParameters(params)
+            G = rng.normal(size=(rows, x.cols))
+            results[name] = rule_fd_error(run, params, x, G)
+
         # Plain LoRA: one block behind a frozen base.
         block = init_lora_block(12, 10, 5, rng)
         block.B.a[...] = rng.normal(size=block.B.shape)
         w0 = Matrix(rng.normal(size=(10, 12)))
         x = Matrix(rng.normal(size=(12, 3)))
+        layer_check("seqlora", [block.A, block.B], lambda tape: lora_apply(block, x, tape, w0), x, 10)
 
-        def lora_loss(tape=None):
-            y = add(matmul(w0, x, tape), lora_apply(block, x, tape), tape)
-            return add(
-                cross_entropy(mean_over_columns(y, tape), 3, tape),
-                scale_const(sum_all(y, tape), 0.1, tape),
-                tape,
-            )
+        # Token-wise mixture, and the separable mixture over two instances
+        # of two columns, at top-1 and top-2.
+        for top_k in (1, 2):
+            mo = init_molora(d=6, k_out=5, N=4, r=2, top_k=top_k, seed=9)
+            for b in mo.blocks:
+                b.B.a[...] = rng.normal(size=b.B.shape)
+            x_mo = Matrix(rng.normal(size=(6, 3)))
+            layer_check(f"molora@{top_k}", mo.named().values(),
+                        lambda tape: molora_forward(mo, x_mo, tape), x_mo, 5)
 
-        tape = Tape()
-        tape.watch(block.A, block.B)
-        grads = backward(tape, lora_loss(tape))
-        results["lora"] = self._check(
-            [block.A, block.B], grads, lambda: lora_loss().item(), rng
+            smo = init_smolora(d=8, k_out=8, M=3, N_minus_M=3, r=2, e=6, top_k=top_k, seed=10)
+            for b in smo.vu_blocks + smo.if_blocks:
+                b.B.a[...] = rng.normal(size=b.B.shape)
+            x_smo = Matrix(rng.normal(size=(8, 4)))
+            emb = rng.normal(size=(6, 2))
+            emb = Matrix(emb / np.linalg.norm(emb, axis=0))
+            layer_check(f"smolora@{top_k}", smo.named().values(),
+                        lambda tape: smolora_forward(smo, x_smo, emb, tape), x_smo, 8)
+
+        # ReLU with the pooling, over three instances of four columns.
+        x_pool = Matrix(rng.normal(size=(10, 12)))
+        results["relu+pool"] = rule_fd_error(
+            lambda tape: relu_pool(x_pool, 3, tape), [], x_pool, rng.normal(size=(10, 3))
         )
 
-        # Token-wise mixture with top-2 gates.
-        mo = init_molora(d=6, k_out=5, N=4, r=2, top_k=2, seed=9)
-        for b in mo.blocks:
-            b.B.a[...] = rng.normal(size=b.B.shape)
-        x_mo = Matrix(rng.normal(size=(6, 3)))
-
-        def molora_loss(tape=None):
-            y = molora_forward(mo, x_mo, tape)
-            return add(
-                cross_entropy(mean_over_columns(y, tape), 0, tape),
-                scale_const(sum_all(y, tape), 0.1, tape),
-                tape,
-            )
-
+        # The loss: the batch mean of both heads' cross-entropies, whose
+        # rule returns the gradients of the two logit matrices.
+        batch = TaskSplit(visual=np.zeros((1, 12)), texts=np.full(12, "", dtype=object),
+                          answer_class=np.array([3, 0, 9, 3, 5, 1, 7, 2, 8, 4, 6, 0]),
+                          format_id=np.array([0, 5, 2, 2, 1, 4, 3, 0, 5, 1, 2, 4]),
+                          task_id=np.zeros(12, dtype=np.int64))
+        content, fmt = Matrix(rng.normal(size=(10, 12))), Matrix(rng.normal(size=(6, 12)))
         tape = Tape()
-        tape.watch(*mo.trainable())
-        grads = backward(tape, molora_loss(tape))
-        results["molora"] = self._check(
-            mo.trainable(), grads, lambda: molora_loss().item(), rng
-        )
+        ToyModel.loss(batch, content, fmt, tape)
+        grads = tape._ops[-1](1.0)
+        worst, n = 0.0, 0
+        for m, grad in zip((content, fmt), grads):
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    fd = central_diff(lambda: ToyModel.loss(batch, content, fmt), m.a, i, j, self.h)
+                    worst = max(worst, rel_err(grad[i, j], fd))
+                    n += 1
+        results["loss"] = (worst, n)
 
-        # Separable mixture with top-2 gates in both banks.
-        smo = init_smolora(d=8, k_out=8, M=3, N_minus_M=3, r=2, e=6, top_k=2, seed=10)
-        for b in smo.vu_blocks + smo.if_blocks:
-            b.B.a[...] = rng.normal(size=b.B.shape)
-        x_smo = Matrix(rng.normal(size=(8, 3)))
-        emb = rng.normal(size=(6, 1))
-        emb = Matrix(emb / np.linalg.norm(emb))
-
-        def smolora_loss(tape=None):
-            y = smolora_forward(smo, x_smo, emb, tape)
-            return add(
-                cross_entropy(mean_over_columns(y, tape), 1, tape),
-                scale_const(sum_all(y, tape), 0.1, tape),
-                tape,
-            )
-
-        tape = Tape()
-        tape.watch(*smo.trainable())
-        grads = backward(tape, smolora_loss(tape))
-        results["smolora"] = self._check(
-            smo.trainable(), grads, lambda: smolora_loss().item(), rng
-        )
+        results["whole step"] = self._step_check(rng)
 
         elapsed = time.time() - t0
         ok = elapsed < 30.0 and all(

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from smolora.harness import AdapterLayer, ToyModel, evaluate_task, train_stage
+from smolora.benchmark import generate_stream
+from smolora.harness import AdapterLayer, RunConfig, ToyModel, attach_embeddings, evaluate_task, train_stage
+from smolora.routing import HashingEmbedder
 from smolora.tensor import Tape, backward
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,9 +60,9 @@ def test_run_prints_every_declared_metric_finite(workload, trace):
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
     if trace:
-        # A batch of 4 records 10 ops under every method: one per adapter
-        # layer, the ReLU, the pooling, two losses, their sum and the mean.
-        # That is 2.5 per sample-step; the count repeats exactly, so ops
+        # A batch of 4 records 6 ops under every method: one per adapter
+        # layer, one for the ReLU with the pooling and one for the loss.
+        # That is 1.5 per sample-step; the count repeats exactly, so ops
         # recorded per block or per gate would show here.
         assert result["metrics"]["tensor.tape_ops_per_sample_step"]["value"] <= 3
 
@@ -91,3 +93,52 @@ def test_wrapped_arguments_keep_their_positions():
     assert position(train_stage, "train_set") == 1
     assert position(train_stage, "config") == 2
     assert position(evaluate_task, "test_set") == 1
+
+
+@pytest.mark.parametrize("method", ["seqlora", "molora", "smolora"])
+def test_each_training_step_meets_the_wrap_points_once(monkeypatch, method):
+    # child.py splits training into steps at the returns of `sgd_step`,
+    # tells a training forward by its tape, and counts tape records at
+    # `backward`: wrapped the same way, each step must call the model's
+    # forward once with a tape, backward once with a list of records, and
+    # sgd_step once, in that order.
+    child = _load_child()
+    calls = []
+    for module_name, attr in [("smolora.harness", "ToyModel.forward"),
+                              ("smolora.tensor", "backward"), ("smolora.tensor", "sgd_step")]:
+        # Every attribute child.py will rebind is set to itself first, so
+        # that monkeypatch restores it after the test.
+        module = importlib.import_module(module_name)
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            cls = getattr(module, owner)
+            monkeypatch.setattr(cls, name, getattr(cls, name))
+        else:
+            original = getattr(module, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "smolora":
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, value)
+
+        def make_wrapper(fn, attr=attr):
+            def wrapper(*args, **kwargs):
+                calls.append((attr, args))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        assert child._patch(module_name, attr, make_wrapper)
+
+    stream = generate_stream(0, task_count=2, train_per_task=12, test_per_task=4, d_v=8,
+                             class_count=4)
+    attach_embeddings(stream, HashingEmbedder(16))
+    config = RunConfig(method=method, embed_dim=16, hidden=16, rank=4, batch_size=4, epochs=2)
+    losses = train_stage(ToyModel(config, 8, 4, 3), stream[0][1], config)
+    assert len(losses) == 6
+    assert [attr for attr, _ in calls] == ["ToyModel.forward", "backward", "sgd_step"] * 6
+    for attr, args in calls:
+        if attr == "ToyModel.forward":
+            assert len(args) > 2 and args[2] is not None
+        elif attr == "backward":
+            assert isinstance(args[0]._ops, list) and len(args[0]._ops) == 6

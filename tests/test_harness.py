@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    central_diff,
     dict_mif,
     per_instance_input,
     per_instance_records,
+    rel_err,
     stage_records,
     trace_routing,
     write_dict_records,
@@ -27,7 +29,7 @@ from smolora.harness import (
 )
 from smolora.metrics import write_records_jsonl
 from smolora.routing import HashingEmbedder
-from smolora.tensor import Matrix, Tape, add, backward, cross_entropy, mean_over_columns, relu
+from smolora.tensor import Matrix, Tape, backward, mean_over_columns, relu
 
 
 def small_stream(seed=0, tasks=2, train=48, test=32):
@@ -228,14 +230,12 @@ def _live_model_and_batch(method):
     return model, concat(stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3)))
 
 
-def _batch_loss(model, batch, tape=None, routing=None):
+def _backward(model, batch, routing=None):
+    """One backward sweep of the batch's mean loss; the gradients land in `model.params.grad`."""
+    tape = Tape()
     content, fmt = model.forward(batch, tape, routing)
-    loss = add(
-        cross_entropy(content, batch.answer_class, tape),
-        cross_entropy(fmt, batch.format_id, tape),
-        tape,
-    )
-    return content, fmt, loss
+    backward(tape, model.loss(batch, content, fmt, tape))
+    return content, fmt
 
 
 def _rel_close(got, want, rel=1e-12):
@@ -246,34 +246,30 @@ class TestBatchedForward:
     @pytest.mark.parametrize("method", ["seqlora", "molora", "smolora"])
     def test_batch_matches_sum_of_single_instances(self, method):
         model, batch = _live_model_and_batch(method)
+        # The batch loss is the mean of the instances' losses, so n times
+        # its gradient is the sum of theirs.
         params = model.trainable()
-        tape = Tape()
-        tape.watch(*params)
-        content, fmt, loss = _batch_loss(model, batch, tape)
-        grads = backward(tape, loss)
+        content, fmt = _backward(model, batch)
+        grads = {p: len(batch) * p.grad for p in params}
 
         summed = {p: np.zeros_like(p.a) for p in params}
         for j in range(len(batch)):
-            single = Tape()
-            single.watch(*params)
-            c1, f1, loss1 = _batch_loss(model, batch.take([j]), single)
+            c1, f1 = _backward(model, batch.take([j]))
             assert _rel_close(content.a[:, j : j + 1], c1.a)
             assert _rel_close(fmt.a[:, j : j + 1], f1.a)
-            for p, g in backward(single, loss1).items():
-                summed[p] += g.a
+            for p in params:
+                summed[p] += p.grad
         for p in params:
             if np.any(summed[p] != 0.0):
-                assert _rel_close(grads[p].a, summed[p])
+                assert _rel_close(grads[p], summed[p])
             else:
-                assert np.all(grads[p].a == 0.0)
+                assert np.all(grads[p] == 0.0)
 
     @pytest.mark.parametrize("method", ["smolora", "molora"])
     def test_block_no_instance_selected_gets_zero_gradient(self, method):
         model, batch = _live_model_and_batch(method)
-        tape = Tape()
-        tape.watch(*model.trainable())
         routing = []
-        grads = backward(tape, _batch_loss(model, batch, tape, routing)[2])
+        _backward(model, batch, routing)
         n = len(batch)
         if method == "smolora":
             banks = []
@@ -286,7 +282,7 @@ class TestBatchedForward:
             # Top-1 token-wise routing: each column picks its largest router logit.
             x, emb = model._input(batch)
             h1 = model.proj.forward(x, emb)
-            pooled = mean_over_columns(relu(model.hidden.forward(h1, emb)), None, n)
+            pooled = mean_over_columns(relu(model.hidden.forward(h1, emb)), n)
             inputs = [x, h1, pooled, pooled]
             banks = [
                 (layer.layer.blocks, set(np.argmax(layer.layer.router.a @ inp.a, axis=0)))
@@ -296,11 +292,11 @@ class TestBatchedForward:
         for blocks, chosen in banks:
             for i, block in enumerate(blocks):
                 if i in chosen:
-                    assert np.any(grads[block.B].a != 0.0)
+                    assert np.any(block.B.grad != 0.0)
                 else:
                     unselected += 1
-                    assert np.all(grads[block.A].a == 0.0)
-                    assert np.all(grads[block.B].a == 0.0)
+                    assert np.all(block.A.grad == 0.0)
+                    assert np.all(block.B.grad == 0.0)
         assert unselected > 0
 
 
@@ -351,12 +347,32 @@ class TestTopOneRouting:
             before = [r.a.copy() for r in routers]
             train_stage(model, train, config)
             assert all(np.array_equal(r.a, b) for r, b in zip(routers, before))
-            tape = Tape()
-            tape.watch(*model.trainable())
-            grads = backward(tape, _batch_loss(model, batch, tape)[2])
-            assert any(np.any(g.a != 0.0) for g in grads.values())
+            _backward(model, batch)
+            assert np.any(model.trainable().grad != 0.0)
             for router in routers:
-                assert np.all(grads[router].a == 0.0)
+                assert np.all(router.grad == 0.0)
+
+
+class TestWholeStep:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_flat_gradient_matches_finite_differences(self, method):
+        # One step's six rules fill the whole gradient buffer; every
+        # trainable matrix's view of it matches central differences of the
+        # batch's mean loss.
+        model, batch = _live_model_and_batch(method)
+        content, fmt = _backward(model, batch)
+        rng = np.random.default_rng(5)
+
+        def loss():
+            return model.loss(batch, *model.forward(batch))
+
+        worst = 0.0
+        for m in model.trainable():
+            grad = m.grad.copy()
+            for _ in range(3):
+                i, j = int(rng.integers(m.rows)), int(rng.integers(m.cols))
+                worst = max(worst, rel_err(grad[i, j], central_diff(loss, m.a, i, j)))
+        assert worst < 1e-4
 
 
 class TestFiniteness:
@@ -373,10 +389,8 @@ class TestFiniteness:
         for block in blocks:
             block.A.a[...] = 1e200
             block.B.a[...] = 1e200
-        tape = Tape()
-        tape.watch(*model.trainable())
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeError):
-            model.forward(batch, tape)
+            model.forward(batch, Tape())
 
 
 class _OracleModel:
@@ -683,6 +697,30 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"{name!r} holds a non-finite value .*byte offset {at}"):
             load_checkpoint(path, ToyModel(cfg, 8, 4, 3))
+
+    @pytest.mark.parametrize("spoil", ["truncated", "non_finite_last", "missing_parameter"])
+    def test_rejected_file_leaves_the_model_unchanged(self, tmp_path, spoil):
+        # The file is checked whole before any matrix is written.
+        cfg, model = self._trained_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        name, last = list(model.named_matrices().items())[-1]
+        if spoil == "truncated":
+            data, error = data[:-7], FormatError
+        elif spoil == "non_finite_last":
+            data, error = data[:-8] + np.array([np.nan], dtype="<f8").tobytes(), FormatError
+        else:
+            data, error = data[: data.rindex(name.encode()) - 4], ContractError
+            assert len(path.read_bytes()) - len(data) == 4 + len(name) + 8 + 8 * last.a.size
+        path.write_bytes(data)
+        target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3)
+        flat = target.trainable().flat.tobytes()
+        frozen = {k: m.a.tobytes() for k, m in target.frozen_matrices().items()}
+        with pytest.raises(error):
+            load_checkpoint(path, target)
+        assert target.trainable().flat.tobytes() == flat
+        assert {k: m.a.tobytes() for k, m in target.frozen_matrices().items()} == frozen
 
     def test_shape_mismatch_is_contract_error(self, tmp_path):
         cfg, model = self._trained_model("seqlora")

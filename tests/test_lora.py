@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 from _oracles import (
-    central_diff,
     double_repeat_bank,
-    rel_err,
+    rule_fd_error,
     scalar_softmax,
     straight_line_smolora,
     two_row_fusion,
@@ -25,17 +24,7 @@ from smolora.lora import (
     smolora_forward,
 )
 from smolora.routing import topk_softmax
-from smolora.tensor import (
-    Matrix,
-    Tape,
-    add,
-    backward,
-    cross_entropy,
-    matmul,
-    mean_over_columns,
-    scale_const,
-    sum_all,
-)
+from smolora.tensor import FlatParameters, Matrix, Tape
 
 
 def _seeded_smolora(seed=0, d=8, k_out=8, M=4, nm=4, r=2, e=6, top_k=1):
@@ -81,8 +70,8 @@ class TestMoLoRAForward:
         rng = np.random.default_rng(4)
         _fill_blocks(layer, rng)
         x = Matrix(rng.normal(size=(6, 3)))
-        expected = add(matmul(layer.W0, x), lora_apply(layer.blocks[0], x))
-        assert np.allclose(molora_forward(layer, x).a, expected.a, atol=1e-12)
+        expected = layer.W0.a @ x.a + lora_apply(layer.blocks[0], x).a
+        assert np.allclose(molora_forward(layer, x).a, expected, atol=1e-12)
 
     def test_zero_init_is_base_only(self):
         layer = init_molora(d=6, k_out=4, N=3, r=2, top_k=2, seed=5)
@@ -143,10 +132,10 @@ class TestBankGateExpansion:
         gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
         x = rng.normal(size=(d, instances * s))
         g = rng.normal(size=(k_out, instances * s))
-        pushed = {}
+        FlatParameters([bank.A, bank.B])
         out, back = _bank(bank, gate, x, s)
-        dx, d_gate = back(g, lambda m, v: pushed.__setitem__(id(m), v), True, True)
-        got = (out, pushed[id(bank.A)], pushed[id(bank.B)], dx, d_gate)
+        dx, d_gate = back(g, True, True)
+        got = (out, bank.A.grad, bank.B.grad, dx, d_gate)
         for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
             assert np.array_equal(have, want)
 
@@ -257,7 +246,7 @@ class TestSMoLoRAForward:
         W0 = layer.W0.a.copy()
         layer.W0.a[...] = 0.0
         delta = smolora_forward(layer, x, emb)
-        assert np.array_equal(y.a, add(matmul(Matrix(W0), x), delta).a)
+        assert np.array_equal(y.a, W0 @ x.a + delta.a)
 
     def test_gate_and_fusion_simplex_on_routing(self):
         layer = _seeded_smolora(seed=40, top_k=2)
@@ -327,124 +316,95 @@ class TestInitSMoLoRA:
 
 
 class TestGradients:
-    def _loss_through_layer(self, layer, x, emb, tape=None):
-        y = smolora_forward(layer, x, emb, tape)
-        pooled = mean_over_columns(y, tape, emb.cols)
-        return add(
-            cross_entropy(pooled, list(range(1, 1 + emb.cols)), tape),
-            scale_const(sum_all(y, tape), 0.1, tape),
-            tape,
-        )
+    """Each layer's backward rule against central differences of <G, layer output>."""
 
-    def _check_composition(self, seed, cols, instances):
-        layer = _seeded_smolora(seed=seed, top_k=2)
+    def _check_smolora(self, seed, cols, instances, top_k=2):
+        layer = _seeded_smolora(seed=seed, top_k=top_k)
         rng = np.random.default_rng(seed + 1)
         _fill_blocks(layer, rng)
+        params = FlatParameters(layer.named().values())
         x = Matrix(rng.normal(size=(8, cols)))
         emb = Matrix(rng.normal(size=(6, instances)))
-
-        tape = Tape()
-        params = layer.trainable()
-        tape.watch(*params)
-        grads = backward(tape, self._loss_through_layer(layer, x, emb, tape))
-
-        routing = []
-        smolora_forward(layer, x, emb, routing=routing)
-        [r] = routing
-        vu_sel = set(np.flatnonzero(r.vu_gate.any(axis=1)).tolist())
-        if_sel = set(np.flatnonzero(r.if_gate.any(axis=1)).tolist())
-
-        rng_pick = np.random.default_rng(seed + 2)
-        checked = 0
-        worst = 0.0
-        for param in params:
-            g = grads[param].a
-            n_checks = min(10, param.rows * param.cols)
-            for _ in range(n_checks):
-                i = int(rng_pick.integers(param.rows))
-                j = int(rng_pick.integers(param.cols))
-                fd = central_diff(
-                    lambda: self._loss_through_layer(layer, x, emb).item(), param.a, i, j
-                )
-                worst = max(worst, rel_err(g[i, j], fd))
-                checked += 1
+        G = rng.normal(size=(8, cols))
+        worst, checked = rule_fd_error(
+            lambda tape: smolora_forward(layer, x, emb, tape), params, x, G,
+            per_matrix=10, rng=np.random.default_rng(seed + 2),
+        )
         assert checked >= 100
         assert worst < 1e-4
 
         # Blocks that no instance selected must receive exactly zero gradient.
-        for i, block in enumerate(layer.vu_blocks):
-            if i not in vu_sel:
-                assert np.all(grads[block.A].a == 0.0)
-                assert np.all(grads[block.B].a == 0.0)
-        for j, block in enumerate(layer.if_blocks):
-            if j not in if_sel:
-                assert np.all(grads[block.A].a == 0.0)
-                assert np.all(grads[block.B].a == 0.0)
+        routing = []
+        smolora_forward(layer, x, emb, routing=routing)
+        [r] = routing
+        for blocks, gate in ((layer.vu_blocks, r.vu_gate), (layer.if_blocks, r.if_gate)):
+            for i, block in enumerate(blocks):
+                if not gate[i].any():
+                    assert np.all(block.A.grad == 0.0)
+                    assert np.all(block.B.grad == 0.0)
+        if top_k == 1:
+            assert np.all(layer.R_vu.grad == 0.0) and np.all(layer.R_if.grad == 0.0)
 
     def test_full_composition_matches_finite_differences(self):
-        self._check_composition(seed=50, cols=3, instances=1)
+        self._check_smolora(seed=50, cols=3, instances=1)
 
     def test_batched_composition_matches_finite_differences(self):
         # Three instances of two columns each, top-2 gates in both banks.
-        self._check_composition(seed=70, cols=6, instances=3)
+        self._check_smolora(seed=70, cols=6, instances=3)
 
-    def test_molora_gradients_match_finite_differences(self):
-        layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=2, seed=60)
+    def test_top_one_rule_matches_finite_differences(self):
+        self._check_smolora(seed=75, cols=6, instances=3, top_k=1)
+
+    def _check_molora(self, top_k):
+        layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=top_k, seed=60)
         rng = np.random.default_rng(61)
         _fill_blocks(layer, rng)
+        params = FlatParameters(layer.named().values())
         x = Matrix(rng.normal(size=(6, 3)))
-
-        def loss(tape=None):
-            y = molora_forward(layer, x, tape)
-            return add(
-                cross_entropy(mean_over_columns(y, tape), 0, tape),
-                scale_const(sum_all(y, tape), 0.1, tape),
-                tape,
-            )
-
-        tape = Tape()
-        params = layer.trainable()
-        tape.watch(*params)
-        grads = backward(tape, loss(tape))
-        worst = 0.0
-        for param in params:
-            g = grads[param].a
-            for i in range(param.rows):
-                for j in range(param.cols):
-                    fd = central_diff(lambda: loss().item(), param.a, i, j)
-                    worst = max(worst, rel_err(g[i, j], fd))
+        G = rng.normal(size=(5, 3))
+        worst, checked = rule_fd_error(lambda tape: molora_forward(layer, x, tape), params, x, G)
+        assert checked == 6 * 4 + 2 * 6 * 4 + 5 * 2 * 4 + 6 * 3
         assert worst < 1e-4
+        if top_k == 1:
+            assert np.all(layer.router.grad == 0.0)
+
+    def test_molora_gradients_match_finite_differences(self):
+        self._check_molora(top_k=2)
+
+    def test_molora_top_one_gradients_match_finite_differences(self):
+        self._check_molora(top_k=1)
 
     def test_seqlora_layer_gradients_match_finite_differences(self):
-        # The layer is one tape record; its input comes from a watched P, so
-        # the gradient pushed into the input is checked as well.
+        # The rule returns the input's gradient, W0's term included.
         rng = np.random.default_rng(80)
         layer = AdapterLayer("hidden", "seqlora", 6, 5, RunConfig(method="seqlora", rank=2), rng, 1)
         layer.block.B.a[...] = rng.normal(size=layer.block.B.shape)
-        P = Matrix(rng.normal(size=(6, 4)))
-        x0 = Matrix(rng.normal(size=(4, 3)))
+        params = FlatParameters(layer.trainable())
+        x = Matrix(rng.normal(size=(6, 3)))
         emb = Matrix(rng.normal(size=(64, 1)))
-
-        def loss(tape=None):
-            y = layer.forward(matmul(P, x0, tape), emb, tape)
-            return add(
-                cross_entropy(mean_over_columns(y, tape), 0, tape),
-                scale_const(sum_all(y, tape), 0.1, tape),
-                tape,
-            )
-
-        tape = Tape()
-        params = [*layer.trainable(), P]
-        tape.watch(*params)
-        grads = backward(tape, loss(tape))
-        worst = 0.0
-        for param in params:
-            g = grads[param].a
-            for i in range(param.rows):
-                for j in range(param.cols):
-                    fd = central_diff(lambda: loss().item(), param.a, i, j)
-                    worst = max(worst, rel_err(g[i, j], fd))
+        G = rng.normal(size=(5, 3))
+        worst, checked = rule_fd_error(lambda tape: layer.forward(x, emb, tape), params, x, G)
+        assert checked == 2 * 6 + 5 * 2 + 6 * 3
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("kind", ["seqlora", "molora", "smolora"])
+    def test_input_gradient_adds_to_a_later_readers(self, kind):
+        # A later reader's gradient of the same input comes in as dx and is
+        # added first, as a generic accumulation would add it.
+        rng = np.random.default_rng(85)
+        cfg = RunConfig(method=kind, rank=2, vu_blocks=2, if_blocks=2, embed_dim=4)
+        layer = AdapterLayer("hidden", kind, 6, 6, cfg, rng, 1)
+        FlatParameters(layer.trainable())
+        x, emb = Matrix(rng.normal(size=(6, 2))), Matrix(rng.normal(size=(4, 1)))
+        tape = Tape()
+        tape._ops.append(None)
+        layer.forward(x, emb, tape)
+        g, earlier = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        alone = tape._ops[-1](g)
+        assert np.allclose(tape._ops[-1](g, earlier), earlier + alone, rtol=1e-14, atol=1e-15)
+        first = Tape()
+        layer.forward(x, emb, first)
+        assert first._ops[-1](g) is None  # a first rule's input takes no gradient
 
 
 class TestRouterLogits:
@@ -462,12 +422,16 @@ class TestRouterLogits:
 
             def run():
                 return molora_forward(layer, x, Tape())
+
+            FlatParameters(layer.named().values())
         else:
             layer = _seeded_smolora(seed=92)
             R = getattr(layer, router)
 
             def run():
                 return smolora_forward(layer, x, emb, Tape())
+
+            FlatParameters(layer.named().values())
 
         run()
         R.a[2, :] = bad

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import central_diff, mask_then_softmax, rel_err, scalar_softmax
+from _oracles import mask_then_softmax, rule_fd_error, scalar_softmax
 
 from smolora.errors import ContractError, ShapeError
+from smolora.lora import init_lora_block, lora_apply
 from smolora.routing import topk_softmax
 from smolora.tensor import (
     CosineSchedule,
@@ -12,17 +13,14 @@ from smolora.tensor import (
     Matrix,
     SubMatrix,
     Tape,
-    add,
     backward,
     cross_entropy,
     matmul,
     mean_over_columns,
-    relu,
+    relu_pool,
     run_means,
-    scale_const,
     sgd_step,
     softmax_back,
-    sum_all,
 )
 
 # The most negative finite float64.
@@ -179,136 +177,90 @@ class TestTopkMask:
 
 
 class TestBackward:
-    def test_linear_map_gradient(self):
-        # loss = sum(W @ x): dL/dW has each row equal to the row sums of x.
-        rng = np.random.default_rng(0)
-        W = Matrix(rng.normal(size=(3, 4)))
-        x = Matrix(rng.normal(size=(4, 2)))
+    def test_rules_run_in_reverse_and_tuples_spread_over_arguments(self):
+        # The last rule gets d loss / d loss = 1; a rule that returns a
+        # tuple passes the rule before it several arguments.
+        calls = []
         tape = Tape()
-        tape.watch(W)
-        loss = sum_all(matmul(W, x, tape), tape)
-        grads = backward(tape, loss)
-        expected = np.tile(x.a.sum(axis=1), (3, 1))
-        assert np.allclose(grads[W].a, expected, atol=1e-12)
+        tape._ops.append(lambda g: calls.append(("first", g)))
+        tape._ops.append(lambda a, b: calls.append(("second", a, b)) or a + b)
+        tape._ops.append(lambda g: (2.0 * g, 3.0 * g))
+        backward(tape, 0.5)
+        assert calls == [("second", 2.0, 3.0), ("first", 5.0)]
 
-    def test_constant_loss_zero_gradient(self):
-        W = Matrix([[1.0, 2.0]])
-        x = Matrix([[3.0], [4.0]])
+    def test_non_finite_loss_rejected(self):
         tape = Tape()
-        tape.watch(W)
-        loss = sum_all(matmul(Matrix([[1.0, 1.0]]), x, tape), tape)
-        grads = backward(tape, loss)
-        assert np.all(grads[W].a == 0.0)
-
-    def test_non_scalar_loss_rejected(self):
-        tape = Tape()
-        m = Matrix([[1.0, 2.0]])
-        tape.watch(m)
-        out = add(m, m, tape)
-        with pytest.raises(ContractError):
-            backward(tape, out)
-
-    def test_gradients_accumulate_and_returned_arrays_stay(self):
-        rng = np.random.default_rng(1)
-        W = Matrix(rng.normal(size=(3, 4)))
-        unused = Matrix(rng.normal(size=(2, 5)))
-        x = Matrix(rng.normal(size=(4, 2)))
-        tape = Tape()
-        tape.watch(W, unused)
-        loss = sum_all(matmul(W, x, tape), tape)
-        first = backward(tape, loss)
-        kept = first[W].a.copy()
-        second = backward(tape, loss)
-        assert np.array_equal(first[W].a, kept)
-        assert np.array_equal(second[W].a, 2.0 * kept)
-        assert np.all(second[unused].a == 0.0) and second[unused].shape == (2, 5)
-        assert set(second) == {W, unused}
+        tape._ops.append(lambda g: None)
+        for loss in (np.nan, np.inf):
+            with pytest.raises(ShapeError):
+                backward(tape, loss)
 
     def test_submatrix_gradient_is_a_block_of_its_base(self):
-        # W is read whole and its top rows again through a watched view:
-        # the two pushes add up in the base's slot.
+        # Packing submatrices lays out their base once, and each
+        # submatrix's gradient view is its block of the base's.
         rng = np.random.default_rng(2)
         W = Matrix(rng.normal(size=(4, 3)))
         top, bottom = SubMatrix(W, np.s_[:2, :]), SubMatrix(W, np.s_[2:, :])
-        x = Matrix(rng.normal(size=(3, 2)))
-        tape = Tape()
-        tape.watch(top, bottom)
-        whole = sum_all(matmul(W, x, tape), tape)
-        loss = add(whole, sum_all(matmul(top, x, tape), tape), tape)
-        grads = backward(tape, loss)
-        expected = np.tile(x.a.sum(axis=1), (4, 1))
-        expected[:2] *= 2.0
-        assert np.array_equal(grads[top].a, expected[:2])
-        assert np.array_equal(grads[bottom].a, expected[2:])
-        # The base can be looked up, but only what was watched is iterated.
-        assert W in grads and np.array_equal(grads[W].a, expected)
-        assert list(grads) == [top, bottom] and len(grads) == 2
+        params = FlatParameters([top, bottom])
+        assert list(params) == [top, bottom]
+        W.grad[...] = rng.normal(size=(4, 3))
+        assert np.shares_memory(top.grad, params.grad)
+        assert np.array_equal(top.grad, W.grad[:2]) and np.array_equal(bottom.grad, W.grad[2:])
+        assert Matrix([[1.0]]).grad is None and SubMatrix(Matrix([[1.0]]), np.s_[:, :]).grad is None
 
     def test_unrecorded_loss_rejected(self):
         tape = Tape()
         with pytest.raises(ContractError):
-            backward(tape, Matrix([[1.0]]))
+            backward(tape, 1.0)
 
-    def test_composite_loss_matches_finite_differences(self):
-        # A deep chain exercising every taped op's backward rule at once; W
-        # is read twice, so its gradient accumulates over two paths.
-        rng = np.random.default_rng(42)
-        W = Matrix(rng.normal(size=(8, 6)))
-        R = Matrix(rng.normal(size=(6, 6)))
-        I1 = Matrix(rng.normal(size=(1, 8)))
-        I2 = Matrix(rng.normal(size=(1, 8)))
-        x = Matrix(rng.normal(size=(6, 4)))
-
-        def run(tape=None):
-            g = relu(matmul(R, x, tape), tape)
-            y = add(
-                relu(matmul(W, x, tape), tape),
-                scale_const(matmul(W, g, tape), 0.5, tape),
-                tape,
-            )
-            uv = add(matmul(I1, y, tape), matmul(I2, relu(y, tape), tape), tape)
-            pooled = mean_over_columns(y, tape, groups=2)
-            return add(
-                cross_entropy(pooled, [2, 5], tape),
-                scale_const(sum_all(uv, tape), 0.05, tape),
-                tape,
-            )
-
+    def test_unpacked_parameters_rejected_by_a_taped_kernel(self):
+        # A rule writes its parameters' gradients into their FlatParameters
+        # views; a kernel whose parameters have none refuses to record.
+        rng = np.random.default_rng(3)
+        block = init_lora_block(6, 4, 2, rng)
+        x = Matrix(rng.normal(size=(6, 2)))
+        with pytest.raises(ContractError, match="FlatParameters"):
+            lora_apply(block, x, Tape())
+        FlatParameters([block.A, block.B])
         tape = Tape()
-        tape.watch(W, R, I1, I2)
-        grads = backward(tape, run(tape))
+        lora_apply(block, x, tape)
+        assert len(tape._ops) == 1
 
-        checked = 0
-        worst = 0.0
-        for param in (W, R, I1, I2):
-            g = grads[param].a
-            for i in range(param.rows):
-                for j in range(param.cols):
-                    fd = central_diff(lambda: run().item(), param.a, i, j)
-                    worst = max(worst, rel_err(g[i, j], fd))
-                    checked += 1
-        assert checked >= 100
-        assert worst < 1e-4
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_relu_pool_rule_matches_finite_differences(self, groups):
+        rng = np.random.default_rng(40 + groups)
+        x = Matrix(rng.normal(size=(10, 12)))
+        G = rng.normal(size=(10, groups))
+        worst, n = rule_fd_error(lambda tape: relu_pool(x, groups, tape), [], x, G)
+        assert n == 120 and worst < 1e-4
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = cross_entropy(Matrix([[0.0], [0.0], [0.0], [0.0]]), 1)
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+        loss, _ = cross_entropy(Matrix([[0.0], [0.0], [0.0], [0.0]]), 1)
+        assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(Matrix([[0.0], [0.0]]), 2)
 
+    def test_label_arrays_checked_at_once(self):
+        logits = Matrix(np.zeros((3, 4)))
+        loss, d = cross_entropy(logits, np.array([0, 2, 1, 2]))
+        assert loss == pytest.approx(4.0 * math.log(3.0), abs=1e-12)
+        assert d.shape == (3, 4)
+        with pytest.raises(ShapeError, match="3 labels for 4 logit columns"):
+            cross_entropy(logits, np.array([0, 1, 2]))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=f"label {bad} out of range for 3 classes"):
+                cross_entropy(logits, np.array([0, bad, 1, bad]))
+
     def test_gradient_is_probability_minus_onehot(self):
         logits = Matrix([[0.2], [-1.0], [0.5]])
-        tape = Tape()
-        tape.watch(logits)
-        loss = cross_entropy(logits, 0, tape)
-        grads = backward(tape, loss)
+        _, d = cross_entropy(logits, 0)
         p = np.array(scalar_softmax([0.2, -1.0, 0.5]))
         p[0] -= 1.0
-        assert np.allclose(grads[logits].a[:, 0], p, atol=1e-12)
+        assert np.allclose(d[:, 0], p, atol=1e-12)
 
 
 class TestCosineSchedule:
@@ -339,19 +291,24 @@ class TestCosineSchedule:
 class TestSgdStep:
     def test_single_step(self):
         p = Matrix([[1.0]])
-        sgd_step([p], {p: Matrix([[2.0]])}, 0.5)
+        params = FlatParameters([p])
+        p.grad[...] = 2.0
+        sgd_step(params, 0.5)
         assert p.tolist() == [[0.0]]
 
     def test_zero_rate_is_identity(self):
         p = Matrix([[1.0, -2.0]])
-        sgd_step([p], {p: Matrix([[5.0, 5.0]])}, 0.0)
+        params = FlatParameters([p])
+        p.grad[...] = 5.0
+        sgd_step(params, 0.0)
         assert p.tolist() == [[1.0, -2.0]]
 
     def test_frozen_parameter_untouched(self):
         frozen = Matrix([[3.0]])
         trainable = Matrix([[1.0]])
-        grads = {frozen: Matrix([[100.0]]), trainable: Matrix([[1.0]])}
-        sgd_step([trainable], grads, 1.0)
+        params = FlatParameters([trainable])
+        trainable.grad[...] = 1.0
+        sgd_step(params, 1.0)
         assert frozen.tolist() == [[3.0]]
         assert trainable.tolist() == [[0.0]]
 
@@ -359,23 +316,15 @@ class TestSgdStep:
         rng = np.random.default_rng(2)
         params = FlatParameters(Matrix(rng.normal(size=shape)) for shape in [(3, 5), (1, 7), (2, 3)])
         a, b, c = params
-        x = Matrix(rng.normal(size=(5, 2)))
-
-        def grads_of(*watched):
-            tape = Tape()
-            tape.watch(*watched)
-            ax = matmul(a, x, tape)
-            return backward(tape, add(sum_all(ax, tape), sum_all(matmul(c, ax, tape), tape), tape))
-
-        grads = grads_of(params)  # the buffer lends the tape its layout
-        one_by_one = grads_of(*params)
-        assert np.array_equal(grads.flat, one_by_one.flat)
-        expected = [p.a - 0.1 * grads[p].a for p in params]
-        sgd_step(params, grads, 0.1)
+        a.grad[...] = rng.normal(size=a.shape)
+        c.grad[...] = rng.normal(size=c.shape)
+        expected = [p.a - 0.1 * p.grad for p in params]
+        sgd_step(params, 0.1)
         for p, want in zip(params, expected):
             assert np.array_equal(p.a, want)
             assert np.shares_memory(p.a, params.flat)
-            assert p.a.ctypes.data % 64 == 0
+            assert np.shares_memory(p.grad, params.grad)
+            assert p.a.ctypes.data % 64 == 0 and p.grad.ctypes.data % 64 == 0
         assert np.array_equal(b.a, expected[1])  # no gradient reached b
 
     def test_packed_matrix_cannot_be_packed_again(self):
@@ -384,7 +333,10 @@ class TestSgdStep:
         with pytest.raises(ContractError):
             FlatParameters([p])
 
-    def test_shape_mismatch(self):
+    def test_non_finite_gradient_rejected_before_the_update(self):
         p = Matrix([[1.0, 2.0]])
-        with pytest.raises(ShapeError):
-            sgd_step([p], {p: Matrix([[1.0]])}, 0.1)
+        params = FlatParameters([p])
+        p.grad[0, 1] = np.inf
+        with pytest.raises(ShapeError, match="gradients"):
+            sgd_step(params, 0.1)
+        assert p.tolist() == [[1.0, 2.0]]
