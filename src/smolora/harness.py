@@ -49,6 +49,7 @@ from .tensor import (
     backward,
     cross_entropy,
     relu_pool,
+    run_means,
     sgd_step,
 )
 
@@ -255,10 +256,12 @@ def attach_embeddings(
 ) -> None:
     """Fill each split's embedding columns in place; precomputed vectors are kept.
 
-    The embedder memoizes, so each distinct text is embedded once.
+    The embedder memoizes, so each distinct text is embedded once. An
+    instruction with no embedding at the configured dimension (its token
+    signs cancel to zero) is a FormatError naming it, its task and split.
     """
-    for _, train, test in stream:
-        for split in (train, test):
+    for spec, train, test in stream:
+        for name, split in (("train", train), ("test", test)):
             if split.embedding is None:
                 split.embedding = np.full((embedder.dimension, len(split)), np.nan)
             elif split.embedding.shape[0] != embedder.dimension:
@@ -268,7 +271,12 @@ def attach_embeddings(
                 )
             missing = np.isnan(split.embedding[0])
             if missing.any():
-                vectors = [embedder.embed(text).a for text in split.texts[missing]]
+                try:
+                    vectors = [embedder.embed(text).a for text in split.texts[missing]]
+                except ValueError as exc:  # the message quotes the instruction
+                    raise FormatError(
+                        f"task {spec.task_id} {name} split, embed_dim {embedder.dimension}: {exc}"
+                    ) from None
                 split.embedding[:, missing] = np.hstack(vectors)
 
 
@@ -410,8 +418,10 @@ def _fusion_stats(routing_by_task: dict[int, list[LayerRouting]]) -> list[dict]:
     for layer_id in sorted({r.layer_id for r in records}):
         row = {"layer": layer_id}
         for key in ("alpha", "beta"):
-            means = np.concatenate([getattr(r, key).reshape(r.vu_gate.shape[1], -1).mean(axis=1)
-                                    for r in records if r.layer_id == layer_id])
+            means = np.concatenate([
+                run_means(getattr(r, key), r.alpha.shape[1] // r.vu_gate.shape[1])[0]
+                for r in records if r.layer_id == layer_id
+            ])
             row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
         stats.append(row)
     return stats

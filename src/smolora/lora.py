@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .routing import LayerRouting, route_instance, route_instruction
-from .tensor import Matrix, SubMatrix, Tape, require_grads, run_means, softmax_back
+from .tensor import Matrix, SubMatrix, Tape, repeat_columns, require_grads, run_means, run_sums, softmax_back
 
 
 @dataclass
@@ -144,9 +144,7 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
-    full = gate.repeat(r, axis=0)
-    if s > 1:
-        full = full.repeat(s, axis=1)
+    full = repeat_columns(gate, s).repeat(r, axis=0)
     z = a_stack @ x
     zg = full * z
     out = b_cat @ zg
@@ -159,7 +157,9 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
         dx = a_stack.T @ dz if need_x else None
         if not need_gate:
             return dx, None
-        return dx, (dzg * z).reshape(gate.shape[0], r, gate.shape[1], s).sum(axis=(1, 3))
+        # Each instance's s columns, then each block's r rows, summed in order.
+        runs = run_sums(dzg * z, s).reshape(gate.shape[0], r, gate.shape[1])
+        return dx, np.add.reduce(runs, axis=1)
 
     return out, back
 
@@ -354,7 +354,7 @@ def smolora_forward(
                 np.matmul(dl_vu, run_means(xa, s).T, out=R_vu.grad)
                 np.matmul(dl_if, emb.T, out=R_if.grad)
                 if need_x:
-                    dx_banks = dx_banks + np.repeat((R_vu.a.T @ dl_vu) / s, s, axis=1)
+                    dx_banks = dx_banks + repeat_columns((R_vu.a.T @ dl_vu) / s, s)
             else:
                 R_vu.grad[...] = 0.0
                 R_if.grad[...] = 0.0

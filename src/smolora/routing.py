@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError, finite_float, read_utf8
+from .errors import FormatError, ShapeError, finite_float, read_utf8
 from .tensor import Matrix, check_finite, run_means
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
@@ -42,7 +42,8 @@ def embed_text(text: str, e: int) -> Matrix:
     """Feature-hashing bag-of-words embedding, L2-normalized, as an e x 1 matrix.
 
     Tokens are lowercased and split on non-alphanumerics; each token lands in
-    bucket hash % e with sign taken from hash bit 63.
+    bucket hash % e with sign taken from hash bit 63. Text with no token,
+    or whose token signs cancel to a zero vector, is a ValueError.
     """
     if e < 1:
         raise ValueError(f"embedding dimension must be positive, got {e}")
@@ -59,7 +60,7 @@ def embed_text(text: str, e: int) -> Matrix:
         v[h % e] += sign
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise ContractError(f"token signs cancelled to a zero embedding: {text!r}")
+        raise ValueError(f"token signs cancelled to a zero embedding: {text!r}")
     return Matrix._wrap((v / norm).reshape(-1, 1))
 
 

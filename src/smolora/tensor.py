@@ -10,6 +10,15 @@ gradients straight into their views of that buffer and returns its input's
 gradient, :func:`backward` calls the rules in reverse, and
 :func:`sgd_step` applies the buffer with one subtraction.
 
+Each instance's columns sit side by side in runs of s (two in the model:
+visual, instruction). Pooling and expanding those runs goes through
+:func:`run_sums`, :func:`run_means` and :func:`repeat_columns`, which touch
+one strided slice `a[:, i::s]` per position in the run, one whole-array
+operation each. numpy's own `reshape(..., s).sum(axis=-1)` and
+`repeat(s, axis=1)` make one inner-loop call per output entry along an axis
+that short, which costs several times more; the strided kernels give the
+same bits.
+
 Matrices and tapes are single-writer objects: they may move between threads
 but must not be mutated concurrently. Operations on distinct or read-only
 inputs are safe to call from multiple threads.
@@ -211,13 +220,45 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._wrap(a.a @ b.a)
 
 
+def run_sums(a: np.ndarray, s: int) -> np.ndarray:
+    """Row-wise sums of each run of s consecutive columns of a, added left to right.
+
+    The strided slices a[:, i::s] are added in order of i; for s = 1 this
+    is a itself, not a copy.
+    """
+    if s == 1:
+        return a
+    total = a[:, 0::s] + a[:, 1::s]
+    for i in range(2, s):
+        total += a[:, i::s]
+    return total
+
+
 def run_means(a: np.ndarray, s: int) -> np.ndarray:
     """Row-wise means of each run of s consecutive columns of a.
 
-    np.add.reduce and one division: the two ufunc calls `ndarray.mean`
-    makes, bit for bit, without its Python-level wrapper.
+    Bit-equal to `ndarray.mean` over each run for s <= 7: numpy adds a run
+    that short left to right, starting from +0.0, then divides by s. (It
+    adds longer runs pairwise, in another order.) The +0.0 turns a run of
+    -0.0 entries into +0.0, as numpy's sum does.
     """
-    return np.add.reduce(a.reshape(a.shape[0], -1, s), axis=2) / s
+    total = run_sums(a, s) + 0.0
+    total /= s
+    return total
+
+
+def repeat_columns(a: np.ndarray, s: int) -> np.ndarray:
+    """np.repeat(a, s, axis=1): each column of a copied into s consecutive columns.
+
+    One strided copy per position in the run; for s = 1 this is a itself,
+    not a copy.
+    """
+    if s == 1:
+        return a
+    out = np.empty((a.shape[0], a.shape[1] * s), dtype=a.dtype)
+    for i in range(s):
+        out[:, i::s] = a
+    return out
 
 
 def mean_over_columns(m: Matrix, groups: int = 1) -> Matrix:
@@ -239,7 +280,7 @@ def relu_pool(m: Matrix, groups: int, tape: Tape | None = None) -> Matrix:
     out = mean_over_columns(relu(m), groups)
     if tape is not None:
         s, pos = m.cols // groups, m.a > 0
-        tape._ops.append(lambda g: np.repeat(g / s, s, axis=1) * pos)
+        tape._ops.append(lambda g: repeat_columns(g / s, s) * pos)
     return out
 
 

@@ -183,6 +183,19 @@ class TestStreamValidation:
         err = capsys.readouterr().err
         assert "task 1 has no test records" in err and "(line 1)" in err
 
+    def test_cancelling_instruction_is_format_error(self, stream_file, tmp_path, capsys):
+        lines = [json.loads(line) for line in stream_file.read_text().splitlines()]
+        for record in lines[1:]:
+            record["instruction"] = "alpha beta"  # token signs cancel at dimension 1
+        stream_file.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        args = train_args(stream_file, tmp_path / "run")
+        args[args.index("--embed-dim") + 1] = "1"
+        capsys.readouterr()
+        assert run_cli(*args) == 3
+        err = capsys.readouterr().err
+        assert "task 0 train split" in err and "'alpha beta'" in err and "embed_dim 1" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestMetrics:
     def test_published_table(self, tmp_path, capsys):

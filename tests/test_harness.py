@@ -168,6 +168,17 @@ class TestToyModel:
         for j in range(1, len(got), 2):
             assert np.array_equal(got.embedding[:, j : j + 1], embedder.embed(got.texts[j]).a)
 
+    def test_cancelling_instruction_is_format_error_naming_it(self):
+        stream = small_stream()
+        test = stream[1][2]
+        test.texts = test.texts.copy()
+        test.texts[3] = "alpha beta"  # token signs cancel at dimension 1
+        with pytest.raises(FormatError) as info:
+            attach_embeddings(stream, HashingEmbedder(1))
+        message = str(info.value)
+        assert "task 1 test split" in message and "'alpha beta'" in message
+        assert "embed_dim 1" in message
+
 
 class TestTrainStage:
     def test_empty_train_set_rejected(self):

@@ -123,11 +123,14 @@ class TestMoLoRAForward:
 class TestBankGateExpansion:
     """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit."""
 
-    @pytest.mark.parametrize("s", [1, 2])
+    # Blocks, rank, input and output widths, instances; the second shape is
+    # smolora-wide's proj layer (16 blocks of rank 16).
+    @pytest.mark.parametrize("shape", [(4, 3, 8, 6, 5), (16, 16, 32, 64, 16)], ids=["4x3", "16x16"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("top_k", [1, 2])
-    def test_output_and_gradients_match(self, s, top_k):
+    def test_output_and_gradients_match(self, shape, s, top_k):
         rng = np.random.default_rng(10 * s + top_k)
-        n, r, d, k_out, instances = 4, 3, 8, 6, 5
+        n, r, d, k_out, instances = shape
         bank = LoRABank(Matrix(rng.normal(size=(n * r, d))), Matrix(rng.normal(size=(k_out, n * r))), r)
         gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
         x = rng.normal(size=(d, instances * s))

@@ -36,6 +36,11 @@ class TestEmbedText:
         with pytest.raises(ValueError):
             embed_text("", 16)
 
+    def test_cancelling_tokens_rejected(self):
+        # The two tokens hash to opposite signs in the one bucket.
+        with pytest.raises(ValueError, match="cancelled to a zero embedding"):
+            embed_text("alpha beta", 1)
+
     def test_cosine_matches_reference_hasher(self):
         # Independent scalar re-implementation of the hashing scheme.
         def reference(text, e):

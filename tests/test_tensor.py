@@ -18,6 +18,7 @@ from smolora.tensor import (
     matmul,
     mean_over_columns,
     relu_pool,
+    repeat_columns,
     run_means,
     sgd_step,
     softmax_back,
@@ -130,6 +131,41 @@ class TestMeanOverColumns:
         want = a.reshape(9, 4, s).mean(axis=2)
         assert np.array_equal(mean_over_columns(Matrix(a), groups=4).a, want)
         assert np.array_equal(run_means(a, s), want)
+
+    def test_bit_equal_to_ndarray_mean_at_the_hidden_width(self):
+        # The hidden layer's output over a 96-instance test split.
+        a = np.random.default_rng(64).normal(size=(64, 192))
+        assert run_means(a, 2).tobytes() == a.reshape(64, 96, 2).mean(axis=2).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_signed_zeros_as_ndarray_mean(self, s):
+        # numpy's sum starts from +0.0, so a run of -0.0 means +0.0.
+        rng = np.random.default_rng(70 + s)
+        a = rng.choice([-0.0, 0.0, 1.5, -1.5], size=(8, 6 * s))
+        a[0] = -0.0
+        assert run_means(a, s).tobytes() == a.reshape(8, 6, s).mean(axis=2).tobytes()
+
+
+class TestRepeatColumns:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_bit_equal_to_np_repeat(self, s):
+        rng = np.random.default_rng(80 + s)
+        wide = rng.normal(size=(64, 96))
+        strided = rng.normal(size=(12, 10))[::2, 1::3]
+        assert not strided.flags.c_contiguous
+        for a in (wide, strided):
+            assert repeat_columns(a, s).tobytes() == np.repeat(a, s, axis=1).tobytes()
+
+    @pytest.mark.parametrize("groups", [2, 3, 12])
+    def test_relu_pool_rule_as_np_repeat(self, groups):
+        rng = np.random.default_rng(90 + groups)
+        m = Matrix(rng.normal(size=(10, 12)))
+        g = rng.normal(size=(10, groups))
+        tape = Tape()
+        relu_pool(m, groups, tape)
+        s = 12 // groups
+        want = np.repeat(g / s, s, axis=1) * (m.a > 0)
+        assert tape._ops[0](g).tobytes() == want.tobytes()
 
 
 def test_softmax_back_matches_np_sum():
