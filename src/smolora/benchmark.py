@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -82,8 +83,8 @@ class TaskSpec:
                 f"task {self.task_id}: {self.visual_cluster_means.shape[0]} means "
                 f"for {self.class_count} classes"
             )
-        if self.cluster_stddev < 0:
-            raise ValueError(f"cluster_stddev must be non-negative, got {self.cluster_stddev}")
+        if not math.isfinite(self.cluster_stddev) or self.cluster_stddev < 0:
+            raise ValueError(f"cluster_stddev must be finite and non-negative, got {self.cluster_stddev}")
 
 
 @dataclass
@@ -114,6 +115,33 @@ class TaskSplit:
             format_id=self.format_id.take(index),
             task_id=self.task_id.take(index),
             embedding=None if self.embedding is None else self.embedding.take(index, axis=1),
+        )
+
+    def columns(self, start: int, stop: int) -> "TaskSplit":
+        """Instances start to stop - 1 as views of this split's arrays."""
+        cols = slice(start, stop)
+        return TaskSplit(
+            visual=self.visual[:, cols],
+            texts=self.texts[cols],
+            answer_class=self.answer_class[cols],
+            format_id=self.format_id[cols],
+            task_id=self.task_id[cols],
+            embedding=None if self.embedding is None else self.embedding[:, cols],
+        )
+
+    @staticmethod
+    def concat(splits: Sequence["TaskSplit"]) -> "TaskSplit":
+        """The splits' instances side by side, in order, as one split; one split is returned as is."""
+        if len(splits) == 1:
+            return splits[0]
+        embeddings = [s.embedding for s in splits]
+        return TaskSplit(
+            visual=np.hstack([s.visual for s in splits]),
+            texts=np.concatenate([s.texts for s in splits]),
+            answer_class=np.concatenate([s.answer_class for s in splits]),
+            format_id=np.concatenate([s.format_id for s in splits]),
+            task_id=np.concatenate([s.task_id for s in splits]),
+            embedding=None if any(e is None for e in embeddings) else np.hstack(embeddings),
         )
 
 

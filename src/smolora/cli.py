@@ -71,16 +71,23 @@ def _report_dict(report: metrics.MetricReport) -> dict:
 def cmd_generate(args) -> int:
     if args.tasks < 2:
         raise UsageError(f"--tasks must be at least 2, got {args.tasks}")
-    stream = benchmark.generate_stream(
-        seed=args.seed,
-        task_count=args.tasks,
-        train_per_task=args.train_per_task,
-        test_per_task=args.test_per_task,
-        d_v=args.dv,
-        class_count=args.classes,
-        instruction_mode=args.mode,
-        cluster_stddev=args.stddev,
-    )
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    try:
+        stream = benchmark.generate_stream(
+            seed=args.seed,
+            task_count=args.tasks,
+            train_per_task=args.train_per_task,
+            test_per_task=args.test_per_task,
+            d_v=args.dv,
+            class_count=args.classes,
+            instruction_mode=args.mode,
+            cluster_stddev=args.stddev,
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a flag value out of its range
+        raise UsageError(str(exc)) from None
     manifest = {
         "seed": args.seed,
         "task_count": args.tasks,
@@ -137,12 +144,20 @@ def cmd_train(args) -> int:
     stream_path = Path(config.stream)
     if not stream_path.exists():
         raise FileNotFoundError(f"stream file not found: {stream_path}")
-    started = datetime.now(timezone.utc).isoformat()
-    _, stream = benchmark.read_stream(stream_path)
-    model, report = harness.run_cvit(config, stream)
-
+    # An unusable output directory fails here, before any training; the
+    # directories made for it are removed again if the run fails.
     out_dir = Path(config.out_dir)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    started = datetime.now(timezone.utc).isoformat()
+    try:
+        _, stream = benchmark.read_stream(stream_path)
+        model, report = harness.run_cvit(config, stream)
+    except BaseException:
+        for p in made:  # innermost first, all still empty
+            p.rmdir()
+        raise
+
     task_count = len(stream)
     outputs: list[Path] = []
 

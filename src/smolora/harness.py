@@ -14,13 +14,19 @@ embeds each distinct text once. The model runs a whole split or
 mini-batch at once: the instances' columns sit side by side, two per
 instance, with one embedding column per instance, taken from the split's
 arrays without a loop over instances. A training mini-batch is a column
-selection of its stage's split and records one tape; evaluation runs one
-tape-free forward per test split and compares the argmax predictions with
-the label arrays, and the run stacks those correctness arrays into one
-columnar `metrics.Records` table: no per-sample Python object is built
-between the forward and `records.jsonl`. An evaluation forward also
-returns one `routing.LayerRouting` per separable layer, and the run reduces
-the last stage's to the routing histogram and fusion statistics.
+selection of its stage's split and records one tape. Evaluation packs the
+test splits once: a pack is a run of consecutive whole tasks of at most
+`EVAL_PACK_INSTANCES` instances together, joined side by side, and a
+larger task is a pack of its own. After stage k the first k tasks run as
+one tape-free forward per pack, or per column view of a pack's seen
+tasks. Each forward's argmax predictions are compared with the label
+arrays, each task's accuracies and correctness columns are read by its
+offset in the pack, and the run stacks those into one columnar
+`metrics.Records` table: no per-sample Python object is built between the
+forward and `records.jsonl`. An evaluation forward also returns one
+`routing.LayerRouting` per separable layer; the run cuts the last stage's
+into per-task slices and reduces them to the routing histogram and fusion
+statistics.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -55,6 +61,11 @@ from .tensor import (
 
 METHODS = ("seqlora", "molora", "smolora")
 
+# Evaluation runs consecutive whole test splits as one forward up to this
+# many instances: below it a forward's fixed cost dominates, above it a
+# forward runs slower per instance (README, "Training and evaluation").
+EVAL_PACK_INSTANCES = 128
+
 
 @dataclass
 class RunConfig:
@@ -77,18 +88,25 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("vu_blocks", "if_blocks", "rank", "top_k", "embed_dim", "hidden", "batch_size",
+                     "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("vu_blocks", "if_blocks", "rank", "embed_dim", "hidden", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 1 <= self.top_k <= min(self.vu_blocks, self.if_blocks):
             raise ConfigError(
                 f"top_k {self.top_k} out of range for banks of "
                 f"{self.vu_blocks} and {self.if_blocks}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
+            raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -336,8 +354,60 @@ def evaluate_task(
     correct = np.empty((2, n), dtype=np.int64)
     correct[0] = np.argmax(content.a, axis=0) == test_set.answer_class
     correct[1] = np.argmax(fmt.a, axis=0) == test_set.format_id
+    return (*_percentages(correct), correct, routing)
+
+
+def _percentages(correct: np.ndarray) -> tuple[float, float]:
+    """Content and format accuracy in percent of a 2 x n correctness array."""
+    n = correct.shape[1]
+    if not n:
+        raise ValueError("accuracy of an empty test split")
     content_hits, format_hits = correct.sum(axis=1).tolist()
-    return 100.0 * content_hits / n, 100.0 * format_hits / n, correct, routing
+    return 100.0 * content_hits / n, 100.0 * format_hits / n
+
+
+def eval_packs(sizes: Sequence[int], cap: int = EVAL_PACK_INSTANCES) -> list[tuple[int, int]]:
+    """Task ranges [start, stop) of consecutive whole tasks with at most `cap`
+    instances together; a task larger than `cap` is a pack of its own.
+
+    The packing is greedy, so the packs of the first k tasks are these packs
+    cut at k.
+    """
+    packs, start, total = [], 0, 0
+    for j, n in enumerate(sizes):
+        if j > start and total + n > cap:
+            packs.append((start, j))
+            start, total = j, 0
+        total += n
+    packs.append((start, len(sizes)))
+    return packs
+
+
+def _evaluate_seen(
+    model: ToyModel, packs: list[tuple[int, int, TaskSplit]], offsets: list[int], k: int
+) -> tuple[list[float], list[float], list[np.ndarray], dict[int, list[LayerRouting]]]:
+    """Evaluate the first k tasks, one forward per pack or pack prefix.
+
+    A pack (first, last, split) holds tasks first to last - 1 side by side;
+    task j starts at column offsets[j] - offsets[first]. Returns each seen
+    task's content and format accuracy, correctness columns and routing.
+    """
+    c_row, f_row, oks = [], [], []
+    routing_by_task: dict[int, list[LayerRouting]] = {}
+    for first, last, split in packs:
+        if first >= k:
+            break
+        bounds = [offsets[j] - offsets[first] for j in range(first, min(last, k) + 1)]
+        _, _, ok, routing = evaluate_task(model, split.columns(0, bounds[-1]))
+        for a, b in zip(bounds, bounds[1:]):
+            c_acc, f_acc = _percentages(ok[:, a:b])
+            c_row.append(c_acc)
+            f_row.append(f_acc)
+            oks.append(ok[:, a:b])
+            routing_by_task.setdefault(int(split.task_id[a]), []).extend(
+                r.instances(a, b) for r in routing
+            )
+    return c_row, f_row, oks, routing_by_task
 
 
 @dataclass
@@ -367,27 +437,36 @@ def run_cvit(
     format_count = max(2, max(spec.format_id for spec, _, _ in stream) + 1)
     model = ToyModel(config, d_v, class_count, format_count)
 
+    for spec, _, test in stream:
+        if test.visual.shape[0] != d_v:
+            raise ShapeError(f"task {spec.task_id} test visual dim {test.visual.shape[0]} != d_v {d_v}")
+    sizes = [len(test) for _, _, test in stream]
+    offsets = np.cumsum([0, *sizes]).tolist()
+    # Each pack's test splits side by side, joined once; a stage evaluates a
+    # prefix of a pack as a column view.
+    packs = [(first, last, TaskSplit.concat([test for _, _, test in stream[first:last]]))
+             for first, last in eval_packs(sizes)]
+
     content = AccuracyMatrix()
     fmt = AccuracyMatrix()
     evaluated: list[tuple[int, TaskSplit, np.ndarray]] = []  # (stage, test split, correctness)
     step_losses: list[list[float]] = []
-    for k, (spec, train, test) in enumerate(stream, start=1):
-        try:
-            step_losses.append(train_stage(model, train, config, stage_index=k - 1))
-            c_row, f_row = [], []
-            # Reset per stage: the report keeps the last stage's routing.
-            routing_by_task: dict[int, list[LayerRouting]] = {}
-            for j in range(k):
-                spec_j, _, test_j = stream[j]
-                c_acc, f_acc, ok, routing = evaluate_task(model, test_j)
-                c_row.append(c_acc)
-                f_row.append(f_acc)
-                evaluated.append((k, test_j, ok))
-                routing_by_task.setdefault(spec_j.task_id, []).extend(routing)
+    # Weights that grow past float64 range end the run as a configuration
+    # error at the first overflow, with no warning printed.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k, (_, train, _) in enumerate(stream, start=1):
+            try:
+                step_losses.append(train_stage(model, train, config, stage_index=k - 1))
+                c_row, f_row, oks, routing_by_task = _evaluate_seen(model, packs, offsets, k)
+            except FloatingPointError as exc:
+                raise ConfigError(
+                    f"stage {k}: training diverged at learning_rate {config.learning_rate!r} ({exc})"
+                ) from None
+            except Exception as exc:  # noqa: BLE001 - annotate with the stage index
+                raise StageError(k, exc) from exc
             content.add_row(c_row)
             fmt.add_row(f_row)
-        except Exception as exc:  # noqa: BLE001 - annotate with the stage index
-            raise StageError(k, exc) from exc
+            evaluated += [(k, stream[j][2], ok) for j, ok in enumerate(oks)]
 
     correct = np.concatenate([ok for _, _, ok in evaluated], axis=1)
     records = Records(

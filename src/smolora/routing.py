@@ -138,6 +138,13 @@ class LayerRouting(NamedTuple):
     alpha: np.ndarray
     beta: np.ndarray
 
+    def instances(self, start: int, stop: int) -> "LayerRouting":
+        """The routing of instances start to stop - 1, as views of these arrays."""
+        s = self.alpha.shape[1] // self.vu_gate.shape[1]
+        gates, fusion = slice(start, stop), slice(start * s, stop * s)
+        return self._replace(vu_gate=self.vu_gate[:, gates], if_gate=self.if_gate[:, gates],
+                             alpha=self.alpha[:, fusion], beta=self.beta[:, fusion])
+
 
 def routing_histogram(
     routing_by_task: Mapping[int, Sequence[LayerRouting]],

@@ -1,4 +1,4 @@
-"""Shared pieces of the corrupted-file tests: one corruption and one CLI check.
+"""Shared pieces of the corrupted-input tests: one corruption and one CLI check.
 
 Import after `pytest.importorskip("hypothesis")`.
 """
@@ -20,17 +20,21 @@ def corrupt(data, raw: bytes) -> bytes:
     return raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
 
 
-def assert_clean_exit(argv: list[str], accepted: bool) -> None:
-    """Run the CLI in process on a possibly corrupted file.
+def assert_clean_exit(argv: list[str], accepted: bool | None, rejected: int = EXIT_FORMAT,
+                      prefixes: tuple[str, ...] = ("format error: ",)) -> None:
+    """Run the CLI in process on a possibly corrupted input.
 
-    It must exit 0 when the file's reader accepted it, and otherwise exit 3
-    with one `format error:` line; it never shows a traceback.
+    It must exit 0 when the input's reader accepted it, and otherwise exit
+    `rejected` with one line starting with one of `prefixes`; with
+    `accepted` None either outcome is clean. It never shows a traceback.
     """
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(argv)
     err = err.getvalue()
     assert "Traceback" not in err
-    assert code == (EXIT_OK if accepted else EXIT_FORMAT), err
+    if accepted is None:
+        accepted = code == EXIT_OK
+    assert code == (EXIT_OK if accepted else rejected), err
     if not accepted:
-        assert err.startswith("format error: ") and err.count("\n") == 1, err
+        assert err.startswith(prefixes) and err.count("\n") == 1, err

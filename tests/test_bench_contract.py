@@ -20,8 +20,17 @@ from pathlib import Path
 
 import pytest
 
+from smolora import harness
 from smolora.benchmark import generate_stream
-from smolora.harness import AdapterLayer, RunConfig, ToyModel, attach_embeddings, evaluate_task, train_stage
+from smolora.harness import (
+    AdapterLayer,
+    RunConfig,
+    ToyModel,
+    attach_embeddings,
+    evaluate_task,
+    run_cvit,
+    train_stage,
+)
 from smolora.routing import HashingEmbedder
 from smolora.tensor import Tape, backward
 
@@ -142,3 +151,24 @@ def test_each_training_step_meets_the_wrap_points_once(monkeypatch, method):
             assert len(args) > 2 and args[2] is not None
         elif attr == "backward":
             assert isinstance(args[0]._ops, list) and len(args[0]._ops) == 6
+
+
+def test_evaluation_calls_hold_whole_tasks_and_every_record(monkeypatch):
+    # child.py counts `eval_samples` as the summed `len(test_set)` of the
+    # `evaluate_task` calls. Over a run that must be the records count, and
+    # a call may pack several seen tasks but holds each task's whole split.
+    calls = []
+
+    def evaluate(model, test_set):
+        calls.append(test_set.task_id.tolist())
+        return evaluate_task(model, test_set)
+
+    monkeypatch.setattr(harness, "evaluate_task", evaluate)
+    stream = generate_stream(0, task_count=4, train_per_task=4, test_per_task=48, d_v=8,
+                             class_count=4)
+    config = RunConfig(method="smolora", embed_dim=16, hidden=16, rank=4, batch_size=4, epochs=1)
+    _, report = run_cvit(config, stream)
+    assert sum(map(len, calls)) == len(report.records) == 48 * (1 + 2 + 3 + 4)
+    assert [list(dict.fromkeys(ids)) for ids in calls] == [[0], [0, 1], [0, 1], [2], [0, 1], [2, 3]]
+    for ids in calls:
+        assert ids == [t for t in dict.fromkeys(ids) for _ in range(48)]

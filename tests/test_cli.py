@@ -3,6 +3,7 @@ import json
 import pytest
 from _reference_tables import TABLES
 
+from smolora import benchmark
 from smolora.cli import main
 from smolora.metrics import AccuracyMatrix, write_accuracy_csv
 
@@ -140,6 +141,61 @@ class TestTrain:
         err = format_error(capsys, "train", "--stream", str(stream_file),
                            "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
         assert "cfg.json" in err and where in err
+
+
+def one_line_error(capsys, code, prefix, *argv) -> str:
+    """Run the CLI, expect exit `code` with one line starting `prefix`, and return that line."""
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+class TestBadValuesExitBeforeAnyWork:
+    """A bad config value exits 1, and an unusable --out-dir 2, before the stream is read."""
+
+    @pytest.fixture(autouse=True)
+    def stream_unread(self, monkeypatch):
+        def read_stream(path):
+            raise AssertionError("the stream was read")
+
+        monkeypatch.setattr(benchmark, "read_stream", read_stream)
+
+    @pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "seed"),
+                                                    ("--lr", "nan", "learning_rate"),
+                                                    ("--lr", "inf", "learning_rate")])
+    def test_bad_flag_value(self, stream_file, tmp_path, capsys, flag, value, field):
+        err = one_line_error(capsys, 1, "configuration error: ",
+                             *train_args(stream_file, tmp_path / "r"), flag, value)
+        assert field in err
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", float("nan")), ("epochs", "3"),
+                                            ("rank", 2.5), ("batch_size", True), ("seed", -2)])
+    def test_bad_config_file_value(self, stream_file, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "seqlora", key: value}))
+        err = one_line_error(capsys, 1, "configuration error: ", "train", "--stream", str(stream_file),
+                             "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
+        assert key in err
+
+    def test_out_dir_that_is_a_file(self, stream_file, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        one_line_error(capsys, 2, "I/O error: ", *train_args(stream_file, target))
+        assert target.read_text() == "not a directory\n"
+
+    def test_negative_generate_seed(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        assert "--seed" in one_line_error(capsys, 1, "usage error: ", *generate_args(path, seed=-1))
+        assert not path.exists()
+
+
+def test_diverging_learning_rate_is_a_configuration_error(stream_file, tmp_path, capsys):
+    argv = train_args(stream_file, tmp_path / "r")
+    err = one_line_error(capsys, 1, "configuration error: ", *argv, "--lr", "1e300")
+    assert err.startswith("configuration error: stage 1: training diverged at learning_rate 1e+300")
+    assert not (tmp_path / "r").exists()
 
 
 def _edit_line(path, lineno, change):
@@ -291,11 +347,7 @@ _GOOD_RECORD = ('{"content_correct": 1, "format_correct": 0, "instance_index": 0
 
 def format_error(capsys, *argv) -> str:
     """Run the CLI, expect exit 3 with one `format error:` line, and return that line."""
-    capsys.readouterr()
-    assert run_cli(*argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("format error: ") and err.count("\n") == 1, err
-    return err
+    return one_line_error(capsys, 3, "format error: ", *argv)
 
 
 class TestMalformedRecords:

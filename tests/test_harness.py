@@ -27,8 +27,8 @@ from smolora.harness import (
     save_checkpoint,
     train_stage,
 )
-from smolora.metrics import write_records_jsonl
-from smolora.routing import HashingEmbedder
+from smolora.metrics import Records, write_records_jsonl
+from smolora.routing import HashingEmbedder, routing_histogram
 from smolora.tensor import Matrix, Tape, backward, mean_over_columns, relu
 
 
@@ -57,18 +57,6 @@ def prepared(seed=0, tasks=2, e=16, **kw):
     stream = small_stream(seed, tasks, **kw)
     attach_embeddings(stream, HashingEmbedder(e))
     return stream
-
-
-def concat(*splits):
-    """The splits' instances side by side, as one split."""
-    return TaskSplit(
-        visual=np.hstack([s.visual for s in splits]),
-        texts=np.concatenate([s.texts for s in splits]),
-        answer_class=np.concatenate([s.answer_class for s in splits]),
-        format_id=np.concatenate([s.format_id for s in splits]),
-        task_id=np.concatenate([s.task_id for s in splits]),
-        embedding=np.hstack([s.embedding for s in splits]),
-    )
 
 
 class TestRunConfig:
@@ -238,7 +226,7 @@ def _live_model_and_batch(method):
     for name, m in model.named_matrices().items():
         if name.endswith(".B"):
             m.a[...] = rng.normal(size=m.shape)
-    return model, concat(stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3)))
+    return model, TaskSplit.concat([stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3))])
 
 
 def _backward(model, batch, routing=None):
@@ -498,6 +486,7 @@ class TestColumnarPaths:
 
     def test_run_records_match_dict_assembly(self, monkeypatch, tmp_path):
         # Eleven tasks, so that stage, task and index values reach two digits.
+        # Ten 12-instance test splits fill a pack, so the last stage runs two.
         evaluated = []
 
         def evaluate(model, test_set):
@@ -507,9 +496,10 @@ class TestColumnarPaths:
 
         monkeypatch.setattr(harness, "evaluate_task", evaluate)
         _, report = run_cvit(small_config("seqlora", epochs=1), prepared(tasks=11, train=8, test=12))
-        stages = [k for k in range(1, 12) for _ in range(k)]
-        assert len(evaluated) == len(stages)
-        dicts = [r for k, (tasks, ok) in zip(stages, evaluated) for r in stage_records(k, tasks, ok)]
+        packs = [(k, list(range(k))) for k in range(1, 11)] + [(11, list(range(10))), (11, [10])]
+        assert [tasks for tasks, _ in evaluated] == [[t for t in p for _ in range(12)] for _, p in packs]
+        dicts = [r for (k, pack), (_, ok) in zip(packs, evaluated) for i, t in enumerate(pack)
+                 for r in stage_records(k, [t] * 12, ok[:, 12 * i : 12 * (i + 1)])]
         write_records_jsonl(tmp_path / "got.jsonl", report.records)
         write_dict_records(tmp_path / "want.jsonl", dicts)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
@@ -535,6 +525,78 @@ class TestColumnarPaths:
                 assert freq.shape == (blocks,)
                 assert np.array_equal(report.routing_hist[task_id][bank], freq)
         assert report.fusion_stats == fusion
+
+
+class TestPackedEvaluation:
+    """Seen tasks evaluated in packs give what each split evaluated alone gives."""
+
+    def test_packs_are_greedy_runs_of_whole_tasks(self):
+        assert harness.eval_packs([16] * 6) == [(0, 6)]
+        assert harness.eval_packs([96] * 3) == [(0, 1), (1, 2), (2, 3)]
+        assert harness.eval_packs([64, 64, 1]) == [(0, 2), (2, 3)]
+        sizes = [16, 16, 200, 16, 50, 70, 8, 129]
+        packs = harness.eval_packs(sizes)
+        assert packs == [(0, 2), (2, 3), (3, 5), (5, 7), (7, 8)]
+        for k in range(1, len(sizes) + 1):  # a prefix packs as the packing cut at k
+            assert harness.eval_packs(sizes[:k]) == [(a, min(b, k)) for a, b in packs if a < k]
+
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_run_matches_each_split_evaluated_alone(self, monkeypatch, top_k):
+        # Test splits of 16, 16, 200 and 16: a pack, a lone oversized task,
+        # then a pack again.
+        stream = [(spec, train, test if j == 2 else test.take(np.arange(16)))
+                  for j, (spec, train, test) in enumerate(generate_stream(
+                      2, task_count=4, train_per_task=8, test_per_task=200, d_v=8, class_count=4))]
+        cfg = small_config("smolora", top_k=top_k, vu_blocks=3, if_blocks=3, epochs=1)
+        stages, calls = [], []
+        train_stage_ = harness.train_stage
+
+        def train(*args, **kwargs):
+            stages.append([])
+            return train_stage_(*args, **kwargs)
+
+        def evaluate(model, test_set):
+            calls.append(test_set.task_id.tolist())
+            packed = model.forward(test_set, routing=(packed_routing := []))
+            start = 0
+            for spec, _, test in stream:
+                if spec.task_id not in test_set.task_id:
+                    continue
+                alone = model.forward(test, routing=(alone_routing := []))
+                cols = slice(start, start + len(test))
+                for got, want in zip(packed, alone):
+                    assert np.array_equal(got.a[:, cols], want.a)
+                for got, want in zip(packed_routing, alone_routing):
+                    got = got.instances(cols.start, cols.stop)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                stages[-1].append((spec.task_id, evaluate_task(model, test)))
+                start = cols.stop
+            assert start == len(test_set)
+            return evaluate_task(model, test_set)
+
+        monkeypatch.setattr(harness, "train_stage", train)
+        monkeypatch.setattr(harness, "evaluate_task", evaluate)
+        _, report = run_cvit(cfg, stream)
+        first, pack, lone = [0] * 16, [0] * 16 + [1] * 16, [2] * 200
+        assert calls == [first, pack, pack, lone, pack, lone, [3] * 16]
+        for k, row in enumerate(stages, start=1):
+            assert [t for t, _ in row] == list(range(k))
+            assert [report.content.score(k, j) for j in range(1, k + 1)] == [out[0] for _, out in row]
+            assert [report.format.score(k, j) for j in range(1, k + 1)] == [out[1] for _, out in row]
+        pieces = [(k, t, out[2]) for k, row in enumerate(stages, start=1) for t, out in row]
+        assert report.records == Records(
+            stage=np.concatenate([np.full(ok.shape[1], k) for k, _, ok in pieces]),
+            task_id=np.concatenate([np.full(ok.shape[1], t) for _, t, ok in pieces]),
+            instance_index=np.concatenate([np.arange(ok.shape[1]) for *_, ok in pieces]),
+            content_correct=np.concatenate([ok[0] for *_, ok in pieces]),
+            format_correct=np.concatenate([ok[1] for *_, ok in pieces]),
+        )
+        routing = {t: out[3] for t, out in stages[-1]}
+        hist = routing_histogram(routing)
+        assert report.routing_hist.keys() == hist.keys()
+        for t, banks in hist.items():
+            assert all(np.array_equal(report.routing_hist[t][b], banks[b]) for b in ("vu", "if"))
+        assert report.fusion_stats == harness._fusion_stats(routing)
 
 
 class TestRunCvit:
