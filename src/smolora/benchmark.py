@@ -219,14 +219,14 @@ def generate_stream(
     """Deterministic task stream: (spec, train split, test split) per task."""
     if task_count < 2:
         raise ValueError(f"need at least 2 tasks, got {task_count}")
-    for name, val in (
-        ("train_per_task", train_per_task),
-        ("test_per_task", test_per_task),
-        ("d_v", d_v),
-        ("class_count", class_count),
+    for name, val, least in (
+        ("train_per_task", train_per_task, 1),
+        ("test_per_task", test_per_task, 1),
+        ("d_v", d_v, 1),
+        ("class_count", class_count, 2),
     ):
-        if val < 1:
-            raise ValueError(f"{name} must be positive, got {val}")
+        if val < least:
+            raise ValueError(f"{name} must be at least {least}, got {val}")
     if instruction_mode not in ("single", "multi"):
         raise ValueError(f"instruction_mode must be 'single' or 'multi', got {instruction_mode!r}")
 
@@ -247,6 +247,8 @@ def generate_stream(
         )
         train = _sample_split(rng, spec, train_per_task, d_v)
         test = _sample_split(rng, spec, test_per_task, d_v)
+        for name, split in (("train", train), ("test", test)):
+            _finite(split.visual, f"task {t} {name} visual at cluster_stddev {cluster_stddev:g}", 2)
         stream.append((spec, train, test))
     return stream
 

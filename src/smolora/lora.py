@@ -19,6 +19,13 @@ rank-r blocks is stored bank-major: the blocks' A matrices stacked
 and B being submatrices of the two. A bank is then two matmuls, and its
 gradient two whole arrays.
 
+A forward without a tape keeps nothing for a backward: it builds no rule,
+holds no intermediate, and writes in place only into arrays it allocated
+itself (the gated A @ x, the bank outputs scaled by the fusion weights, the
+base product the update is added to), never into its inputs, the
+parameters or the routing arrays it returns. The arithmetic is the taped
+forward's, so both give the same bits.
+
 A top-1 gate is one-hot whatever its logits, so its gradient is exactly 0;
 at top-1 the rule computes no router gradient and writes zeros. Given a
 list, the separable layer appends a `routing.LayerRouting` of the gate and
@@ -74,7 +81,12 @@ def lora_apply(
     if x.rows != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.rows)):
         raise ShapeError(f"block {B.shape[0]}x{A.shape[1]} does not map {x.rows}x{x.cols} input")
     z = A @ xa
-    out = Matrix._wrap(B @ z if base is None else base.a @ xa + B @ z)
+    if base is None:
+        y = B @ z
+    else:
+        y = base.a @ xa
+        y += B @ z
+    out = Matrix._wrap(y)
     if tape is not None:
         require_grads(block.A, block.B)
         gA, gB, need_x = block.A.grad, block.B.grad, bool(tape._ops)
@@ -133,19 +145,23 @@ def init_lora_bank(d: int, k_out: int, n: int, r: int, rng: np.random.Generator)
     return LoRABank(A=A, B=Matrix.zeros(k_out, n * r), rank=r)
 
 
-def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int):
-    """One bank in two matmuls, B @ (G * (A @ x)), and its backward rule.
+def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, taped: bool):
+    """One bank in two matmuls, B @ (G * (A @ x)), and its backward rule when taped.
 
     Gate entry (i, j) scales block i's rank rows over instance j's s columns.
-    The rule takes the gradient of the bank output and whether x and the
-    gate need gradients; it writes the gradients of the bank's A and B whole
-    into their views and returns those of x and of the gate (None where not
-    needed). A block that no instance selected gets zeros.
+    Untaped, the gate scales A @ x, a new array, in place and nothing is
+    kept: the rule is None. Taped, the rule takes the gradient of the bank output and whether
+    x and the gate need gradients; it writes the gradients of the bank's A
+    and B whole into their views and returns those of x and of the gate
+    (None where not needed). A block that no instance selected gets zeros.
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
     full = repeat_columns(gate, s).repeat(r, axis=0)
     z = a_stack @ x
+    if not taped:
+        z *= full
+        return b_cat @ z, None
     zg = full * z
     out = b_cat @ zg
 
@@ -204,8 +220,10 @@ def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> M
         raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
     xa, W0 = x.a, layer.W0.a
     gate = route_instruction(layer.router.a, xa, layer.top_k)
-    delta, bank_back = _bank(layer.bank, gate, xa, 1)
-    out = Matrix._wrap(W0 @ xa + delta)
+    delta, bank_back = _bank(layer.bank, gate, xa, 1, tape is not None)
+    y = W0 @ xa
+    y += delta
+    out = Matrix._wrap(y)
     if tape is not None:
         require_grads(layer.router, layer.bank.A, layer.bank.B)
         need_x, routed, g_router = bool(tape._ops), layer.top_k > 1, layer.router.grad
@@ -276,13 +294,16 @@ def adaptive_fusion(
     x_if: np.ndarray,
     I_vu: np.ndarray,
     I_if: np.ndarray,
+    overwrite: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-position convex combination of the two bank outputs.
 
     Scores u = I_vu @ x_vu and v = I_if @ x_if (1 x s each) pass through a
     pairwise softmax at every column, yielding weights alpha, beta with
     alpha_t + beta_t = 1; the result is alpha*x_vu + beta*x_if column-wise.
-    Returns the result, alpha and beta.
+    Returns the result, alpha and beta. With `overwrite`, for a caller that
+    keeps neither bank output, both are scaled in place and the result is
+    x_vu itself.
     """
     if x_vu.shape != x_if.shape:
         raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
@@ -290,7 +311,9 @@ def adaptive_fusion(
     e = np.exp(np.concatenate([u, v]) - np.maximum(u, v))
     ab = e / (e[:1] + e[1:])
     alpha, beta = ab[:1], ab[1:]
-    return alpha * x_vu + beta * x_if, alpha, beta
+    fused = np.multiply(alpha, x_vu, out=x_vu if overwrite else None)
+    fused += np.multiply(beta, x_if, out=x_if if overwrite else None)
+    return fused, alpha, beta
 
 
 def smolora_forward(
@@ -324,11 +347,14 @@ def smolora_forward(
     xa, emb, W0 = x.a, instr_emb.a, layer.W0.a
     vu_gate = route_instance(layer.R_vu.a, xa, layer.top_k, n)
     if_gate = route_instruction(layer.R_if.a, emb, layer.top_k)
-    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, xa, s)
-    x_if, if_back = _bank(layer.if_bank, if_gate, xa, s)
-    fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
-    out = Matrix._wrap(W0 @ xa + fused)
-    if tape is not None:
+    taped = tape is not None
+    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, xa, s, taped)
+    x_if, if_back = _bank(layer.if_bank, if_gate, xa, s, taped)
+    fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a, overwrite=not taped)
+    y = W0 @ xa
+    y += fused
+    out = Matrix._wrap(y)
+    if taped:
         R_vu, R_if, I_vu, I_if = layer.R_vu, layer.R_if, layer.I_vu, layer.I_if
         require_grads(R_vu, R_if, I_vu, I_if, layer.vu_bank.A, layer.vu_bank.B,
                       layer.if_bank.A, layer.if_bank.B)

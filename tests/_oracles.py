@@ -5,9 +5,9 @@ probe gradients, and the straight-line forward below re-evaluates the
 separable layer with plain numpy, step by step. The per-instance model input
 and records rebuild, one instance at a time, what the harness builds from a
 split's arrays. The dict-based records, their writer and MIF, the
-double-repeat bank, the two-row fusion and the per-instance routing traces
-below are earlier versions of the library's code, kept as bit-for-bit
-references for the array versions.
+double-repeat and out-of-place banks, the two-row fusion and the
+per-instance routing traces below are earlier versions of the library's
+code, kept as bit-for-bit references for the array and in-place versions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from smolora.errors import ContractError
-from smolora.tensor import Tape
+from smolora.tensor import Tape, repeat_columns
 
 FD_H = 1e-5
 
@@ -215,6 +215,15 @@ def double_repeat_bank(a_stack, b_cat, r: int, gate, x, s: int, g):
     dz = dzg * full
     d_gate = (dzg * z).reshape(gate.shape[0], r, gate.shape[1], s).sum(axis=(1, 3))
     return out, dz @ x.T, g @ zg.T, a_stack.T @ dz, d_gate
+
+
+def out_of_place_bank(a_stack, b_cat, r: int, gate, x, s: int):
+    """A bank's output with the gated product G * (A @ x) built as a new array,
+    the reference for the untaped `lora._bank`, which gates A @ x in place."""
+    full = repeat_columns(gate, s).repeat(r, axis=0)
+    z = a_stack @ x
+    zg = full * z
+    return b_cat @ zg
 
 
 def two_row_fusion(x_vu, x_if, I_vu, I_if):

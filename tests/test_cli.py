@@ -190,6 +190,13 @@ class TestBadValuesExitBeforeAnyWork:
         assert "--seed" in one_line_error(capsys, 1, "usage error: ", *generate_args(path, seed=-1))
         assert not path.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [("--classes", "1", "class_count"),
+                                                    ("--stddev", "1e308", "non-finite")])
+    def test_generate_flag_that_writes_an_untrainable_stream(self, tmp_path, capsys, flag, value, named):
+        path = tmp_path / "s.jsonl"
+        assert named in one_line_error(capsys, 1, "usage error: ", *generate_args(path), flag, value)
+        assert not path.exists()
+
 
 def test_diverging_learning_rate_is_a_configuration_error(stream_file, tmp_path, capsys):
     argv = train_args(stream_file, tmp_path / "r")

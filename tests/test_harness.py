@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,64 @@ class TestEvaluateTask:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
             evaluate_task(_OracleModel(), small_stream()[0][2].take([]))
+
+
+class TestUntapedForward:
+    """An untaped forward keeps nothing for a backward and writes into nothing it was given."""
+
+    @pytest.mark.parametrize("n", [1, 4, 96])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_bits_as_taped_and_nothing_given_is_written(self, method, top_k, n):
+        stream = prepared(train=1, test=48)
+        split = TaskSplit.concat([stream[0][2], stream[1][2]]).take(np.arange(n))
+        model = ToyModel(small_config(method, top_k=top_k), 8, 4, 3)
+        rng = np.random.default_rng(n + top_k)
+        for name, m in model.named_matrices().items():
+            if name.endswith(".B"):
+                m.a[...] = rng.normal(size=m.shape)
+
+        def given():
+            return [a.copy() for a in (model.params.flat, split.visual, split.embedding,
+                                       split.answer_class, split.format_id, split.task_id)]
+
+        def outputs(content, fmt, routing):
+            return [content.a, fmt.a] + [a for r in routing for a in r[1:]]
+
+        before = given()
+        routing = []
+        got = outputs(*model.forward(split, routing=routing), routing)
+        held = [a.copy() for a in got]
+        taped_routing = []
+        want = outputs(*model.forward(split, Tape(), taped_routing), taped_routing)
+        assert len(routing) == len(taped_routing) == (4 if method == "smolora" else 0)
+        assert len(got) == len(want)
+        for have, ref in zip(got, want):
+            assert np.array_equal(have, ref)
+        model.forward(split, routing=[])
+        for have, ref in zip(got + given(), held + before):
+            assert np.array_equal(have, ref)
+
+
+class TestEvaluationAllocations:
+    """The tracemalloc peak of one evaluation forward, in hidden activations (hidden x 2n
+    float64s): the untaped kernels allocate only what they return."""
+
+    @pytest.mark.parametrize("method, budget", [("seqlora", 5), ("molora", 7), ("smolora", 7)])
+    def test_peak_of_a_96_instance_evaluation(self, method, budget):
+        stream = generate_stream(1, task_count=2, train_per_task=1, test_per_task=96)
+        attach_embeddings(stream, HashingEmbedder(64))
+        split = stream[0][2]
+        config = RunConfig(method=method)
+        model = ToyModel(config, 32, 8, 3)
+        evaluate_task(model, split)  # first-call set-up is not the forward's
+        tracemalloc.start()
+        try:
+            evaluate_task(model, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (config.hidden * 2 * len(split) * 8) <= budget
 
 
 def _trained_smolora():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from _oracles import (
     double_repeat_bank,
+    out_of_place_bank,
     rule_fd_error,
     scalar_softmax,
     straight_line_smolora,
@@ -136,10 +137,25 @@ class TestBankGateExpansion:
         x = rng.normal(size=(d, instances * s))
         g = rng.normal(size=(k_out, instances * s))
         FlatParameters([bank.A, bank.B])
-        out, back = _bank(bank, gate, x, s)
+        out, back = _bank(bank, gate, x, s, True)
         dx, d_gate = back(g, True, True)
         got = (out, bank.A.grad, bank.B.grad, dx, d_gate)
         for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
+            assert np.array_equal(have, want)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_untaped_bank_gates_in_place_and_keeps_nothing(self, s, top_k):
+        rng = np.random.default_rng(10 * s + top_k)
+        n, r, d, k_out, instances = 4, 3, 8, 6, 5
+        bank = LoRABank(Matrix(rng.normal(size=(n * r, d))), Matrix(rng.normal(size=(k_out, n * r))), r)
+        gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
+        x = rng.normal(size=(d, instances * s))
+        inputs = [a.copy() for a in (bank.A.a, bank.B.a, gate, x)]
+        out, back = _bank(bank, gate, x, s, False)
+        assert back is None
+        assert np.array_equal(out, out_of_place_bank(bank.A.a, bank.B.a, r, gate, x, s))
+        for have, want in zip((bank.A.a, bank.B.a, gate, x), inputs):
             assert np.array_equal(have, want)
 
 
@@ -149,8 +165,14 @@ class TestAdaptiveFusion:
         for cols in (1, 8, 192):
             args = (rng.normal(size=(6, cols)), rng.normal(size=(6, cols)),
                     3.0 * rng.normal(size=(1, 6)), 3.0 * rng.normal(size=(1, 6)))
-            for have, want in zip(adaptive_fusion(*args), two_row_fusion(*args)):
-                assert np.array_equal(have, want)
+            want = two_row_fusion(*args)
+            for have, ref in zip(adaptive_fusion(*args), want):
+                assert np.array_equal(have, ref)
+            x_vu, x_if = args[0].copy(), args[1].copy()
+            got = adaptive_fusion(x_vu, x_if, *args[2:], overwrite=True)
+            assert got[0] is x_vu
+            for have, ref in zip(got, want):
+                assert np.array_equal(have, ref)
 
     def test_equal_scores_average(self):
         x_vu = np.array([[2.0, 4.0], [0.0, 2.0]])
