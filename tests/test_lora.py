@@ -122,7 +122,8 @@ class TestMoLoRAForward:
 
 
 class TestBankGateExpansion:
-    """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit."""
+    """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit;
+    untaped, against the out-of-place bank, leaving its inputs as they were."""
 
     # Blocks, rank, input and output widths, instances; the second shape is
     # smolora-wide's proj layer (16 blocks of rank 16).
@@ -137,25 +138,16 @@ class TestBankGateExpansion:
         x = rng.normal(size=(d, instances * s))
         g = rng.normal(size=(k_out, instances * s))
         FlatParameters([bank.A, bank.B])
-        out, back = _bank(bank, gate, x, s, True)
-        dx, d_gate = back(g, True, True)
-        got = (out, bank.A.grad, bank.B.grad, dx, d_gate)
-        for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
-            assert np.array_equal(have, want)
-
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("top_k", [1, 2])
-    def test_untaped_bank_gates_in_place_and_keeps_nothing(self, s, top_k):
-        rng = np.random.default_rng(10 * s + top_k)
-        n, r, d, k_out, instances = 4, 3, 8, 6, 5
-        bank = LoRABank(Matrix(rng.normal(size=(n * r, d))), Matrix(rng.normal(size=(k_out, n * r))), r)
-        gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
-        x = rng.normal(size=(d, instances * s))
         inputs = [a.copy() for a in (bank.A.a, bank.B.a, gate, x)]
         out, back = _bank(bank, gate, x, s, False)
         assert back is None
         assert np.array_equal(out, out_of_place_bank(bank.A.a, bank.B.a, r, gate, x, s))
         for have, want in zip((bank.A.a, bank.B.a, gate, x), inputs):
+            assert np.array_equal(have, want)
+        out, back = _bank(bank, gate, x, s, True)
+        dx, d_gate = back(g, True, True)
+        got = (out, bank.A.grad, bank.B.grad, dx, d_gate)
+        for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
             assert np.array_equal(have, want)
 
 
