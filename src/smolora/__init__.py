@@ -13,7 +13,6 @@ from .errors import (
 from .harness import RunConfig, ToyModel, evaluate_task, run_cvit, train_stage
 from .lora import (
     LoRABank,
-    LoRABlock,
     MoLoRALayer,
     SMoLoRALayer,
     adaptive_fusion,

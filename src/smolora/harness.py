@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
-from .lora import init_lora_block, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
+from .lora import init_lora_bank, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
 from .routing import HashingEmbedder, LayerRouting, routing_histogram
 from .tensor import (
@@ -53,6 +54,7 @@ from .tensor import (
     Matrix,
     Tape,
     backward,
+    check_finite,
     cross_entropy,
     relu_pool,
     run_means,
@@ -65,6 +67,13 @@ METHODS = ("seqlora", "molora", "smolora")
 # many instances: below it a forward's fixed cost dominates, above it a
 # forward runs slower per instance (README, "Training and evaluation").
 EVAL_PACK_INSTANCES = 128
+
+# An overflow is blamed on the input, not the learning rate, when the square
+# of a visual value is beyond float64's range. A step changes a bank's B by
+# about rate * |x|, and the next forward multiplies that by |x| again, so
+# with such an input the overflow follows from its scale; an input near the
+# float64 limit itself overflows before any step.
+_INPUT_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -121,11 +130,7 @@ def _effective_rank(rank: int, d_in: int, d_out: int) -> int:
 
 
 class AdapterLayer:
-    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter.
-
-    `params` names every matrix, "W0" first and then the adapter's trainable
-    matrices, in checkpoint order.
-    """
+    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter."""
 
     def __init__(
         self,
@@ -142,9 +147,8 @@ class AdapterLayer:
         self.layer_id = layer_id
         r = _effective_rank(cfg.rank, d_in, d_out)
         if kind == "seqlora":
-            self.W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in)))
-            self.block = init_lora_block(d_in, d_out, r, rng)
-            adapter = {"lora.A": self.block.A, "lora.B": self.block.B}
+            self.W0 = rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in))
+            self.bank = init_lora_bank(d_in, d_out, 1, r, rng)
         else:
             if kind == "molora":
                 self.layer = init_molora(d_in, d_out, cfg.vu_blocks + cfg.if_blocks, r, cfg.top_k, rng)
@@ -154,31 +158,41 @@ class AdapterLayer:
                 )
             else:
                 raise ConfigError(f"unknown adapter kind {kind!r}")
-            self.W0, adapter = self.layer.W0, self.layer.named()
-        self.params = {"W0": self.W0, **adapter}
+            self.W0 = self.layer.W0
 
     def forward(
         self,
-        x: Matrix,
-        instr_emb: Matrix,
+        x: np.ndarray,
+        instr_emb: np.ndarray,
         tape: Tape | None = None,
         routing: list[LayerRouting] | None = None,
-    ) -> Matrix:
+    ) -> np.ndarray:
         if self.kind == "seqlora":
-            return lora_apply(self.block, x, tape, self.W0)
+            return lora_apply(self.bank, x, tape, self.W0)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
         return smolora_forward(self.layer, x, instr_emb, tape, routing)
 
     def trainable(self) -> list[Matrix]:
-        return [m for key, m in self.params.items() if key != "W0"]
+        """The adapter's matrices, in the order the model packs them."""
+        if self.kind == "seqlora":
+            return [self.bank.A, self.bank.B]
+        return self.layer.trainable()
 
-    def named_matrices(self) -> dict[str, Matrix]:
-        return {f"{self.name}.{key}": m for key, m in self.params.items()}
+    def named_matrices(self) -> dict[str, np.ndarray]:
+        """W0, then the adapter's arrays, by checkpoint name; a block's are views of its bank's."""
+        if self.kind == "seqlora":
+            adapter = {"lora.A": self.bank.A.a, "lora.B": self.bank.B.a}
+        else:
+            adapter = self.layer.named()
+        return {f"{self.name}.{key}": a for key, a in {"W0": self.W0, **adapter}.items()}
 
 
 class ToyModel:
-    """Four adapter-wrapped linears: projector, hidden (ReLU), and two heads."""
+    """Four adapter-wrapped linears: projector, hidden (ReLU), and two heads.
+
+    `params` packs every adapter matrix, layer by layer, in one flat array.
+    """
 
     def __init__(self, config: RunConfig, d_v: int, class_count: int, format_count: int):
         if class_count < 2 or format_count < 2:
@@ -189,7 +203,7 @@ class ToyModel:
         self.format_count = format_count
         rng = np.random.default_rng(config.seed)
         e, h = config.embed_dim, config.hidden
-        self.instr_proj = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / e), size=(d_v, e)))
+        self.instr_proj = rng.normal(0.0, np.sqrt(1.0 / e), size=(d_v, e))
         kind = config.method
         self.proj = AdapterLayer("proj", kind, d_v, h, config, rng, layer_id=0)
         self.hidden = AdapterLayer("hidden", kind, h, h, config, rng, layer_id=1)
@@ -198,7 +212,7 @@ class ToyModel:
         self.layers = [self.proj, self.hidden, self.head_content, self.head_format]
         self.params = FlatParameters(m for layer in self.layers for m in layer.trainable())
 
-    def _input(self, batch: TaskSplit) -> tuple[Matrix, Matrix]:
+    def _input(self, batch: TaskSplit) -> tuple[np.ndarray, np.ndarray]:
         """Input columns (d_v x 2n, two per instance) and embeddings (e x n)."""
         if not len(batch):
             raise ValueError("forward requires at least one instance")
@@ -213,15 +227,17 @@ class ToyModel:
             raise ShapeError(f"visual dim {batch.visual.shape[0]} != model d_v {self.d_v}")
         x = np.empty((self.d_v, 2 * len(batch)))
         x[:, 0::2] = batch.visual
-        x[:, 1::2] = self.instr_proj.a @ emb
-        return Matrix._wrap(x), Matrix._wrap(emb)
+        x[:, 1::2] = self.instr_proj @ emb
+        check_finite(x)
+        check_finite(emb)
+        return x, emb
 
     def forward(
         self,
         batch: TaskSplit,
         tape: Tape | None = None,
         routing: list[LayerRouting] | None = None,
-    ) -> tuple[Matrix, Matrix]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Content logits (class_count x n) and format logits (format_count x n).
 
         Column j belongs to instance j of the batch. Separable layers append
@@ -230,6 +246,7 @@ class ToyModel:
         """
         x, emb = self._input(batch)
         h1 = self.proj.forward(x, emb, tape, routing)
+        del x  # no later layer reads the input; a taped rule keeps its own reference
         pooled = relu_pool(self.hidden.forward(h1, emb, tape, routing), len(batch), tape)
         content = self.head_content.forward(pooled, emb, tape, routing)
         fmt = self.head_format.forward(pooled, emb, tape, routing)
@@ -242,7 +259,7 @@ class ToyModel:
         return content, fmt
 
     @staticmethod
-    def loss(batch: TaskSplit, content: Matrix, fmt: Matrix, tape: Tape | None = None) -> float:
+    def loss(batch: TaskSplit, content: np.ndarray, fmt: np.ndarray, tape: Tape | None = None) -> float:
         """The batch mean of the two heads' cross-entropies; a tape gets its rule."""
         content_loss, d_content = cross_entropy(content, batch.answer_class)
         format_loss, d_format = cross_entropy(fmt, batch.format_id)
@@ -251,20 +268,12 @@ class ToyModel:
             tape._ops.append(lambda g: (g * scale * d_content, g * scale * d_format))
         return (content_loss + format_loss) * scale
 
-    def trainable(self) -> FlatParameters:
-        """Every adapter matrix, layer by layer, packed in one flat array."""
-        return self.params
-
-    def named_matrices(self) -> dict[str, Matrix]:
+    def named_matrices(self) -> dict[str, np.ndarray]:
+        """Every weight array by checkpoint name: the instruction projection, then each
+        layer's; reads and writes through them reach the model."""
         out = {"instr_proj": self.instr_proj}
         for layer in self.layers:
             out.update(layer.named_matrices())
-        return out
-
-    def frozen_matrices(self) -> dict[str, Matrix]:
-        out = {"instr_proj": self.instr_proj}
-        for layer in self.layers:
-            out[f"{layer.name}.W0"] = layer.W0
         return out
 
 
@@ -290,7 +299,7 @@ def attach_embeddings(
             missing = np.isnan(split.embedding[0])
             if missing.any():
                 try:
-                    vectors = [embedder.embed(text).a for text in split.texts[missing]]
+                    vectors = [embedder.embed(text) for text in split.texts[missing]]
                 except ValueError as exc:  # the message quotes the instruction
                     raise FormatError(
                         f"task {spec.task_id} {name} split, embed_dim {embedder.dimension}: {exc}"
@@ -320,7 +329,7 @@ def train_stage(
         return []
     schedule = CosineSchedule(config.learning_rate, total_steps)
     rng = np.random.default_rng([config.seed, stage_index])
-    params = model.trainable()
+    params = model.params
     losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -352,8 +361,8 @@ def evaluate_task(
     routing: list[LayerRouting] = []
     content, fmt = model.forward(test_set, routing=routing)
     correct = np.empty((2, n), dtype=np.int64)
-    correct[0] = np.argmax(content.a, axis=0) == test_set.answer_class
-    correct[1] = np.argmax(fmt.a, axis=0) == test_set.format_id
+    correct[0] = np.argmax(content, axis=0) == test_set.answer_class
+    correct[1] = np.argmax(fmt, axis=0) == test_set.format_id
     return (*_percentages(correct), correct, routing)
 
 
@@ -459,6 +468,13 @@ def run_cvit(
                 step_losses.append(train_stage(model, train, config, stage_index=k - 1))
                 c_row, f_row, oks, routing_by_task = _evaluate_seen(model, packs, offsets, k)
             except FloatingPointError as exc:
+                largest = max(float(np.abs(split.visual).max(initial=0.0))
+                              for _, train, test in stream[:k] for split in (train, test))
+                if largest > _INPUT_LIMIT:
+                    raise ConfigError(
+                        f"stage {k}: the input is too large for the model: the largest |visual| "
+                        f"value is {largest:.6g} ({exc})"
+                    ) from None
                 raise ConfigError(
                     f"stage {k}: training diverged at learning_rate {config.learning_rate!r} ({exc})"
                 ) from None
@@ -515,19 +531,20 @@ def save_checkpoint(model: ToyModel, path) -> None:
     """Binary dump: magic, then (u32 name len, name, u32 rows, u32 cols, f64 LE data)."""
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        for name, m in model.named_matrices().items():
+        for name, a in model.named_matrices().items():
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<II", m.rows, m.cols))
-            f.write(m.a.astype("<f8", copy=False).tobytes())
+            f.write(struct.pack("<II", *a.shape))
+            f.write(a.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path, model: ToyModel) -> ToyModel:
-    """Fill a freshly constructed model's matrices from a checkpoint in place.
+    """Fill a freshly constructed model's weights from a checkpoint in place.
 
-    The whole file is read and checked before any matrix is written, so a
-    rejected file leaves the model as it was.
+    The whole file is read and checked before any weight is written, so a
+    rejected file leaves the model as it was. Blocks are written through
+    their views of the banks, and so into the flat parameter array.
     """
     expected = model.named_matrices()
     loaded: dict[str, np.ndarray] = {}
@@ -566,7 +583,7 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
         if target.shape != (rows, cols):
             raise ContractError(
                 f"checkpoint parameter {name!r} is {rows}x{cols}, model expects "
-                f"{target.rows}x{target.cols}"
+                f"{target.shape[0]}x{target.shape[1]}"
             )
         finite = np.isfinite(arr)
         if not finite.all():
@@ -579,5 +596,5 @@ def load_checkpoint(path, model: ToyModel) -> ToyModel:
     if missing:
         raise ContractError(f"checkpoint missing parameters: {sorted(missing)}")
     for name, arr in loaded.items():
-        expected[name].a[...] = arr
+        expected[name][...] = arr
     return model

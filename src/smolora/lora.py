@@ -2,7 +2,7 @@
 
 Three adapter designs share a frozen base weight W0:
 
-* a single LoRA block (sequential fine-tuning control),
+* a single LoRA block, a bank of one (sequential fine-tuning control),
 * a token-wise mixture of blocks with one router (MoLoRA control),
 * the separable mixture: one bank gated per instance on the averaged layer
   input, a second bank gated on the instruction embedding, with the two bank
@@ -10,14 +10,16 @@ Three adapter designs share a frozen base weight W0:
 
 Blocks initialize with B = 0 so a fresh layer is exactly W0 @ x.
 
-Each layer is one function on arrays. Gates, banks and fusion are plain
-numpy, and the layer output W0 @ x + update is one tape record whose
-hand-written rule writes the trainable matrices' gradients into their
-views of the gradient buffer and returns the layer input's. A bank of N
-rank-r blocks is stored bank-major: the blocks' A matrices stacked
-(N*r x d) and their B matrices side by side (k_out x N*r), each block's A
-and B being submatrices of the two. A bank is then two matmuls, and its
-gradient two whole arrays.
+Each layer is one function on numpy arrays, from its input to its output
+W0 @ x + update; a layer's trainable matrices are `tensor.Matrix`
+parameters, and W0 is a plain frozen array. Gates, banks and fusion are
+plain numpy, and the layer is one tape record whose hand-written rule
+writes the trainable matrices' gradients into their views of the gradient
+buffer and returns the layer input's. A bank of N rank-r blocks is stored
+bank-major (:class:`LoRABank`): the blocks' A matrices stacked (N*r x d)
+and their B matrices side by side (k_out x N*r). A bank is then two
+matmuls, and its gradient two whole arrays; a block's A and B are slices
+of the two, which the checkpoint names block by block.
 
 A forward without a tape keeps nothing for a backward: it builds no rule,
 holds no intermediate, and writes in place only into arrays it allocated
@@ -34,115 +36,96 @@ fusion arrays it computed, which costs no copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .routing import LayerRouting, route_instance, route_instruction
-from .tensor import Matrix, SubMatrix, Tape, repeat_columns, require_grads, run_means, run_sums, softmax_back
+from .tensor import Matrix, Tape, check_finite, repeat_columns, require_grads, run_means, run_sums, softmax_back
 
 
 @dataclass
-class LoRABlock:
-    """Rank-r update B @ A with A (r x d) and B (k_out x r)."""
+class LoRABank:
+    """N rank-r blocks stored bank-major: A (N*r x d) and B (k_out x N*r).
+
+    Block i is rows i*r:(i+1)*r of A and the same columns of B, and its
+    update is the rank-r B_i @ A_i, with r at most min(d, k_out) / 2.
+    """
 
     A: Matrix
     B: Matrix
     rank: int
 
     def __post_init__(self):
-        if self.A.rows != self.rank or self.B.cols != self.rank:
-            raise ShapeError(
-                f"rank {self.rank} inconsistent with A {self.A.rows}x{self.A.cols}, "
-                f"B {self.B.rows}x{self.B.cols}"
-            )
-        d, k_out = self.A.cols, self.B.rows
-        if self.rank > min(d, k_out) / 2:
-            raise ShapeError(f"rank {self.rank} too large for {k_out}x{d} base (max {min(d, k_out) // 2})")
+        (rows, d), (k_out, cols), r = self.A.shape, self.B.shape, self.rank
+        if r < 1 or rows % r or cols != rows:
+            raise ShapeError(f"A {rows}x{d} and B {k_out}x{cols} do not split into rank-{r} blocks")
+        if r > min(d, k_out) / 2:
+            raise ShapeError(f"rank {r} too large for {k_out}x{d} base (max {min(d, k_out) // 2})")
+
+    def __len__(self) -> int:
+        return self.A.shape[0] // self.rank
+
+    def named(self, prefix: str) -> dict[str, np.ndarray]:
+        """Each block's A then B, named prefix{i}.A and prefix{i}.B, as views of the bank's."""
+        A, B, r = self.A.a, self.B.a, self.rank
+        out = {}
+        for i in range(len(self)):
+            out[f"{prefix}{i}.A"] = A[i * r : (i + 1) * r]
+            out[f"{prefix}{i}.B"] = B[:, i * r : (i + 1) * r]
+        return out
 
 
-def init_lora_block(d: int, k_out: int, r: int, rng: np.random.Generator) -> LoRABlock:
-    """A ~ N(0, 1/d), B = 0, so the initial update is identically zero."""
-    A = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(r, d)))
-    B = Matrix.zeros(k_out, r)
-    return LoRABlock(A=A, B=B, rank=r)
+def init_lora_bank(d: int, k_out: int, n: int, r: int, rng: np.random.Generator) -> LoRABank:
+    """n blocks with A ~ N(0, 1/d), drawn block after block, and B = 0, so the
+    initial update is identically zero."""
+    A = Matrix(rng.normal(0.0, np.sqrt(1.0 / d), size=(n * r, d)))
+    return LoRABank(A=A, B=Matrix(np.zeros((k_out, n * r))), rank=r)
 
 
 def lora_apply(
-    block: LoRABlock, x: Matrix, tape: Tape | None = None, base: Matrix | None = None
-) -> Matrix:
+    bank: LoRABank, x: np.ndarray, tape: Tape | None = None, base: np.ndarray | None = None
+) -> np.ndarray:
     """B @ (A @ x), plus base @ x when a frozen base weight is given, as one tape record.
 
-    The k_out x d product is never materialized. The rule writes the
-    gradients of A and B and returns x's: A.T @ dz first, then base.T @ g.
+    seqlora's kernel: its bank holds one block. The k_out x d product is
+    never materialized. The rule writes the gradients of A and B and
+    returns x's: A.T @ dz first, then base.T @ g.
     """
-    A, B, xa = block.A.a, block.B.a, x.a
-    if x.rows != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.rows)):
-        raise ShapeError(f"block {B.shape[0]}x{A.shape[1]} does not map {x.rows}x{x.cols} input")
-    z = A @ xa
+    A, B = bank.A.a, bank.B.a
+    if x.shape[0] != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.shape[0])):
+        raise ShapeError(
+            f"block {B.shape[0]}x{A.shape[1]} does not map {x.shape[0]}x{x.shape[1]} input"
+        )
+    z = A @ x
     if base is None:
         y = B @ z
     else:
-        y = base.a @ xa
+        y = base @ x
         y += B @ z
-    out = Matrix._wrap(y)
+    check_finite(y)
     if tape is not None:
-        require_grads(block.A, block.B)
-        gA, gB, need_x = block.A.grad, block.B.grad, bool(tape._ops)
+        require_grads(bank.A, bank.B)
+        gA, gB, need_x = bank.A.grad, bank.B.grad, bool(tape._ops)
 
         def back(g, dx=None):
             dz = B.T @ g
             np.matmul(g, z.T, out=gB)
-            np.matmul(dz, xa.T, out=gA)
+            np.matmul(dz, x.T, out=gA)
             if need_x:
                 dx = _plus(dx, A.T @ dz)
                 if base is not None:
-                    dx = _plus(dx, base.a.T @ g)
+                    dx = _plus(dx, base.T @ g)
             return dx
 
         tape._ops.append(back)
-    return out
+    return y
 
 
 def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
     """acc + term, or term when nothing has accumulated yet."""
     return term if acc is None else acc + term
-
-
-def _named_blocks(prefix: str, blocks: list[LoRABlock]) -> dict[str, Matrix]:
-    """Each block's A then B, named prefix{i}.A and prefix{i}.B."""
-    return {f"{prefix}{i}.{n}": m for i, b in enumerate(blocks) for n, m in (("A", b.A), ("B", b.B))}
-
-
-@dataclass
-class LoRABank:
-    """Blocks of one rank stored bank-major: A (N*r x d) and B (k_out x N*r).
-
-    blocks[i] reads and writes rows i*r:(i+1)*r of A and the same columns of B.
-    """
-
-    A: Matrix
-    B: Matrix
-    rank: int
-    blocks: list[LoRABlock] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        A, B, r = self.A, self.B, self.rank
-        if r < 1 or A.rows % r or B.cols != A.rows:
-            raise ShapeError(
-                f"A {A.rows}x{A.cols} and B {B.rows}x{B.cols} do not split into rank-{r} blocks"
-            )
-        self.blocks = [
-            LoRABlock(SubMatrix(A, np.s_[lo : lo + r, :]), SubMatrix(B, np.s_[:, lo : lo + r]), r)
-            for lo in range(0, A.rows, r)
-        ]
-
-
-def init_lora_bank(d: int, k_out: int, n: int, r: int, rng: np.random.Generator) -> LoRABank:
-    """n blocks drawn as n calls of init_lora_block would draw them, stored bank-major."""
-    A = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(n * r, d)))
-    return LoRABank(A=A, B=Matrix.zeros(k_out, n * r), rank=r)
 
 
 def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, taped: bool):
@@ -184,31 +167,30 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, taped: bool):
 class MoLoRALayer:
     """Frozen W0 plus a bank of N blocks gated token-wise by a single router."""
 
-    W0: Matrix
+    W0: np.ndarray
     bank: LoRABank
     router: Matrix
     top_k: int
 
     def __post_init__(self):
-        n = len(self.blocks)
+        n = len(self.bank)
         if not 1 <= self.top_k <= n:
             raise ValueError(f"top_k {self.top_k} out of range for {n} blocks")
-        if self.router.shape != (n, self.W0.cols):
+        if self.router.shape != (n, self.W0.shape[1]):
             raise ShapeError(
-                f"router {self.router.rows}x{self.router.cols} inconsistent with "
-                f"{n} blocks over {self.W0.cols} inputs"
+                f"router {self.router.shape[0]}x{self.router.shape[1]} inconsistent with "
+                f"{n} blocks over {self.W0.shape[1]} inputs"
             )
 
-    @property
-    def blocks(self) -> list[LoRABlock]:
-        return self.bank.blocks
+    def trainable(self) -> list[Matrix]:
+        return [self.router, self.bank.A, self.bank.B]
 
-    def named(self) -> dict[str, Matrix]:
-        """Trainable matrices by checkpoint name, in checkpoint order."""
-        return {"router": self.router, **_named_blocks("block", self.blocks)}
+    def named(self) -> dict[str, np.ndarray]:
+        """Trainable arrays by checkpoint name, in checkpoint order."""
+        return {"router": self.router.a, **self.bank.named("block")}
 
 
-def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> Matrix:
+def molora_forward(layer: MoLoRALayer, x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """W0 @ x plus the gate-weighted block updates, gated per token, as one tape record.
 
     Each column of x routes independently through :func:`route_instruction`'s
@@ -216,23 +198,23 @@ def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> M
     writes the gradients of the bank and the router (zeros at top-1) and
     returns x's.
     """
-    if x.rows != layer.W0.cols:
-        raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    xa, W0 = x.a, layer.W0.a
-    gate = route_instruction(layer.router.a, xa, layer.top_k)
-    delta, bank_back = _bank(layer.bank, gate, xa, 1, tape is not None)
-    y = W0 @ xa
+    W0 = layer.W0
+    if x.shape[0] != W0.shape[1]:
+        raise ShapeError(f"input rows {x.shape[0]} != layer input dim {W0.shape[1]}")
+    gate = route_instruction(layer.router.a, x, layer.top_k)
+    delta, bank_back = _bank(layer.bank, gate, x, 1, tape is not None)
+    y = W0 @ x
     y += delta
-    out = Matrix._wrap(y)
+    check_finite(y)
     if tape is not None:
-        require_grads(layer.router, layer.bank.A, layer.bank.B)
+        require_grads(*layer.trainable())
         need_x, routed, g_router = bool(tape._ops), layer.top_k > 1, layer.router.grad
 
         def back(g, dx=None):
             dx_bank, d_gate = bank_back(g, need_x, routed)
             if routed:
                 dl = softmax_back(gate, d_gate)
-                np.matmul(dl, xa.T, out=g_router)
+                np.matmul(dl, x.T, out=g_router)
                 if need_x:
                     dx_bank = dx_bank + layer.router.a.T @ dl
             else:
@@ -242,14 +224,14 @@ def molora_forward(layer: MoLoRALayer, x: Matrix, tape: Tape | None = None) -> M
             return dx
 
         tape._ops.append(back)
-    return out
+    return y
 
 
 @dataclass
 class SMoLoRALayer:
     """Frozen W0 with separable banks, dual routers, and fusion importances."""
 
-    W0: Matrix
+    W0: np.ndarray
     vu_bank: LoRABank
     if_bank: LoRABank
     R_vu: Matrix
@@ -260,32 +242,27 @@ class SMoLoRALayer:
     layer_id: int = 0
 
     def __post_init__(self):
-        if self.top_k > min(len(self.vu_blocks), len(self.if_blocks)):
+        if self.top_k > min(len(self.vu_bank), len(self.if_bank)):
             raise ValueError(
-                f"top_k {self.top_k} exceeds bank sizes "
-                f"{len(self.vu_blocks)}/{len(self.if_blocks)}"
+                f"top_k {self.top_k} exceeds bank sizes {len(self.vu_bank)}/{len(self.if_bank)}"
             )
-        k_out = self.W0.rows
+        k_out = self.W0.shape[0]
         if self.I_vu.shape != (1, k_out) or self.I_if.shape != (1, k_out):
             raise ShapeError(f"importance matrices must be 1x{k_out}")
 
-    @property
-    def vu_blocks(self) -> list[LoRABlock]:
-        return self.vu_bank.blocks
+    def trainable(self) -> list[Matrix]:
+        return [self.R_vu, self.R_if, self.I_vu, self.I_if,
+                self.vu_bank.A, self.vu_bank.B, self.if_bank.A, self.if_bank.B]
 
-    @property
-    def if_blocks(self) -> list[LoRABlock]:
-        return self.if_bank.blocks
-
-    def named(self) -> dict[str, Matrix]:
-        """Trainable matrices by checkpoint name, in checkpoint order."""
+    def named(self) -> dict[str, np.ndarray]:
+        """Trainable arrays by checkpoint name, in checkpoint order."""
         return {
-            "R_vu": self.R_vu,
-            "R_if": self.R_if,
-            "I_vu": self.I_vu,
-            "I_if": self.I_if,
-            **_named_blocks("vu", self.vu_blocks),
-            **_named_blocks("if", self.if_blocks),
+            "R_vu": self.R_vu.a,
+            "R_if": self.R_if.a,
+            "I_vu": self.I_vu.a,
+            "I_if": self.I_if.a,
+            **self.vu_bank.named("vu"),
+            **self.if_bank.named("if"),
         }
 
 
@@ -318,46 +295,44 @@ def adaptive_fusion(
 
 def smolora_forward(
     layer: SMoLoRALayer,
-    x: Matrix,
-    instr_emb: Matrix,
+    x: np.ndarray,
+    instr_emb: np.ndarray,
     tape: Tape | None = None,
     routing: list[LayerRouting] | None = None,
-) -> Matrix:
+) -> np.ndarray:
     """The layer output W0 @ x + the fused update of both banks, as one tape record.
 
     instr_emb holds one embedding column per instance, and x the instances'
-    columns in order, x.cols // instr_emb.cols of them each. The rule writes
-    the gradients of both banks, importance rows and routers (zeros at
-    top-1) and returns x's; the embeddings, model inputs, take none. When
-    `routing` is given, one LayerRouting holding this call's gates and
-    fusion weights is appended to it; that takes no copy and no
-    per-instance work.
+    columns in order, as many for each. The rule writes the gradients of
+    both banks, importance rows and routers (zeros at top-1) and returns
+    x's; the embeddings, model inputs, take none. When `routing` is given,
+    one LayerRouting holding this call's gates and fusion weights is
+    appended to it; that takes no copy and no per-instance work.
     """
-    if x.rows != layer.W0.cols:
-        raise ShapeError(f"input rows {x.rows} != layer input dim {layer.W0.cols}")
-    if instr_emb.rows != layer.R_if.cols:
+    W0 = layer.W0
+    if x.shape[0] != W0.shape[1]:
+        raise ShapeError(f"input rows {x.shape[0]} != layer input dim {W0.shape[1]}")
+    if instr_emb.shape[0] != layer.R_if.shape[1]:
         raise ShapeError(
-            f"instruction embeddings must have {layer.R_if.cols} rows, got "
-            f"{instr_emb.rows}x{instr_emb.cols}"
+            f"instruction embeddings must have {layer.R_if.shape[1]} rows, got "
+            f"{instr_emb.shape[0]}x{instr_emb.shape[1]}"
         )
-    n = instr_emb.cols
-    if x.cols % n:
-        raise ShapeError(f"{x.cols} input columns do not split over {n} instances")
-    s = x.cols // n
-    xa, emb, W0 = x.a, instr_emb.a, layer.W0.a
-    vu_gate = route_instance(layer.R_vu.a, xa, layer.top_k, n)
-    if_gate = route_instruction(layer.R_if.a, emb, layer.top_k)
+    n = instr_emb.shape[1]
+    if x.shape[1] % n:
+        raise ShapeError(f"{x.shape[1]} input columns do not split over {n} instances")
+    s = x.shape[1] // n
+    vu_gate = route_instance(layer.R_vu.a, x, layer.top_k, n)
+    if_gate = route_instruction(layer.R_if.a, instr_emb, layer.top_k)
     taped = tape is not None
-    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, xa, s, taped)
-    x_if, if_back = _bank(layer.if_bank, if_gate, xa, s, taped)
+    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, x, s, taped)
+    x_if, if_back = _bank(layer.if_bank, if_gate, x, s, taped)
     fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a, overwrite=not taped)
-    y = W0 @ xa
+    y = W0 @ x
     y += fused
-    out = Matrix._wrap(y)
+    check_finite(y)
     if taped:
         R_vu, R_if, I_vu, I_if = layer.R_vu, layer.R_if, layer.I_vu, layer.I_if
-        require_grads(R_vu, R_if, I_vu, I_if, layer.vu_bank.A, layer.vu_bank.B,
-                      layer.if_bank.A, layer.if_bank.B)
+        require_grads(*layer.trainable())
         need_x, routed = bool(tape._ops), layer.top_k > 1
         ab = np.concatenate([alpha, beta])
 
@@ -377,8 +352,8 @@ def smolora_forward(
                 # instruction logits from the embeddings.
                 dl_vu = softmax_back(vu_gate, d_vu_gate)
                 dl_if = softmax_back(if_gate, d_if_gate)
-                np.matmul(dl_vu, run_means(xa, s).T, out=R_vu.grad)
-                np.matmul(dl_if, emb.T, out=R_if.grad)
+                np.matmul(dl_vu, run_means(x, s).T, out=R_vu.grad)
+                np.matmul(dl_if, instr_emb.T, out=R_if.grad)
                 if need_x:
                     dx_banks = dx_banks + repeat_columns((R_vu.a.T @ dl_vu) / s, s)
             else:
@@ -391,7 +366,7 @@ def smolora_forward(
         tape._ops.append(back)
     if routing is not None:
         routing.append(LayerRouting(layer.layer_id, vu_gate, if_gate, alpha, beta))
-    return out
+    return y
 
 
 def init_smolora(
@@ -417,13 +392,13 @@ def init_smolora(
     if not 1 <= top_k <= min(M, N_minus_M):
         raise ValueError(f"top_k {top_k} out of range for banks of {M} and {N_minus_M}")
     rng = np.random.default_rng(seed)
-    W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d)))
+    W0 = rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d))
     vu_bank = init_lora_bank(d, k_out, M, r, rng)
     if_bank = init_lora_bank(d, k_out, N_minus_M, r, rng)
-    R_vu = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(M, d)))
-    R_if = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
-    I_vu = Matrix._wrap(rng.normal(0.0, 0.02, size=(1, k_out)))
-    I_if = Matrix._wrap(rng.normal(0.0, 0.02, size=(1, k_out)))
+    R_vu = Matrix(rng.normal(0.0, np.sqrt(1.0 / d), size=(M, d)))
+    R_if = Matrix(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
+    I_vu = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
+    I_if = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
     return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I_vu, I_if, top_k, layer_id)
 
 
@@ -436,7 +411,7 @@ def init_molora(
     if not 1 <= top_k <= N:
         raise ValueError(f"top_k {top_k} out of range for {N} blocks")
     rng = np.random.default_rng(seed)
-    W0 = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d)))
+    W0 = rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d))
     bank = init_lora_bank(d, k_out, N, r, rng)
-    router = Matrix._wrap(rng.normal(0.0, np.sqrt(1.0 / d), size=(N, d)))
+    router = Matrix(rng.normal(0.0, np.sqrt(1.0 / d), size=(N, d)))
     return MoLoRALayer(W0=W0, bank=bank, router=router, top_k=top_k)

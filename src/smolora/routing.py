@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FormatError, ShapeError, finite_float, read_utf8
-from .tensor import Matrix, check_finite, run_means
+from .tensor import check_finite, run_means
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
 # runs and platforms.
@@ -38,8 +38,8 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.split(text.strip().lower()) if t]
 
 
-def embed_text(text: str, e: int) -> Matrix:
-    """Feature-hashing bag-of-words embedding, L2-normalized, as an e x 1 matrix.
+def embed_text(text: str, e: int) -> np.ndarray:
+    """Feature-hashing bag-of-words embedding, L2-normalized, as an e x 1 array.
 
     Tokens are lowercased and split on non-alphanumerics; each token lands in
     bucket hash % e with sign taken from hash bit 63. Text with no token,
@@ -61,7 +61,7 @@ def embed_text(text: str, e: int) -> Matrix:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError(f"token signs cancelled to a zero embedding: {text!r}")
-    return Matrix._wrap((v / norm).reshape(-1, 1))
+    return (v / norm).reshape(-1, 1)
 
 
 class HashingEmbedder:
@@ -71,9 +71,9 @@ class HashingEmbedder:
         if dimension < 1:
             raise ValueError(f"embedding dimension must be positive, got {dimension}")
         self.dimension = dimension
-        self._cache: dict[str, Matrix] = {}
+        self._cache: dict[str, np.ndarray] = {}
 
-    def embed(self, text: str) -> Matrix:
+    def embed(self, text: str) -> np.ndarray:
         hit = self._cache.get(text)
         if hit is None:
             hit = embed_text(text, self.dimension)

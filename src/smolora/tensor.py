@@ -1,14 +1,15 @@
-"""Dense float64 matrices, the backward chain of a training step, and SGD.
+"""Model parameters, the backward chain of a training step, and SGD.
 
-Everything is an explicit 2-D matrix (rows x cols). Operations are free
-functions and pure; evaluation calls nothing else. A training step records
-one backward rule per kernel on a :class:`Tape`: each adapter layer
-(`lora`), the ReLU with the pooling, and the loss (`harness`). The model's
-trainable matrices live in one flat array with a gradient buffer of the
-same layout (:class:`FlatParameters`); each rule writes its parameters'
-gradients straight into their views of that buffer and returns its input's
-gradient, :func:`backward` calls the rules in reverse, and
-:func:`sgd_step` applies the buffer with one subtraction.
+Kernels take and return plain 2-D float64 numpy arrays (rows x cols); they
+are free functions and pure, and evaluation calls nothing else. A model's
+trainable parameter is a :class:`Matrix`: an array it owns plus that
+array's gradient. A training step records one backward rule per kernel on
+a :class:`Tape`: each adapter layer (`lora`), the ReLU with the pooling,
+and the loss (`harness`). The trainable matrices live in one flat array
+with a gradient buffer of the same layout (:class:`FlatParameters`); each
+rule writes its parameters' gradients straight into their views of that
+buffer and returns its input's gradient, :func:`backward` calls the rules
+in reverse, and :func:`sgd_step` applies the buffer with one subtraction.
 
 Each instance's columns sit side by side in runs of s (two in the model:
 visual, instruction). Pooling and expanding those runs goes through
@@ -19,9 +20,9 @@ operation each. numpy's own `reshape(..., s).sum(axis=-1)` and
 that short, which costs several times more; the strided kernels give the
 same bits.
 
-Matrices and tapes are single-writer objects: they may move between threads
-but must not be mutated concurrently. Operations on distinct or read-only
-inputs are safe to call from multiple threads.
+Parameters and tapes are single-writer objects: they may move between
+threads but must not be mutated concurrently. Kernels on distinct or
+read-only inputs are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -35,110 +36,38 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_F64 = np.dtype(np.float64)
-
 # Flat parameter and gradient arrays start every matrix at a multiple of this
 # many float64 entries: 64 bytes, one cache line.
 _ALIGN = 8
 
 
 class Matrix:
-    """Dense 2-D float64 array with strictly positive dimensions.
+    """A trainable parameter: a C-contiguous float64 array `a` with positive dimensions.
 
-    A matrix built from data or computed by an operation is C-contiguous; a
-    :class:`SubMatrix` may be strided. `grad` is the matrix's view of its
-    FlatParameters' gradient buffer, None until it is packed in one.
+    `grad` is the matrix's view of its FlatParameters' gradient buffer, None
+    until it is packed in one.
     """
 
     __slots__ = ("a", "grad")
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C", ndmin=2)
-        if arr.ndim != 2:
-            raise ShapeError(f"matrix must be 2-D, got {arr.ndim}-D data")
-        _check_dims(arr)
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ShapeError(f"a matrix must be 2-D with positive dimensions, got shape {arr.shape}")
         # Outside data is scanned entry by entry with no sum first: finite
         # entries may sum to an overflow.
         _scan_finite(arr)
-        # ndmin may return a view; a matrix built from data owns its array,
-        # so that FlatParameters can adopt it.
+        # ndmin may return a view; a matrix owns its array, so that
+        # FlatParameters can adopt it.
         self.a = arr if arr.base is None else arr.copy()
         self.grad = None
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Matrix":
-        """Adopt an array computed internally (no copy when already contiguous)."""
-        if arr.dtype is not _F64 or not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-        _check_dims(arr)
-        check_finite(arr)
-        m = object.__new__(cls)
-        m.a, m.grad = arr, None
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        if rows < 1 or cols < 1:
-            raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        return cls._wrap(np.zeros((rows, cols)))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def copy(self) -> "Matrix":
-        return Matrix._wrap(self.a.copy())
-
-    def tolist(self) -> list[list[float]]:
-        return self.a.tolist()
-
-    def item(self) -> float:
-        if self.a.shape != (1, 1):
-            raise ShapeError(f"item() requires a 1x1 matrix, got {_fmt(self.a)}")
-        return float(self.a[0, 0])
-
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def _check_dims(arr: np.ndarray) -> None:
-    rows, cols = arr.shape
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-
-
-class SubMatrix(Matrix):
-    """A block of another matrix, `base.a[index]`, that reads and writes through to it.
-
-    A FlatParameters given a submatrix lays out its base, and the
-    submatrix's gradient is the same block of the base's.
-    """
-
-    __slots__ = ("base", "index")
-
-    def __init__(self, base: Matrix, index: tuple[slice, slice]):
-        if isinstance(base, SubMatrix):
-            raise ContractError("a submatrix's base must be a whole matrix")
-        self.base, self.index = base, index
-        _check_dims(self.a)
-
-    # Both are read on every access, so they follow the base into a FlatParameters.
-    @property
-    def a(self) -> np.ndarray:
-        return self.base.a[self.index]
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        g = self.base.grad
-        return None if g is None else g[self.index]
+        return f"Matrix({_fmt(self.a)})"
 
 
 def check_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
@@ -213,11 +142,13 @@ def backward(tape: Tape, loss: float) -> None:
 # -- core operations ---------------------------------------------------------
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul shape mismatch: {_fmt(a.a)} @ {_fmt(b.a)}")
-    return Matrix._wrap(a.a @ b.a)
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {_fmt(a)} @ {_fmt(b)}")
+    out = a @ b
+    check_finite(out)
+    return out
 
 
 def run_sums(a: np.ndarray, s: int) -> np.ndarray:
@@ -261,25 +192,16 @@ def repeat_columns(a: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def mean_over_columns(m: Matrix, groups: int = 1) -> Matrix:
-    """Row-wise mean over each of `groups` equal runs of consecutive columns.
-
-    Returns rows x groups; with one group this is the mean across all columns.
-    """
-    if groups < 1 or m.cols % groups:
-        raise ShapeError(f"cannot split {m.cols} columns into {groups} equal groups")
-    return Matrix._wrap(run_means(m.a, m.cols // groups))
-
-
-def relu(m: Matrix) -> Matrix:
-    return Matrix._wrap(np.maximum(m.a, 0.0))
-
-
-def relu_pool(m: Matrix, groups: int, tape: Tape | None = None) -> Matrix:
-    """mean_over_columns(relu(m), groups), as one tape record."""
-    out = mean_over_columns(relu(m), groups)
+def relu_pool(h: np.ndarray, groups: int, tape: Tape | None = None) -> np.ndarray:
+    """Row-wise means of max(h, 0) over each of `groups` equal runs of consecutive
+    columns (rows x groups), as one tape record."""
+    if groups < 1 or h.shape[1] % groups:
+        raise ShapeError(f"cannot split {h.shape[1]} columns into {groups} equal groups")
+    s = h.shape[1] // groups
+    out = run_means(np.maximum(h, 0.0), s)
+    check_finite(out)
     if tape is not None:
-        s, pos = m.cols // groups, m.a > 0
+        pos = h > 0
         tape._ops.append(lambda g: repeat_columns(g / s, s) * pos)
     return out
 
@@ -293,7 +215,7 @@ def softmax_back(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - np.add.reduce(dy * y, axis=0, keepdims=True))
 
 
-def cross_entropy(logits: Matrix, labels) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Summed negative log softmax probability of each column's label, and its gradient.
 
     logits is classes x n with one column per sample; `labels` holds n class
@@ -308,7 +230,7 @@ def cross_entropy(logits: Matrix, labels) -> tuple[float, np.ndarray]:
     if outside.any():
         raise ValueError(f"label {labels[outside.argmax()]} out of range for {rows} classes")
     cols = np.arange(n)
-    z = logits.a
+    z = logits
     zmax = z.max(axis=0)
     e = np.exp(z - zmax)
     denom = e.sum(axis=0)
@@ -354,12 +276,11 @@ class CosineSchedule:
 class FlatParameters(Sequence):
     """Trainable matrices whose arrays are views into one flat float64 array.
 
-    Each whole matrix keeps its values and shape and starts at a 64-byte
-    boundary, in the given order; a submatrix moves with its base, which
-    takes the slot of its first submatrix. `grad` has the layout of `flat`,
-    and each matrix's `.grad` is its view of it, so backward rules write
-    gradients in place and one subtraction updates every matrix. Writes
-    through a matrix's `.a` land in `flat`. Only matrices that own their
+    Each matrix keeps its values and shape and starts at a 64-byte boundary,
+    in the given order. `grad` has the layout of `flat`, and each matrix's
+    `.grad` is its view of it, so backward rules write gradients in place
+    and one subtraction updates every matrix. Writes through a matrix's `.a`,
+    or through a view of it taken after packing, land in `flat`. Only matrices that own their
     arrays are adopted: a view (a matrix already in another buffer is one)
     is refused, so no matrix leaves a buffer that still updates it.
     """
@@ -368,9 +289,8 @@ class FlatParameters(Sequence):
 
     def __init__(self, matrices: Iterable[Matrix]):
         self.matrices = tuple(dict.fromkeys(matrices))
-        whole = dict.fromkeys(m.base if isinstance(m, SubMatrix) else m for m in self.matrices)
         starts, size = [], 0
-        for m in whole:
+        for m in self.matrices:
             if m.a.base is not None:
                 raise ContractError(
                     f"{m!r} is a view of another array, such as a FlatParameters; "
@@ -380,7 +300,7 @@ class FlatParameters(Sequence):
             size += -(-m.a.size // _ALIGN) * _ALIGN
         self.flat = _aligned_zeros(size)
         self.grad = _aligned_zeros(size)
-        for m, lo in zip(whole, starts):
+        for m, lo in zip(self.matrices, starts):
             hi = lo + m.a.size
             view = self.flat[lo:hi].reshape(m.shape)
             view[...] = m.a

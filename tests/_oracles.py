@@ -8,11 +8,14 @@ split's arrays. The dict-based records, their writer and MIF, the
 double-repeat and out-of-place banks, the two-row fusion and the
 per-instance routing traces below are earlier versions of the library's
 code, kept as bit-for-bit references for the array and in-place versions.
+`with_grads` hands the finite-difference checks each block of a packed bank
+as a parameter of its own.
 """
 
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +45,7 @@ def rule_fd_error(run, params, x, G, per_matrix=None, rng=None) -> tuple[float, 
     """Worst relative error of a kernel's backward rule against central differences.
 
     `run(tape)` evaluates a kernel f on the current values of `params`
-    (matrices packed in a FlatParameters) and of its input matrix `x`,
+    (matrices packed in a FlatParameters) and of its input array `x`,
     recording its rule when given a tape. The rule gets the fixed output
     gradient G; each parameter gradient it writes and the input gradient it
     returns are compared with central differences of <G, f> = sum(G * f),
@@ -55,10 +58,10 @@ def rule_fd_error(run, params, x, G, per_matrix=None, rng=None) -> tuple[float, 
     dx = tape._ops[-1](G)
 
     def inner() -> float:
-        return float(np.sum(G * run(None).a))
+        return float(np.sum(G * run(None)))
 
     worst, n = 0.0, 0
-    for values, grad in [(p.a, p.grad) for p in params] + [(x.a, dx)]:
+    for values, grad in [(p.a, p.grad) for p in params] + [(x, dx)]:
         grad = grad.copy()
         rows, cols = values.shape
         if per_matrix is None or per_matrix >= rows * cols:
@@ -69,6 +72,22 @@ def rule_fd_error(run, params, x, G, per_matrix=None, rng=None) -> tuple[float, 
             worst = max(worst, rel_err(grad[i, j], central_diff(inner, values, i, j)))
             n += 1
     return worst, n
+
+
+def with_grads(params, named: dict) -> list[SimpleNamespace]:
+    """The arrays of `named` that lie in the flat parameters `params`, in order,
+    each as a parameter (`a`, `grad`) with its view of the gradient buffer.
+
+    A model's or layer's `named` arrays include each bank block by block, so
+    a check that samples entries per parameter samples every block.
+    """
+    out = []
+    for view in named.values():
+        offset = view.ctypes.data - params.flat.ctypes.data
+        if 0 <= offset < params.flat.nbytes:
+            grad = np.ndarray(view.shape, buffer=params.grad, offset=offset, strides=view.strides)
+            out.append(SimpleNamespace(a=view, grad=grad))
+    return out
 
 
 def scalar_softmax(values) -> list[float]:

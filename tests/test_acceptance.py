@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import central_diff, rel_err, rule_fd_error
+from _oracles import central_diff, rel_err, rule_fd_error, with_grads
 from _reference_tables import TABLES
 
 from smolora.benchmark import TaskSplit, generate_stream
 from smolora.cli import main as cli_main
 from smolora.harness import RunConfig, ToyModel, attach_embeddings, run_cvit
 from smolora.lora import (
-    init_lora_block,
+    init_lora_bank,
     init_molora,
     init_smolora,
     lora_apply,
@@ -27,7 +27,7 @@ from smolora.lora import (
 )
 from smolora.metrics import AccuracyMatrix, write_accuracy_csv
 from smolora.routing import HashingEmbedder, histogram_entropy
-from smolora.tensor import FlatParameters, Matrix, Tape, backward, relu_pool
+from smolora.tensor import FlatParameters, Tape, backward, relu_pool
 
 SEEDS = (1, 2, 3)
 # Desk-scale training recipe for the forgetting experiment (plain SGD needs a
@@ -102,7 +102,8 @@ class TestGradientSuite:
 
     def _step_check(self, rng):
         # A whole step of the smallest model: the flat gradient buffer
-        # against the batch's mean loss, over every trainable matrix.
+        # against the batch's mean loss, over every trainable array, each
+        # bank block by block.
         stream = generate_stream(4, task_count=2, train_per_task=6, test_per_task=4, d_v=6,
                                  class_count=4)
         attach_embeddings(stream, HashingEmbedder(8))
@@ -110,8 +111,9 @@ class TestGradientSuite:
         cfg = RunConfig(method="smolora", embed_dim=8, hidden=8, rank=2, vu_blocks=3,
                         if_blocks=3, top_k=2, seed=4)
         model = ToyModel(cfg, 6, 4, 3)
-        for m in model.trainable():
-            m.a[...] = rng.normal(0.0, 0.5, size=m.shape)
+        params = with_grads(model.params, model.named_matrices())
+        for m in params:
+            m.a[...] = rng.normal(0.0, 0.5, size=m.a.shape)
         tape = Tape()
         backward(tape, model.loss(batch, *model.forward(batch, tape), tape))
         assert len(tape._ops) == 6
@@ -120,10 +122,10 @@ class TestGradientSuite:
             return model.loss(batch, *model.forward(batch))
 
         worst, n = 0.0, 0
-        for m in model.trainable():
+        for m in params:
             grad = m.grad.copy()
             for _ in range(3):
-                i, j = int(rng.integers(m.rows)), int(rng.integers(m.cols))
+                i, j = int(rng.integers(m.a.shape[0])), int(rng.integers(m.a.shape[1]))
                 worst = max(worst, rel_err(grad[i, j], central_diff(loss, m.a, i, j, self.h)))
                 n += 1
         return worst, n
@@ -133,39 +135,46 @@ class TestGradientSuite:
         rng = np.random.default_rng(8)
         results = {}
 
-        def layer_check(name, params, run, x, rows):
-            FlatParameters(params)
-            G = rng.normal(size=(rows, x.cols))
+        def layer_check(name, layer, run, x, rows):
+            # Every entry of each array by checkpoint name, block by block.
+            params = with_grads(FlatParameters(layer.trainable()), layer.named())
+            G = rng.normal(size=(rows, x.shape[1]))
             results[name] = rule_fd_error(run, params, x, G)
 
+        def fill_blocks(layer):
+            for name, a in layer.named().items():
+                if name.endswith(".B"):
+                    a[...] = rng.normal(size=a.shape)
+
         # Plain LoRA: one block behind a frozen base.
-        block = init_lora_block(12, 10, 5, rng)
-        block.B.a[...] = rng.normal(size=block.B.shape)
-        w0 = Matrix(rng.normal(size=(10, 12)))
-        x = Matrix(rng.normal(size=(12, 3)))
-        layer_check("seqlora", [block.A, block.B], lambda tape: lora_apply(block, x, tape, w0), x, 10)
+        bank = init_lora_bank(12, 10, 1, 5, rng)
+        bank.B.a[...] = rng.normal(size=bank.B.shape)
+        w0 = rng.normal(size=(10, 12))
+        x = rng.normal(size=(12, 3))
+        params = [bank.A, bank.B]
+        FlatParameters(params)
+        results["seqlora"] = rule_fd_error(
+            lambda tape: lora_apply(bank, x, tape, w0), params, x, rng.normal(size=(10, 3))
+        )
 
         # Token-wise mixture, and the separable mixture over two instances
         # of two columns, at top-1 and top-2.
         for top_k in (1, 2):
             mo = init_molora(d=6, k_out=5, N=4, r=2, top_k=top_k, seed=9)
-            for b in mo.blocks:
-                b.B.a[...] = rng.normal(size=b.B.shape)
-            x_mo = Matrix(rng.normal(size=(6, 3)))
-            layer_check(f"molora@{top_k}", mo.named().values(),
-                        lambda tape: molora_forward(mo, x_mo, tape), x_mo, 5)
+            fill_blocks(mo)
+            x_mo = rng.normal(size=(6, 3))
+            layer_check(f"molora@{top_k}", mo, lambda tape: molora_forward(mo, x_mo, tape), x_mo, 5)
 
             smo = init_smolora(d=8, k_out=8, M=3, N_minus_M=3, r=2, e=6, top_k=top_k, seed=10)
-            for b in smo.vu_blocks + smo.if_blocks:
-                b.B.a[...] = rng.normal(size=b.B.shape)
-            x_smo = Matrix(rng.normal(size=(8, 4)))
+            fill_blocks(smo)
+            x_smo = rng.normal(size=(8, 4))
             emb = rng.normal(size=(6, 2))
-            emb = Matrix(emb / np.linalg.norm(emb, axis=0))
-            layer_check(f"smolora@{top_k}", smo.named().values(),
+            emb = emb / np.linalg.norm(emb, axis=0)
+            layer_check(f"smolora@{top_k}", smo,
                         lambda tape: smolora_forward(smo, x_smo, emb, tape), x_smo, 8)
 
         # ReLU with the pooling, over three instances of four columns.
-        x_pool = Matrix(rng.normal(size=(10, 12)))
+        x_pool = rng.normal(size=(10, 12))
         results["relu+pool"] = rule_fd_error(
             lambda tape: relu_pool(x_pool, 3, tape), [], x_pool, rng.normal(size=(10, 3))
         )
@@ -176,15 +185,15 @@ class TestGradientSuite:
                           answer_class=np.array([3, 0, 9, 3, 5, 1, 7, 2, 8, 4, 6, 0]),
                           format_id=np.array([0, 5, 2, 2, 1, 4, 3, 0, 5, 1, 2, 4]),
                           task_id=np.zeros(12, dtype=np.int64))
-        content, fmt = Matrix(rng.normal(size=(10, 12))), Matrix(rng.normal(size=(6, 12)))
+        content, fmt = rng.normal(size=(10, 12)), rng.normal(size=(6, 12))
         tape = Tape()
         ToyModel.loss(batch, content, fmt, tape)
         grads = tape._ops[-1](1.0)
         worst, n = 0.0, 0
         for m, grad in zip((content, fmt), grads):
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    fd = central_diff(lambda: ToyModel.loss(batch, content, fmt), m.a, i, j, self.h)
+            for i in range(m.shape[0]):
+                for j in range(m.shape[1]):
+                    fd = central_diff(lambda: ToyModel.loss(batch, content, fmt), m, i, j, self.h)
                     worst = max(worst, rel_err(grad[i, j], fd))
                     n += 1
         results["loss"] = (worst, n)
@@ -207,31 +216,32 @@ class TestDegeneracySuite:
 
         # (a) single-block mixture equals plain LoRA on 100 random inputs.
         mo = init_molora(d=8, k_out=6, N=1, r=3, top_k=1, seed=13)
-        mo.blocks[0].B.a[...] = rng.normal(size=mo.blocks[0].B.shape)
+        mo.bank.B.a[...] = rng.normal(size=mo.bank.B.shape)
         max_dev = 0.0
         for _ in range(100):
-            x = Matrix(rng.normal(size=(8, 2)))
-            plain = mo.W0.a @ x.a + lora_apply(mo.blocks[0], x).a
-            max_dev = max(max_dev, float(np.max(np.abs(molora_forward(mo, x).a - plain))))
+            x = rng.normal(size=(8, 2))
+            plain = mo.W0 @ x + lora_apply(mo.bank, x)
+            max_dev = max(max_dev, float(np.max(np.abs(molora_forward(mo, x) - plain))))
         a_ok = max_dev <= 1e-12
 
         # (b) zero-initialized separable layer is exactly the base map.
         b_ok = True
         for seed in range(10):
             smo = init_smolora(d=8, k_out=8, M=4, N_minus_M=4, r=2, e=6, top_k=1, seed=seed)
-            x = Matrix(rng.normal(size=(8, 3)))
-            emb = Matrix(rng.normal(size=(6, 1)))
+            x = rng.normal(size=(8, 3))
+            emb = rng.normal(size=(6, 1))
             y = smolora_forward(smo, x, emb)
-            b_ok = b_ok and np.array_equal(y.a, smo.W0.a @ x.a)
+            b_ok = b_ok and np.array_equal(y, smo.W0 @ x)
 
         # (c) top-1 gates are one-hot; (d) fusion weights sum to 1 everywhere.
         c_ok = d_ok = True
         smo = init_smolora(d=8, k_out=8, M=4, N_minus_M=4, r=2, e=6, top_k=1, seed=21)
-        for b in smo.vu_blocks + smo.if_blocks:
-            b.B.a[...] = rng.normal(size=b.B.shape)
+        for name, a in smo.named().items():
+            if name.endswith(".B"):
+                a[...] = rng.normal(size=a.shape)
         for _ in range(50):
-            x = Matrix(rng.normal(size=(8, 3)))
-            emb = Matrix(rng.normal(size=(6, 1)))
+            x = rng.normal(size=(8, 3))
+            emb = rng.normal(size=(6, 1))
             routing = []
             smolora_forward(smo, x, emb, routing=routing)
             [r] = routing

@@ -74,6 +74,14 @@ def test_run_prints_every_declared_metric_finite(workload, trace):
         # That is 1.5 per sample-step; the count repeats exactly, so ops
         # recorded per block or per gate would show here.
         assert result["metrics"]["tensor.tape_ops_per_sample_step"]["value"] <= 3
+    if trace and workload == "controls-eval":
+        # seqlora, half of the forwards, calls `lora_apply` once in each of
+        # its 4 layers and molora never does, so a seqlora that stopped
+        # calling the wrapped kernel would read 0 here rather than fail.
+        calls = {k: result["metrics"][k]["value"] for k in ("lora.lora_apply.calls",
+                                                             "harness.forward.calls")}
+        assert calls["lora.lora_apply.calls"] > 0
+        assert calls["lora.lora_apply.calls"] == 2 * calls["harness.forward.calls"], calls
 
 
 def test_wrap_points_resolve():

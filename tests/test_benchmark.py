@@ -136,7 +136,7 @@ class TestStreamFile:
         embedder = HashingEmbedder(8)
         for _, train, test in stream:
             for split in (train, test):
-                split.embedding = np.hstack([embedder.embed(text).a for text in split.texts])
+                split.embedding = np.hstack([embedder.embed(text) for text in split.texts])
         path = tmp_path / "stream.jsonl"
         write_stream(path, stream, {"seed": 4})
         _, back = read_stream(path)

@@ -202,6 +202,24 @@ def test_diverging_learning_rate_is_a_configuration_error(stream_file, tmp_path,
     argv = train_args(stream_file, tmp_path / "r")
     err = one_line_error(capsys, 1, "configuration error: ", *argv, "--lr", "1e300")
     assert err.startswith("configuration error: stage 1: training diverged at learning_rate 1e+300")
+    assert "|visual|" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("method", ["seqlora", "smolora"])
+def test_input_too_large_for_the_model_is_blamed_not_the_learning_rate(tmp_path, capsys, method):
+    # Visual values near 1e200 are finite and pass the reader, but the first
+    # step's update times the next forward's input is out of float64 range.
+    path = tmp_path / "s.jsonl"
+    assert run_cli("generate", "--tasks", "2", "--train-per-task", "8", "--test-per-task", "4",
+                   "--stddev", "1e200", "--out", str(path)) == 0
+    _, stream = benchmark.read_stream(path)
+    largest = max(float(abs(split.visual).max()) for split in stream[0][1:])
+    argv = ["train", "--stream", str(path), "--out-dir", str(tmp_path / "r"), "--method", method]
+    err = one_line_error(capsys, 1, "configuration error: ", *argv)
+    assert err.startswith("configuration error: stage 1: the input is too large for the model: "
+                          f"the largest |visual| value is {largest:.6g} (overflow")
+    assert "learning_rate" not in err
     assert not (tmp_path / "r").exists()
 
 

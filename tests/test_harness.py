@@ -12,6 +12,7 @@ from _oracles import (
     rel_err,
     stage_records,
     trace_routing,
+    with_grads,
     write_dict_records,
 )
 from smolora import harness
@@ -30,7 +31,7 @@ from smolora.harness import (
 )
 from smolora.metrics import Records, write_records_jsonl
 from smolora.routing import HashingEmbedder, routing_histogram
-from smolora.tensor import Matrix, Tape, backward, mean_over_columns, relu
+from smolora.tensor import Tape, backward, relu_pool, sgd_step
 
 
 def small_stream(seed=0, tasks=2, train=48, test=32):
@@ -89,11 +90,11 @@ class TestToyModel:
         one = stream[0][1].take([0])
         content, fmt = model.forward(one)
         x, _ = model._input(one)
-        h1 = model.proj.W0.a @ x.a
-        h2 = np.maximum(model.hidden.W0.a @ h1, 0.0)
+        h1 = model.proj.W0 @ x
+        h2 = np.maximum(model.hidden.W0 @ h1, 0.0)
         pooled = h2.mean(axis=1, keepdims=True)
-        assert np.allclose(content.a, model.head_content.W0.a @ pooled, atol=1e-12)
-        assert np.allclose(fmt.a, model.head_format.W0.a @ pooled, atol=1e-12)
+        assert np.allclose(content, model.head_content.W0 @ pooled, atol=1e-12)
+        assert np.allclose(fmt, model.head_format.W0 @ pooled, atol=1e-12)
 
     def test_same_seed_same_model(self):
         cfg = small_config("smolora")
@@ -101,7 +102,7 @@ class TestToyModel:
         b = ToyModel(cfg, 8, 4, 3).named_matrices()
         assert a.keys() == b.keys()
         for name in a:
-            assert np.array_equal(a[name].a, b[name].a)
+            assert np.array_equal(a[name], b[name])
 
     @pytest.mark.parametrize(
         "method, adapter",
@@ -113,7 +114,8 @@ class TestToyModel:
     )
     def test_checkpoint_layout(self, method, adapter):
         # Checkpoints are written in this order, and readers of model.ckpt
-        # parse it; the trainable matrices are the same ones, less the frozen.
+        # parse it; the arrays other than the frozen ones are views of the
+        # flat parameters, which they cover exactly.
         model = ToyModel(small_config(method, vu_blocks=2, if_blocks=1), 8, 4, 3)
         names = list(model.named_matrices())
         assert names == ["instr_proj"] + [
@@ -122,14 +124,17 @@ class TestToyModel:
             for key in ["W0"] + adapter
         ]
         named = model.named_matrices()
-        expected = [named[n] for n in names if n != "instr_proj" and not n.endswith(".W0")]
-        assert [id(m) for m in model.trainable()] == [id(m) for m in expected]
+        frozen = [n for n in names if n == "instr_proj" or n.endswith(".W0")]
+        assert not any(np.shares_memory(named[n], model.params.flat) for n in frozen)
+        adapter = [named[n] for n in names if n not in frozen]
+        assert all(np.shares_memory(a, model.params.flat) for a in adapter)
+        assert sum(a.size for a in adapter) == sum(m.a.size for m in model.params)
 
     def test_head_rank_is_clamped(self):
         cfg = small_config("seqlora", rank=16)
         model = ToyModel(cfg, 8, 4, 3)
-        assert model.head_content.block.rank == 2  # min(16, 4) // 2
-        assert model.head_format.block.rank == 1
+        assert model.head_content.bank.rank == 2  # min(16, 4) // 2
+        assert model.head_format.bank.rank == 1
 
     def test_missing_embedding_rejected(self):
         stream = small_stream()
@@ -155,7 +160,7 @@ class TestToyModel:
         attach_embeddings(back, embedder)
         assert np.array_equal(got.embedding[:, ::2], train.embedding[:, ::2])
         for j in range(1, len(got), 2):
-            assert np.array_equal(got.embedding[:, j : j + 1], embedder.embed(got.texts[j]).a)
+            assert np.array_equal(got.embedding[:, j : j + 1], embedder.embed(got.texts[j]))
 
     def test_cancelling_instruction_is_format_error_naming_it(self):
         stream = small_stream()
@@ -179,20 +184,20 @@ class TestTrainStage:
         stream = prepared()
         cfg = small_config(epochs=0)
         model = ToyModel(cfg, 8, 4, 3)
-        before = {k: m.a.copy() for k, m in model.named_matrices().items()}
+        before = {k: a.copy() for k, a in model.named_matrices().items()}
         assert train_stage(model, stream[0][1], cfg) == []
-        for k, m in model.named_matrices().items():
-            assert np.array_equal(before[k], m.a)
+        for k, a in model.named_matrices().items():
+            assert np.array_equal(before[k], a)
 
     @pytest.mark.parametrize("method", ["seqlora", "molora", "smolora"])
     def test_base_weights_frozen(self, method):
         stream = prepared()
         cfg = small_config(method)
         model = ToyModel(cfg, 8, 4, 3)
-        frozen_before = {k: m.a.copy() for k, m in model.frozen_matrices().items()}
+        frozen_before = {k: a.copy() for k, a in _frozen(model).items()}
         train_stage(model, stream[0][1], cfg)
-        for k, m in model.frozen_matrices().items():
-            assert np.array_equal(frozen_before[k], m.a), f"{k} changed"
+        for k, a in _frozen(model).items():
+            assert np.array_equal(frozen_before[k], a), f"{k} changed"
 
     def test_stage_learns_its_task(self):
         stream = prepared()
@@ -218,15 +223,20 @@ class TestTrainStage:
         assert all(b <= a + 1e-9 for a, b in zip(med, med[1:]))
 
 
+def _frozen(model):
+    """The model's frozen arrays by checkpoint name: the instruction projection and each W0."""
+    return {k: a for k, a in model.named_matrices().items() if k == "instr_proj" or k.endswith(".W0")}
+
+
 def _live_model_and_batch(method):
     """A model whose B matrices are nonzero, and a batch of six instances of two formats."""
     stream = prepared()
     assert stream[0][0].format_id != stream[1][0].format_id
     model = ToyModel(small_config(method), 8, 4, 3)
     rng = np.random.default_rng(3)
-    for name, m in model.named_matrices().items():
+    for name, a in model.named_matrices().items():
         if name.endswith(".B"):
-            m.a[...] = rng.normal(size=m.shape)
+            a[...] = rng.normal(size=a.shape)
     return model, TaskSplit.concat([stream[0][1].take(np.arange(3)), stream[1][1].take(np.arange(3))])
 
 
@@ -247,23 +257,23 @@ class TestBatchedForward:
     def test_batch_matches_sum_of_single_instances(self, method):
         model, batch = _live_model_and_batch(method)
         # The batch loss is the mean of the instances' losses, so n times
-        # its gradient is the sum of theirs.
-        params = model.trainable()
+        # its gradient is the sum of theirs, block by block.
+        params = with_grads(model.params, model.named_matrices())
         content, fmt = _backward(model, batch)
-        grads = {p: len(batch) * p.grad for p in params}
+        grads = [len(batch) * p.grad for p in params]
 
-        summed = {p: np.zeros_like(p.a) for p in params}
+        summed = [np.zeros_like(p.a) for p in params]
         for j in range(len(batch)):
             c1, f1 = _backward(model, batch.take([j]))
-            assert _rel_close(content.a[:, j : j + 1], c1.a)
-            assert _rel_close(fmt.a[:, j : j + 1], f1.a)
-            for p in params:
-                summed[p] += p.grad
-        for p in params:
-            if np.any(summed[p] != 0.0):
-                assert _rel_close(grads[p], summed[p])
+            assert _rel_close(content[:, j : j + 1], c1)
+            assert _rel_close(fmt[:, j : j + 1], f1)
+            for total, p in zip(summed, params):
+                total += p.grad
+        for grad, total in zip(grads, summed):
+            if np.any(total != 0.0):
+                assert _rel_close(grad, total)
             else:
-                assert np.all(grads[p] == 0.0)
+                assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("method", ["smolora", "molora"])
     def test_block_no_instance_selected_gets_zero_gradient(self, method):
@@ -275,28 +285,29 @@ class TestBatchedForward:
             banks = []
             for layer, r in zip(model.layers, routing):  # one record per layer, in order
                 assert r.layer_id == layer.layer_id and r.vu_gate.shape[1] == n
-                for blocks, gate in ((layer.layer.vu_blocks, r.vu_gate),
-                                     (layer.layer.if_blocks, r.if_gate)):
-                    banks.append((blocks, set(np.flatnonzero(gate.any(axis=1)).tolist())))
+                for bank, gate in ((layer.layer.vu_bank, r.vu_gate),
+                                   (layer.layer.if_bank, r.if_gate)):
+                    banks.append((bank, set(np.flatnonzero(gate.any(axis=1)).tolist())))
         else:
             # Top-1 token-wise routing: each column picks its largest router logit.
             x, emb = model._input(batch)
             h1 = model.proj.forward(x, emb)
-            pooled = mean_over_columns(relu(model.hidden.forward(h1, emb)), n)
+            pooled = relu_pool(model.hidden.forward(h1, emb), n)
             inputs = [x, h1, pooled, pooled]
             banks = [
-                (layer.layer.blocks, set(np.argmax(layer.layer.router.a @ inp.a, axis=0)))
+                (layer.layer.bank, set(np.argmax(layer.layer.router.a @ inp, axis=0)))
                 for layer, inp in zip(model.layers, inputs)
             ]
         unselected = 0
-        for blocks, chosen in banks:
-            for i, block in enumerate(blocks):
+        for bank, chosen in banks:
+            for i in range(len(bank)):
+                block = slice(i * bank.rank, (i + 1) * bank.rank)
                 if i in chosen:
-                    assert np.any(block.B.grad != 0.0)
+                    assert np.any(bank.B.grad[:, block] != 0.0)
                 else:
                     unselected += 1
-                    assert np.all(block.A.grad == 0.0)
-                    assert np.all(block.B.grad == 0.0)
+                    assert np.all(bank.A.grad[block] == 0.0)
+                    assert np.all(bank.B.grad[:, block] == 0.0)
         assert unselected > 0
 
 
@@ -324,9 +335,9 @@ class TestBankMajorStorage:
         train_stage(model, stream[0][1], cfg)
         for bank in banks:
             assert np.any(bank.B.a != 0.0)
-            B = bank.blocks[-1].B.a
+            B = bank.B.a[:, -bank.rank :]
             assert np.all(B == 0.0) and not np.signbit(B).any()
-            assert np.shares_memory(B, model.trainable().flat)
+            assert np.shares_memory(B, model.params.flat)
 
 
 class TestTopOneRouting:
@@ -348,7 +359,7 @@ class TestTopOneRouting:
             train_stage(model, train, config)
             assert all(np.array_equal(r.a, b) for r, b in zip(routers, before))
             _backward(model, batch)
-            assert np.any(model.trainable().grad != 0.0)
+            assert np.any(model.params.grad != 0.0)
             for router in routers:
                 assert np.all(router.grad == 0.0)
 
@@ -357,8 +368,8 @@ class TestWholeStep:
     @pytest.mark.parametrize("method", METHODS)
     def test_flat_gradient_matches_finite_differences(self, method):
         # One step's six rules fill the whole gradient buffer; every
-        # trainable matrix's view of it matches central differences of the
-        # batch's mean loss.
+        # trainable array's view of it, each block's, matches central
+        # differences of the batch's mean loss.
         model, batch = _live_model_and_batch(method)
         content, fmt = _backward(model, batch)
         rng = np.random.default_rng(5)
@@ -367,10 +378,10 @@ class TestWholeStep:
             return model.loss(batch, *model.forward(batch))
 
         worst = 0.0
-        for m in model.trainable():
+        for m in with_grads(model.params, model.named_matrices()):
             grad = m.grad.copy()
             for _ in range(3):
-                i, j = int(rng.integers(m.rows)), int(rng.integers(m.cols))
+                i, j = int(rng.integers(m.a.shape[0])), int(rng.integers(m.a.shape[1]))
                 worst = max(worst, rel_err(grad[i, j], central_diff(loss, m.a, i, j)))
         assert worst < 1e-4
 
@@ -379,16 +390,9 @@ class TestFiniteness:
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_blocks_fail_the_taped_forward(self, method):
         model, batch = _live_model_and_batch(method)
-        adapter = model.proj
-        if method == "seqlora":
-            blocks = [adapter.block]
-        elif method == "molora":
-            blocks = adapter.layer.blocks
-        else:
-            blocks = adapter.layer.vu_blocks + adapter.layer.if_blocks
-        for block in blocks:
-            block.A.a[...] = 1e200
-            block.B.a[...] = 1e200
+        for name, a in model.proj.named_matrices().items():
+            if name.endswith((".A", ".B")):
+                a[...] = 1e200
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeError):
             model.forward(batch, Tape())
 
@@ -406,7 +410,7 @@ class _OracleModel:
         fmt = np.zeros((self.format_count, len(batch)))
         content[batch.answer_class, columns] = 1.0
         fmt[batch.format_id, columns] = 1.0
-        return Matrix(content), Matrix(fmt)
+        return content, fmt
 
 
 class _ConstantModel:
@@ -417,7 +421,7 @@ class _ConstantModel:
         content[0, :] = 1.0
         fmt = np.zeros((3, len(batch)))
         fmt[0, :] = 1.0
-        return Matrix(content), Matrix(fmt)
+        return content, fmt
 
 
 class TestEvaluateTask:
@@ -458,16 +462,16 @@ class TestUntapedForward:
         split = TaskSplit.concat([stream[0][2], stream[1][2]]).take(np.arange(n))
         model = ToyModel(small_config(method, top_k=top_k), 8, 4, 3)
         rng = np.random.default_rng(n + top_k)
-        for name, m in model.named_matrices().items():
+        for name, a in model.named_matrices().items():
             if name.endswith(".B"):
-                m.a[...] = rng.normal(size=m.shape)
+                a[...] = rng.normal(size=a.shape)
 
         def given():
             return [a.copy() for a in (model.params.flat, split.visual, split.embedding,
                                        split.answer_class, split.format_id, split.task_id)]
 
         def outputs(content, fmt, routing):
-            return [content.a, fmt.a] + [a for r in routing for a in r[1:]]
+            return [content, fmt] + [a for r in routing for a in r[1:]]
 
         before = given()
         routing = []
@@ -488,7 +492,7 @@ class TestEvaluationAllocations:
     """The tracemalloc peak of one evaluation forward, in hidden activations (hidden x 2n
     float64s): the untaped kernels allocate only what they return."""
 
-    @pytest.mark.parametrize("method, budget", [("seqlora", 5), ("molora", 7), ("smolora", 7)])
+    @pytest.mark.parametrize("method, budget", [("seqlora", 4.25), ("molora", 6.4), ("smolora", 5.45)])
     def test_peak_of_a_96_instance_evaluation(self, method, budget):
         stream = generate_stream(1, task_count=2, train_per_task=1, test_per_task=96)
         attach_embeddings(stream, HashingEmbedder(64))
@@ -522,13 +526,13 @@ class TestColumnarPaths:
         assert len(set(batch.task_id.tolist())) == 2
         embedder = HashingEmbedder(16)
         want_x, want_emb = per_instance_input(
-            model.instr_proj.a,
+            model.instr_proj,
             [batch.visual[:, j] for j in range(len(batch))],
-            [embedder.embed(text).a for text in batch.texts],
+            [embedder.embed(text) for text in batch.texts],
         )
         x, emb = model._input(batch)
-        assert np.array_equal(x.a, want_x)
-        assert np.array_equal(emb.a, want_emb)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(emb, want_emb)
 
     @pytest.mark.parametrize("make_model", [_trained_smolora, _OracleModel, _ConstantModel])
     def test_records_match_per_instance_records(self, make_model):
@@ -538,7 +542,7 @@ class TestColumnarPaths:
             content, fmt = model.forward(split)
             labels = list(zip(split.task_id.tolist(), split.answer_class.tolist(), split.format_id.tolist()))
             c_acc, f_acc, correct, _ = evaluate_task(model, split)
-            want_c, want_f, want = per_instance_records(content.a, fmt.a, labels)
+            want_c, want_f, want = per_instance_records(content, fmt, labels)
             assert (c_acc, f_acc) == (want_c, want_f)
             assert stage_records(1, split.task_id.tolist(), correct) == [{"stage": 1, **r} for r in want]
             assert correct.dtype == np.int64
@@ -624,7 +628,7 @@ class TestPackedEvaluation:
                 alone = model.forward(test, routing=(alone_routing := []))
                 cols = slice(start, start + len(test))
                 for got, want in zip(packed, alone):
-                    assert np.array_equal(got.a[:, cols], want.a)
+                    assert np.array_equal(got[:, cols], want)
                 for got, want in zip(packed_routing, alone_routing):
                     got = got.instances(cols.start, cols.stop)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -685,8 +689,8 @@ class TestRunCvit:
         cfg = small_config("smolora", epochs=1)
         model, _ = run_cvit(cfg, stream)
         reference = ToyModel(cfg, 8, 4, 3)
-        for name, m in model.frozen_matrices().items():
-            assert np.array_equal(m.a, reference.frozen_matrices()[name].a)
+        for name, a in _frozen(model).items():
+            assert np.array_equal(a, _frozen(reference)[name])
 
     def test_each_stage_sees_only_its_own_task(self, monkeypatch):
         calls = []
@@ -844,15 +848,15 @@ class TestCheckpoint:
             data, error = data[:-8] + np.array([np.nan], dtype="<f8").tobytes(), FormatError
         else:
             data, error = data[: data.rindex(name.encode()) - 4], ContractError
-            assert len(path.read_bytes()) - len(data) == 4 + len(name) + 8 + 8 * last.a.size
+            assert len(path.read_bytes()) - len(data) == 4 + len(name) + 8 + 8 * last.size
         path.write_bytes(data)
         target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3)
-        flat = target.trainable().flat.tobytes()
-        frozen = {k: m.a.tobytes() for k, m in target.frozen_matrices().items()}
+        flat = target.params.flat.tobytes()
+        frozen = {k: a.tobytes() for k, a in _frozen(target).items()}
         with pytest.raises(error):
             load_checkpoint(path, target)
-        assert target.trainable().flat.tobytes() == flat
-        assert {k: m.a.tobytes() for k, m in target.frozen_matrices().items()} == frozen
+        assert target.params.flat.tobytes() == flat
+        assert {k: a.tobytes() for k, a in _frozen(target).items()} == frozen
 
     def test_shape_mismatch_is_contract_error(self, tmp_path):
         cfg, model = self._trained_model("seqlora")
@@ -867,19 +871,45 @@ class TestCheckpoint:
         # A matrix whose array was rebound would silently drop out of the
         # flat update, so training after a load must still move the values.
         cfg, model = self._trained_model(method)
-        for m in model.trainable():
-            assert np.shares_memory(m.a, model.trainable().flat)
+        for m in model.params:
+            assert np.shares_memory(m.a, model.params.flat)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         clone = load_checkpoint(path, ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3))
-        flat = clone.trainable().flat
-        for m in clone.trainable():
+        flat = clone.params.flat
+        for m in clone.params:
             assert np.shares_memory(m.a, flat)
-        loaded = {name: m.a.copy() for name, m in clone.named_matrices().items()}
+        loaded = {name: a.copy() for name, a in clone.named_matrices().items()}
         train_stage(clone, prepared()[1][1], cfg)
-        moved = {n for n, m in clone.named_matrices().items() if not np.array_equal(m.a, loaded[n])}
+        moved = {n for n, a in clone.named_matrices().items() if not np.array_equal(a, loaded[n])}
         assert moved
         assert all(not n.endswith("W0") and n != "instr_proj" for n in moved)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_load_writes_through_block_views_into_the_flat_buffer(self, tmp_path, method):
+        # A differently seeded model loaded from a checkpoint is the source
+        # model bit for bit: the blocks are written through their views of
+        # the banks, which alias the flat parameters. So a step moves what
+        # the views hold.
+        cfg, model = self._trained_model(method)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        clone = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3)
+        assert clone.params.flat.tobytes() != model.params.flat.tobytes()
+        load_checkpoint(path, clone)
+        assert clone.params.flat.tobytes() == model.params.flat.tobytes()
+        split = prepared()[1][2]
+        for got, want in zip(clone.forward(split), model.forward(split)):
+            assert got.tobytes() == want.tobytes()
+        held = clone.named_matrices()
+        before = {n: a.copy() for n, a in held.items()}
+        _backward(clone, split)
+        sgd_step(clone.params, cfg.learning_rate)
+        moved = {n for n, a in held.items() if not np.array_equal(a, before[n])}
+        assert {n for n in moved if n.endswith(".A")} and {n for n in moved if n.endswith(".B")}
+        assert not moved & set(_frozen(clone))
+        for name, a in clone.named_matrices().items():
+            assert np.array_equal(held[name], a), name
 
     def test_zero_init_checkpoint_restores_base_forward(self, tmp_path):
         stream = prepared()
@@ -892,7 +922,7 @@ class TestCheckpoint:
         one = stream[0][1].take([0])
         content, _ = target.forward(one)
         x, _ = target._input(one)
-        h1 = fresh.proj.W0.a @ x.a
-        h2 = np.maximum(fresh.hidden.W0.a @ h1, 0.0)
-        expected = fresh.head_content.W0.a @ h2.mean(axis=1, keepdims=True)
-        assert np.allclose(content.a, expected, atol=1e-12)
+        h1 = fresh.proj.W0 @ x
+        h2 = np.maximum(fresh.hidden.W0 @ h1, 0.0)
+        expected = fresh.head_content.W0 @ h2.mean(axis=1, keepdims=True)
+        assert np.allclose(content, expected, atol=1e-12)

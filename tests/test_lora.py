@@ -7,17 +7,16 @@ from _oracles import (
     scalar_softmax,
     straight_line_smolora,
     two_row_fusion,
+    with_grads,
 )
 
 from smolora.errors import ShapeError
 from smolora.harness import AdapterLayer, RunConfig
 from smolora.lora import (
     LoRABank,
-    LoRABlock,
-    MoLoRALayer,
     _bank,
     adaptive_fusion,
-    init_lora_block,
+    init_lora_bank,
     init_molora,
     init_smolora,
     lora_apply,
@@ -33,36 +32,54 @@ def _seeded_smolora(seed=0, d=8, k_out=8, M=4, nm=4, r=2, e=6, top_k=1):
 
 
 def _fill_blocks(layer, rng):
-    """Give every B matrix nonzero entries so updates actually fire."""
-    blocks = getattr(layer, "blocks", None)
-    if blocks is None:
-        blocks = layer.vu_blocks + layer.if_blocks
-    for b in blocks:
-        b.B.a[...] = rng.normal(size=b.B.shape)
+    """Give every block's B nonzero entries, block by block, so updates actually fire."""
+    for name, view in layer.named().items():
+        if name.endswith(".B"):
+            view[...] = rng.normal(size=view.shape)
 
 
-class TestLoRABlock:
+def _blocks(bank):
+    """Each block's (A, B), as views of the bank's."""
+    views = list(bank.named("").values())
+    return list(zip(views[0::2], views[1::2]))
+
+
+def _block(bank, i):
+    """Block i of a bank as a one-block bank of its own (a copy)."""
+    A, B = _blocks(bank)[i]
+    return LoRABank(Matrix(A), Matrix(B), bank.rank)
+
+
+class TestOneBlockBank:
     def test_zero_init_output(self):
         rng = np.random.default_rng(0)
-        block = init_lora_block(6, 4, 2, rng)
-        x = Matrix(rng.normal(size=(6, 3)))
-        assert np.all(lora_apply(block, x).a == 0.0)
+        bank = init_lora_bank(6, 4, 1, 2, rng)
+        x = rng.normal(size=(6, 3))
+        assert np.all(lora_apply(bank, x) == 0.0)
 
     def test_hand_expansion(self):
-        block = LoRABlock(A=Matrix([[1.0, 0.0]]), B=Matrix([[2.0], [0.0]]), rank=1)
-        out = lora_apply(block, Matrix([[3.0], [5.0]]))
+        bank = LoRABank(A=Matrix([[1.0, 0.0]]), B=Matrix([[2.0], [0.0]]), rank=1)
+        out = lora_apply(bank, np.array([[3.0], [5.0]]))
         assert out.tolist() == [[6.0], [0.0]]
 
     def test_rank_bound_enforced(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError):
-            init_lora_block(4, 4, 3, rng)  # max allowed is 2
+            init_lora_bank(4, 4, 1, 3, rng)  # max allowed is 2
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(0)
-        block = init_lora_block(6, 4, 2, rng)
+        bank = init_lora_bank(6, 4, 1, 2, rng)
         with pytest.raises(ShapeError):
-            lora_apply(block, Matrix(np.zeros((5, 2))))
+            lora_apply(bank, np.zeros((5, 2)))
+
+    def test_one_block_names_its_whole_matrices(self):
+        bank = init_lora_bank(6, 4, 1, 2, np.random.default_rng(0))
+        assert len(bank) == 1
+        named = bank.named("lora")
+        assert list(named) == ["lora0.A", "lora0.B"]
+        assert np.shares_memory(named["lora0.A"], bank.A.a) and named["lora0.A"].shape == bank.A.shape
+        assert np.shares_memory(named["lora0.B"], bank.B.a) and named["lora0.B"].shape == bank.B.shape
 
 
 class TestMoLoRAForward:
@@ -70,14 +87,14 @@ class TestMoLoRAForward:
         layer = init_molora(d=6, k_out=4, N=1, r=2, top_k=1, seed=3)
         rng = np.random.default_rng(4)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(6, 3)))
-        expected = layer.W0.a @ x.a + lora_apply(layer.blocks[0], x).a
-        assert np.allclose(molora_forward(layer, x).a, expected, atol=1e-12)
+        x = rng.normal(size=(6, 3))
+        expected = layer.W0 @ x + lora_apply(_block(layer.bank, 0), x)
+        assert np.allclose(molora_forward(layer, x), expected, atol=1e-12)
 
     def test_zero_init_is_base_only(self):
         layer = init_molora(d=6, k_out=4, N=3, r=2, top_k=2, seed=5)
-        x = Matrix(np.random.default_rng(6).normal(size=(6, 2)))
-        assert np.array_equal(molora_forward(layer, x).a, (layer.W0.a @ x.a))
+        x = np.random.default_rng(6).normal(size=(6, 2))
+        assert np.array_equal(molora_forward(layer, x), (layer.W0 @ x))
 
     def test_token_wise_routing_brute_force(self):
         # Token 0 routes to block 0, token 1 to block 1, by construction.
@@ -85,12 +102,12 @@ class TestMoLoRAForward:
         layer = init_molora(d=2, k_out=3, N=2, r=1, top_k=1, seed=8)
         _fill_blocks(layer, rng)
         layer.router.a[...] = [[10.0, 0.0], [0.0, 10.0]]
-        x = Matrix([[1.0, 0.0], [0.0, 1.0]])
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = molora_forward(layer, x)
-        for t, block in ((0, layer.blocks[0]), (1, layer.blocks[1])):
-            col = Matrix(x.a[:, t : t + 1])
-            expected = layer.W0.a @ col.a + lora_apply(block, col).a
-            assert np.allclose(out.a[:, t : t + 1], expected, atol=1e-12)
+        for t in (0, 1):
+            col = x[:, t : t + 1]
+            expected = layer.W0 @ col + lora_apply(_block(layer.bank, t), col)
+            assert np.allclose(out[:, t : t + 1], expected, atol=1e-12)
 
     def test_top_two_matches_per_token_loop(self):
         # Reference: each token's two largest router logits, softmaxed,
@@ -98,16 +115,16 @@ class TestMoLoRAForward:
         layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=2, seed=13)
         rng = np.random.default_rng(14)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(6, 5)))
-        out = molora_forward(layer, x).a
-        for t in range(x.cols):
-            col = Matrix(x.a[:, t : t + 1])
-            logits = (layer.router.a @ col.a)[:, 0]
+        x = rng.normal(size=(6, 5))
+        out = molora_forward(layer, x)
+        for t in range(x.shape[1]):
+            col = x[:, t : t + 1]
+            logits = (layer.router.a @ col)[:, 0]
             top = np.argsort(-logits, kind="stable")[:2]
             w = np.exp(logits[top] - logits[top].max())
-            expected = layer.W0.a @ col.a
+            expected = layer.W0 @ col
             for i, wi in zip(top, w / w.sum()):
-                expected = expected + wi * lora_apply(layer.blocks[i], col).a
+                expected = expected + wi * lora_apply(_block(layer.bank, i), col)
             assert np.abs(out[:, t : t + 1] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_equals_plain_lora_when_single_block(self):
@@ -115,10 +132,11 @@ class TestMoLoRAForward:
         layer = init_molora(d=8, k_out=6, N=1, r=3, top_k=1, seed=11)
         rng = np.random.default_rng(12)
         _fill_blocks(layer, rng)
+        block = _block(layer.bank, 0)
         for _ in range(100):
-            x = Matrix(rng.normal(size=(8, 2)))
-            plain = layer.W0.a @ x.a + lora_apply(layer.blocks[0], x).a
-            assert np.max(np.abs(molora_forward(layer, x).a - plain)) <= 1e-12
+            x = rng.normal(size=(8, 2))
+            plain = layer.W0 @ x + lora_apply(block, x)
+            assert np.max(np.abs(molora_forward(layer, x) - plain)) <= 1e-12
 
 
 class TestBankGateExpansion:
@@ -206,26 +224,26 @@ class TestSMoLoRAForward:
         for seed in range(5):
             layer = _seeded_smolora(seed=seed)
             rng = np.random.default_rng(seed + 100)
-            x = Matrix(rng.normal(size=(8, 3)))
-            emb = Matrix(rng.normal(size=(6, 1)))
+            x = rng.normal(size=(8, 3))
+            emb = rng.normal(size=(6, 1))
             y = smolora_forward(layer, x, emb)
-            assert np.array_equal(y.a, layer.W0.a @ x.a)
+            assert np.array_equal(y, layer.W0 @ x)
 
     def test_single_block_banks_gate_to_one(self):
         layer = _seeded_smolora(M=1, nm=1, top_k=1)
         rng = np.random.default_rng(14)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(8, 2)))
-        emb = Matrix(rng.normal(size=(6, 1)))
+        x = rng.normal(size=(8, 2))
+        emb = rng.normal(size=(6, 1))
         routing = []
         y = smolora_forward(layer, x, emb, routing=routing)
         [r] = routing
         assert r.vu_gate.tolist() == [[1.0]]
         assert r.if_gate.tolist() == [[1.0]]
-        x_vu = lora_apply(layer.vu_blocks[0], x).a
-        x_if = lora_apply(layer.if_blocks[0], x).a
+        x_vu = lora_apply(layer.vu_bank, x)
+        x_if = lora_apply(layer.if_bank, x)
         fused, _, _ = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
-        assert np.allclose(y.a, layer.W0.a @ x.a + fused, atol=1e-12)
+        assert np.allclose(y, layer.W0 @ x + fused, atol=1e-12)
 
     def test_straight_line_oracle(self):
         layer = _seeded_smolora(seed=21, top_k=2)
@@ -234,13 +252,13 @@ class TestSMoLoRAForward:
         x = rng.normal(size=(8, 3))
         emb = rng.normal(size=(6, 1))
         emb /= np.linalg.norm(emb)
-        y = smolora_forward(layer, Matrix(x), Matrix(emb))
+        y = smolora_forward(layer, x, emb)
         expected = straight_line_smolora(
-            W0=layer.W0.a,
-            vu_A=[b.A.a for b in layer.vu_blocks],
-            vu_B=[b.B.a for b in layer.vu_blocks],
-            if_A=[b.A.a for b in layer.if_blocks],
-            if_B=[b.B.a for b in layer.if_blocks],
+            W0=layer.W0,
+            vu_A=[A for A, _ in _blocks(layer.vu_bank)],
+            vu_B=[B for _, B in _blocks(layer.vu_bank)],
+            if_A=[A for A, _ in _blocks(layer.if_bank)],
+            if_B=[B for _, B in _blocks(layer.if_bank)],
             R_vu=layer.R_vu.a,
             R_if=layer.R_if.a,
             I_vu=layer.I_vu.a,
@@ -249,7 +267,7 @@ class TestSMoLoRAForward:
             x=x,
             emb=emb,
         )
-        assert np.allclose(y.a, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(y, expected, rtol=1e-12, atol=1e-12)
 
     def test_linearity_in_base_weight(self):
         # The output is W0 @ x plus an update that does not read W0: the
@@ -257,21 +275,21 @@ class TestSMoLoRAForward:
         layer = _seeded_smolora(seed=30)
         rng = np.random.default_rng(31)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(8, 4)))
-        emb = Matrix(rng.normal(size=(6, 1)))
+        x = rng.normal(size=(8, 4))
+        emb = rng.normal(size=(6, 1))
         y = smolora_forward(layer, x, emb)
-        W0 = layer.W0.a.copy()
-        layer.W0.a[...] = 0.0
+        W0 = layer.W0.copy()
+        layer.W0[...] = 0.0
         delta = smolora_forward(layer, x, emb)
-        assert np.array_equal(y.a, W0 @ x.a + delta.a)
+        assert np.array_equal(y, W0 @ x + delta)
 
     def test_gate_and_fusion_simplex_on_routing(self):
         layer = _seeded_smolora(seed=40, top_k=2)
         layer.layer_id = 3
         rng = np.random.default_rng(41)
         _fill_blocks(layer, rng)
-        x = Matrix(rng.normal(size=(8, 3)))
-        emb = Matrix(rng.normal(size=(6, 1)))
+        x = rng.normal(size=(8, 3))
+        emb = rng.normal(size=(6, 1))
         routing = []
         smolora_forward(layer, x, emb, routing=routing)
         [r] = routing
@@ -287,43 +305,38 @@ class TestSMoLoRAForward:
         # A bank is stored as one stacked A and one B of whole rank-r blocks:
         # three rows at rank 2 would be a rank-2 block and a rank-1 block.
         with pytest.raises(ShapeError):
-            LoRABank(A=Matrix(np.ones((3, 8))), B=Matrix.zeros(8, 3), rank=2)
+            LoRABank(A=Matrix(np.ones((3, 8))), B=Matrix(np.zeros((8, 3))), rank=2)
         with pytest.raises(ShapeError):
-            LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix.zeros(8, 2), rank=2)
-        bank = LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix.zeros(8, 4), rank=2)
-        assert [b.A.shape for b in bank.blocks] == [(2, 8), (2, 8)]
-        assert [b.B.shape for b in bank.blocks] == [(8, 2), (8, 2)]
+            LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix(np.zeros((8, 2))), rank=2)
+        bank = LoRABank(A=Matrix(np.ones((4, 8))), B=Matrix(np.zeros((8, 4))), rank=2)
+        assert len(bank) == 2
+        assert [A.shape for A, _ in _blocks(bank)] == [(2, 8), (2, 8)]
+        assert [B.shape for _, B in _blocks(bank)] == [(8, 2), (8, 2)]
 
     def test_embedding_shape_checked(self):
         layer = _seeded_smolora()
-        x = Matrix(np.zeros((8, 2)))
+        x = np.zeros((8, 2))
         with pytest.raises(ShapeError):
-            smolora_forward(layer, x, Matrix(np.zeros((5, 1))))
+            smolora_forward(layer, x, np.zeros((5, 1)))
 
 
 class TestInitSMoLoRA:
     def test_same_seed_bitwise_identical(self):
         a = init_smolora(d=16, k_out=16, M=4, N_minus_M=4, r=4, e=8, top_k=1, seed=77)
         b = init_smolora(d=16, k_out=16, M=4, N_minus_M=4, r=4, e=8, top_k=1, seed=77)
-        for ma, mb in (
-            (a.W0, b.W0),
-            (a.R_vu, b.R_vu),
-            (a.R_if, b.R_if),
-            (a.I_vu, b.I_vu),
-            (a.I_if, b.I_if),
-        ):
-            assert np.array_equal(ma.a, mb.a)
-        for ba, bb in zip(a.vu_blocks + a.if_blocks, b.vu_blocks + b.if_blocks):
-            assert np.array_equal(ba.A.a, bb.A.a)
-            assert np.array_equal(ba.B.a, bb.B.a)
+        assert np.array_equal(a.W0, b.W0)
+        named_a, named_b = a.named(), b.named()
+        assert list(named_a) == list(named_b)
+        for name, view in named_a.items():
+            assert np.array_equal(view, named_b[name]), name
 
     def test_reference_defaults_constructible(self):
         layer = init_smolora(d=64, k_out=64, M=4, N_minus_M=4, r=16, e=64, top_k=1, seed=0)
-        assert len(layer.vu_blocks) == 4
-        assert len(layer.if_blocks) == 4
-        assert all(b.rank == 16 for b in layer.vu_blocks + layer.if_blocks)
+        assert len(layer.vu_bank) == 4
+        assert len(layer.if_bank) == 4
+        assert layer.vu_bank.rank == layer.if_bank.rank == 16
         assert layer.top_k == 1
-        assert all(np.all(b.B.a == 0.0) for b in layer.vu_blocks + layer.if_blocks)
+        assert all(np.all(B == 0.0) for _, B in _blocks(layer.vu_bank) + _blocks(layer.if_bank))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -339,9 +352,10 @@ class TestGradients:
         layer = _seeded_smolora(seed=seed, top_k=top_k)
         rng = np.random.default_rng(seed + 1)
         _fill_blocks(layer, rng)
-        params = FlatParameters(layer.named().values())
-        x = Matrix(rng.normal(size=(8, cols)))
-        emb = Matrix(rng.normal(size=(6, instances)))
+        # Random entries of each array by checkpoint name: every block's own.
+        params = with_grads(FlatParameters(layer.trainable()), layer.named())
+        x = rng.normal(size=(8, cols))
+        emb = rng.normal(size=(6, instances))
         G = rng.normal(size=(8, cols))
         worst, checked = rule_fd_error(
             lambda tape: smolora_forward(layer, x, emb, tape), params, x, G,
@@ -354,11 +368,12 @@ class TestGradients:
         routing = []
         smolora_forward(layer, x, emb, routing=routing)
         [r] = routing
-        for blocks, gate in ((layer.vu_blocks, r.vu_gate), (layer.if_blocks, r.if_gate)):
-            for i, block in enumerate(blocks):
+        for bank, gate in ((layer.vu_bank, r.vu_gate), (layer.if_bank, r.if_gate)):
+            for i in range(len(bank)):
                 if not gate[i].any():
-                    assert np.all(block.A.grad == 0.0)
-                    assert np.all(block.B.grad == 0.0)
+                    block = slice(i * bank.rank, (i + 1) * bank.rank)
+                    assert np.all(bank.A.grad[block] == 0.0)
+                    assert np.all(bank.B.grad[:, block] == 0.0)
         if top_k == 1:
             assert np.all(layer.R_vu.grad == 0.0) and np.all(layer.R_if.grad == 0.0)
 
@@ -376,8 +391,8 @@ class TestGradients:
         layer = init_molora(d=6, k_out=5, N=4, r=2, top_k=top_k, seed=60)
         rng = np.random.default_rng(61)
         _fill_blocks(layer, rng)
-        params = FlatParameters(layer.named().values())
-        x = Matrix(rng.normal(size=(6, 3)))
+        params = FlatParameters(layer.trainable())
+        x = rng.normal(size=(6, 3))
         G = rng.normal(size=(5, 3))
         worst, checked = rule_fd_error(lambda tape: molora_forward(layer, x, tape), params, x, G)
         assert checked == 6 * 4 + 2 * 6 * 4 + 5 * 2 * 4 + 6 * 3
@@ -395,10 +410,10 @@ class TestGradients:
         # The rule returns the input's gradient, W0's term included.
         rng = np.random.default_rng(80)
         layer = AdapterLayer("hidden", "seqlora", 6, 5, RunConfig(method="seqlora", rank=2), rng, 1)
-        layer.block.B.a[...] = rng.normal(size=layer.block.B.shape)
+        layer.bank.B.a[...] = rng.normal(size=layer.bank.B.shape)
         params = FlatParameters(layer.trainable())
-        x = Matrix(rng.normal(size=(6, 3)))
-        emb = Matrix(rng.normal(size=(64, 1)))
+        x = rng.normal(size=(6, 3))
+        emb = rng.normal(size=(64, 1))
         G = rng.normal(size=(5, 3))
         worst, checked = rule_fd_error(lambda tape: layer.forward(x, emb, tape), params, x, G)
         assert checked == 2 * 6 + 5 * 2 + 6 * 3
@@ -412,7 +427,7 @@ class TestGradients:
         cfg = RunConfig(method=kind, rank=2, vu_blocks=2, if_blocks=2, embed_dim=4)
         layer = AdapterLayer("hidden", kind, 6, 6, cfg, rng, 1)
         FlatParameters(layer.trainable())
-        x, emb = Matrix(rng.normal(size=(6, 2))), Matrix(rng.normal(size=(4, 1)))
+        x, emb = rng.normal(size=(6, 2)), rng.normal(size=(4, 1))
         tape = Tape()
         tape._ops.append(None)
         layer.forward(x, emb, tape)
@@ -431,8 +446,8 @@ class TestRouterLogits:
         # Positive inputs make a row of -inf a logit of -inf, which top-1
         # drops; the logits are checked before the mask.
         rng = np.random.default_rng(90)
-        x = Matrix(rng.uniform(0.5, 1.5, size=(8, 2)))
-        emb = Matrix(rng.uniform(0.5, 1.5, size=(6, 1)))
+        x = rng.uniform(0.5, 1.5, size=(8, 2))
+        emb = rng.uniform(0.5, 1.5, size=(6, 1))
         if router == "molora":
             layer = init_molora(d=8, k_out=8, N=4, r=2, top_k=1, seed=91)
             R = layer.router
@@ -440,7 +455,7 @@ class TestRouterLogits:
             def run():
                 return molora_forward(layer, x, Tape())
 
-            FlatParameters(layer.named().values())
+            FlatParameters(layer.trainable())
         else:
             layer = _seeded_smolora(seed=92)
             R = getattr(layer, router)
@@ -448,7 +463,7 @@ class TestRouterLogits:
             def run():
                 return smolora_forward(layer, x, emb, Tape())
 
-            FlatParameters(layer.named().values())
+            FlatParameters(layer.trainable())
 
         run()
         R.a[2, :] = bad

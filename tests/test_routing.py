@@ -23,12 +23,12 @@ class TestEmbedText:
     def test_deterministic(self):
         a = embed_text("Answer with one word.", 64)
         b = embed_text("Answer with one word.", 64)
-        assert np.array_equal(a.a, b.a)
+        assert np.array_equal(a, b)
 
     def test_unit_norm(self):
         for text in ("hello", "Describe the scene in one sentence.", "a b c d e f g"):
             v = embed_text(text, 32)
-            assert abs(np.linalg.norm(v.a) - 1.0) <= 1e-9
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestEmbedText:
         t2 = "Summarize what you see using one concise sentence instead."
         assert not set(t1.lower().split()) & set(t2.lower().split())
         e = 48
-        got = float(embed_text(t1, e).a[:, 0] @ embed_text(t2, e).a[:, 0])
+        got = float(embed_text(t1, e)[:, 0] @ embed_text(t2, e)[:, 0])
         expected = float(np.dot(reference(t1, e), reference(t2, e)))
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -137,9 +137,9 @@ class TestRouteInstruction:
 
     def test_deterministic_function_of_inputs(self):
         R = np.random.default_rng(1).normal(size=(3, 8))
-        emb = embed_text("Use a single word.", 8).a
+        emb = embed_text("Use a single word.", 8)
         g1 = route_instruction(R, emb, 2)
-        g2 = route_instruction(R, embed_text("Use a single word.", 8).a, 2)
+        g2 = route_instruction(R, embed_text("Use a single word.", 8), 2)
         assert np.array_equal(g1, g2)
 
 

@@ -5,18 +5,16 @@ import pytest
 from _oracles import mask_then_softmax, rule_fd_error, scalar_softmax
 
 from smolora.errors import ContractError, ShapeError
-from smolora.lora import init_lora_block, lora_apply
+from smolora.lora import LoRABank, init_lora_bank, lora_apply
 from smolora.routing import topk_softmax
 from smolora.tensor import (
     CosineSchedule,
     FlatParameters,
     Matrix,
-    SubMatrix,
     Tape,
     backward,
     cross_entropy,
     matmul,
-    mean_over_columns,
     relu_pool,
     repeat_columns,
     run_means,
@@ -46,36 +44,37 @@ class TestMatrix:
     def test_finite_entries_with_overflowing_sum_accepted(self):
         # Outside data is scanned entry by entry: finite entries whose sum
         # overflows are accepted, with no overflow warning.
-        assert Matrix([[1e308, 1e308]]).tolist() == [[1e308, 1e308]]
-        assert Matrix([[-1e308], [-1e308]]).cols == 1
+        assert Matrix([[1e308, 1e308]]).a.tolist() == [[1e308, 1e308]]
+        assert Matrix([[-1e308], [-1e308]]).shape == (2, 1)
 
     def test_data_layout(self):
         m = Matrix([[1, 2], [3, 4]])
-        assert (m.rows, m.cols) == (2, 2)
-        assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert m.shape == (2, 2)
+        assert m.a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert m.a.flags.c_contiguous and m.a.flags.owndata
 
 
 class TestMatmul:
     def test_identity(self):
-        out = matmul(Matrix([[1, 0], [0, 1]]), Matrix([[3], [4]]))
+        out = matmul(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[3.0], [4.0]]))
         assert out.tolist() == [[3.0], [4.0]]
 
     def test_hand_expansion(self):
-        out = matmul(Matrix([[1, 2], [3, 4]]), Matrix([[5], [6]]))
+        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
         assert out.tolist() == [[17.0], [39.0]]
 
     def test_dimension_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match="2x2 @ 3x1"):
-            matmul(Matrix([[1, 2], [3, 4]]), Matrix([[1], [2], [3]]))
+            matmul(np.ones((2, 2)), np.ones((3, 1)))
 
     def test_associativity_property(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = Matrix(rng.normal(size=(4, 5)))
-            b = Matrix(rng.normal(size=(5, 3)))
-            c = Matrix(rng.normal(size=(3, 6)))
-            left = matmul(matmul(a, b), c).a
-            right = matmul(a, matmul(b, c)).a
+            a = rng.normal(size=(4, 5))
+            b = rng.normal(size=(5, 3))
+            c = rng.normal(size=(3, 6))
+            left = matmul(matmul(a, b), c)
+            right = matmul(a, matmul(b, c))
             assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
@@ -114,23 +113,23 @@ class TestSoftmaxColumns:
                 topk_softmax(np.array([[1.0, -np.inf], [2.0, -np.inf]]), k)
 
 
-class TestMeanOverColumns:
+class TestRunMeans:
     def test_arithmetic_mean(self):
-        assert mean_over_columns(Matrix([[1, 3], [2, 4]])).tolist() == [[2.0], [3.0]]
+        assert run_means(np.array([[1.0, 3.0], [2.0, 4.0]]), 2).tolist() == [[2.0], [3.0]]
 
     def test_single_column_identity(self):
-        col = Matrix([[1.5], [-2.0], [7.0]])
-        assert mean_over_columns(col).tolist() == col.tolist()
+        col = np.array([[1.5], [-2.0], [7.0]])
+        assert run_means(col, 1).tolist() == col.tolist()
 
     def test_zero_case(self):
-        assert mean_over_columns(Matrix([[0.0, 0.0, 0.0]])).tolist() == [[0.0]]
+        assert run_means(np.zeros((1, 3)), 3).tolist() == [[0.0]]
 
     @pytest.mark.parametrize("s", [1, 2, 3, 7])
     def test_bit_equal_to_ndarray_mean(self, s):
         a = 1e3 * np.random.default_rng(s).normal(size=(9, 4 * s))
         want = a.reshape(9, 4, s).mean(axis=2)
-        assert np.array_equal(mean_over_columns(Matrix(a), groups=4).a, want)
         assert np.array_equal(run_means(a, s), want)
+        assert np.array_equal(relu_pool(a, 4), np.maximum(a, 0.0).reshape(9, 4, s).mean(axis=2))
 
     def test_bit_equal_to_ndarray_mean_at_the_hidden_width(self):
         # The hidden layer's output over a 96-instance test split.
@@ -159,13 +158,18 @@ class TestRepeatColumns:
     @pytest.mark.parametrize("groups", [2, 3, 12])
     def test_relu_pool_rule_as_np_repeat(self, groups):
         rng = np.random.default_rng(90 + groups)
-        m = Matrix(rng.normal(size=(10, 12)))
+        m = rng.normal(size=(10, 12))
         g = rng.normal(size=(10, groups))
         tape = Tape()
         relu_pool(m, groups, tape)
         s = 12 // groups
-        want = np.repeat(g / s, s, axis=1) * (m.a > 0)
+        want = np.repeat(g / s, s, axis=1) * (m > 0)
         assert tape._ops[0](g).tobytes() == want.tobytes()
+
+    def test_relu_pool_rejects_uneven_groups(self):
+        for groups in (0, 5):
+            with pytest.raises(ShapeError, match="equal groups"):
+                relu_pool(np.ones((3, 12)), groups)
 
 
 def test_softmax_back_matches_np_sum():
@@ -231,18 +235,29 @@ class TestBackward:
             with pytest.raises(ShapeError):
                 backward(tape, loss)
 
-    def test_submatrix_gradient_is_a_block_of_its_base(self):
-        # Packing submatrices lays out their base once, and each
-        # submatrix's gradient view is its block of the base's.
+    def test_block_views_are_blocks_of_the_packed_bank(self):
+        # A packed bank's named blocks are views of its A and B in the flat
+        # array: each is its block of the bank, and one update of the flat
+        # array moves them by their blocks of the bank's gradients.
         rng = np.random.default_rng(2)
-        W = Matrix(rng.normal(size=(4, 3)))
-        top, bottom = SubMatrix(W, np.s_[:2, :]), SubMatrix(W, np.s_[2:, :])
-        params = FlatParameters([top, bottom])
-        assert list(params) == [top, bottom]
-        W.grad[...] = rng.normal(size=(4, 3))
-        assert np.shares_memory(top.grad, params.grad)
-        assert np.array_equal(top.grad, W.grad[:2]) and np.array_equal(bottom.grad, W.grad[2:])
-        assert Matrix([[1.0]]).grad is None and SubMatrix(Matrix([[1.0]]), np.s_[:, :]).grad is None
+        bank = LoRABank(Matrix(rng.normal(size=(4, 6))), Matrix(rng.normal(size=(6, 4))), 2)
+        assert bank.A.grad is None and bank.B.grad is None
+        params = FlatParameters([bank.A, bank.B])
+        assert list(params) == [bank.A, bank.B]
+        views = bank.named("vu")
+        assert list(views) == ["vu0.A", "vu0.B", "vu1.A", "vu1.B"]
+        assert np.array_equal(views["vu1.A"], bank.A.a[2:])
+        assert np.array_equal(views["vu1.B"], bank.B.a[:, 2:])
+        assert all(np.shares_memory(v, params.flat) for v in views.values())
+        bank.A.grad[...] = rng.normal(size=(4, 6))
+        bank.B.grad[...] = rng.normal(size=(6, 4))
+        want = {"vu0.A": views["vu0.A"] - 0.5 * bank.A.grad[:2],
+                "vu0.B": views["vu0.B"] - 0.5 * bank.B.grad[:, :2],
+                "vu1.A": views["vu1.A"] - 0.5 * bank.A.grad[2:],
+                "vu1.B": views["vu1.B"] - 0.5 * bank.B.grad[:, 2:]}
+        sgd_step(params, 0.5)
+        for name, view in views.items():
+            assert np.array_equal(view, want[name]), name
 
     def test_unrecorded_loss_rejected(self):
         tape = Tape()
@@ -253,19 +268,19 @@ class TestBackward:
         # A rule writes its parameters' gradients into their FlatParameters
         # views; a kernel whose parameters have none refuses to record.
         rng = np.random.default_rng(3)
-        block = init_lora_block(6, 4, 2, rng)
-        x = Matrix(rng.normal(size=(6, 2)))
+        bank = init_lora_bank(6, 4, 1, 2, rng)
+        x = rng.normal(size=(6, 2))
         with pytest.raises(ContractError, match="FlatParameters"):
-            lora_apply(block, x, Tape())
-        FlatParameters([block.A, block.B])
+            lora_apply(bank, x, Tape())
+        FlatParameters([bank.A, bank.B])
         tape = Tape()
-        lora_apply(block, x, tape)
+        lora_apply(bank, x, tape)
         assert len(tape._ops) == 1
 
     @pytest.mark.parametrize("groups", [1, 3])
     def test_relu_pool_rule_matches_finite_differences(self, groups):
         rng = np.random.default_rng(40 + groups)
-        x = Matrix(rng.normal(size=(10, 12)))
+        x = rng.normal(size=(10, 12))
         G = rng.normal(size=(10, groups))
         worst, n = rule_fd_error(lambda tape: relu_pool(x, groups, tape), [], x, G)
         assert n == 120 and worst < 1e-4
@@ -273,15 +288,15 @@ class TestBackward:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = cross_entropy(Matrix([[0.0], [0.0], [0.0], [0.0]]), 1)
+        loss, _ = cross_entropy(np.zeros((4, 1)), 1)
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy(Matrix([[0.0], [0.0]]), 2)
+            cross_entropy(np.zeros((2, 1)), 2)
 
     def test_label_arrays_checked_at_once(self):
-        logits = Matrix(np.zeros((3, 4)))
+        logits = np.zeros((3, 4))
         loss, d = cross_entropy(logits, np.array([0, 2, 1, 2]))
         assert loss == pytest.approx(4.0 * math.log(3.0), abs=1e-12)
         assert d.shape == (3, 4)
@@ -292,7 +307,7 @@ class TestCrossEntropy:
                 cross_entropy(logits, np.array([0, bad, 1, bad]))
 
     def test_gradient_is_probability_minus_onehot(self):
-        logits = Matrix([[0.2], [-1.0], [0.5]])
+        logits = np.array([[0.2], [-1.0], [0.5]])
         _, d = cross_entropy(logits, 0)
         p = np.array(scalar_softmax([0.2, -1.0, 0.5]))
         p[0] -= 1.0
@@ -330,14 +345,14 @@ class TestSgdStep:
         params = FlatParameters([p])
         p.grad[...] = 2.0
         sgd_step(params, 0.5)
-        assert p.tolist() == [[0.0]]
+        assert p.a.tolist() == [[0.0]]
 
     def test_zero_rate_is_identity(self):
         p = Matrix([[1.0, -2.0]])
         params = FlatParameters([p])
         p.grad[...] = 5.0
         sgd_step(params, 0.0)
-        assert p.tolist() == [[1.0, -2.0]]
+        assert p.a.tolist() == [[1.0, -2.0]]
 
     def test_frozen_parameter_untouched(self):
         frozen = Matrix([[3.0]])
@@ -345,8 +360,8 @@ class TestSgdStep:
         params = FlatParameters([trainable])
         trainable.grad[...] = 1.0
         sgd_step(params, 1.0)
-        assert frozen.tolist() == [[3.0]]
-        assert trainable.tolist() == [[0.0]]
+        assert frozen.a.tolist() == [[3.0]]
+        assert trainable.a.tolist() == [[0.0]]
 
     def test_flat_update_matches_per_parameter_reference(self):
         rng = np.random.default_rng(2)
@@ -375,4 +390,4 @@ class TestSgdStep:
         p.grad[0, 1] = np.inf
         with pytest.raises(ShapeError, match="gradients"):
             sgd_step(params, 0.1)
-        assert p.tolist() == [[1.0, 2.0]]
+        assert p.a.tolist() == [[1.0, 2.0]]
