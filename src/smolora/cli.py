@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -61,8 +62,7 @@ def _read_json_object(path: Path) -> dict:
 
 def _report_dict(report: metrics.MetricReport) -> dict:
     """MetricReport as JSON keys, dropping entries that are undefined."""
-    d = report.to_dict()
-    return {k: v for k, v in d.items() if v is not None}
+    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
 
 
 # -- generate -------------------------------------------------------------------
@@ -105,37 +105,21 @@ def cmd_generate(args) -> int:
 
 # -- train ----------------------------------------------------------------------
 
-_CONFIG_FLAGS = {
-    "method": "method",
-    "vu_blocks": "vu_blocks",
-    "if_blocks": "if_blocks",
-    "rank": "rank",
-    "top_k": "top_k",
-    "embed_dim": "embed_dim",
-    "hidden": "hidden",
-    "lr": "learning_rate",
-    "batch_size": "batch_size",
-    "epochs": "epochs",
-    "seed": "seed",
-}
-
 
 def _build_config(args) -> harness.RunConfig:
+    """The --config file's fields, overridden by each train flag given: a
+    flag's dest is the RunConfig field it sets."""
+    fields = {f.name for f in dataclasses.fields(harness.RunConfig)}
     values: dict = {}
     if args.config:
         loaded = _read_json_object(Path(args.config))
-        unknown = set(loaded) - {f.name for f in harness.RunConfig.__dataclass_fields__.values()}
+        unknown = set(loaded) - fields
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for flag, field_name in _CONFIG_FLAGS.items():
-        flag_val = getattr(args, flag)
-        if flag_val is not None:
-            values[field_name] = flag_val
+    values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if "method" not in values:
         raise UsageError("no method given: pass --method or set it in --config")
-    values["stream"] = str(args.stream)
-    values["out_dir"] = str(args.out_dir)
     return harness.RunConfig(**values)
 
 
@@ -189,7 +173,7 @@ def cmd_train(args) -> int:
         if not p.exists() or p.stat().st_size == 0:
             raise ContractError(f"output file missing or empty: {p}")
     manifest = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "method": config.method,
         "seed": config.seed,
         "stream_sha256": _sha256(stream_path),
@@ -351,7 +335,7 @@ def build_parser() -> _Parser:
     t.add_argument("--top-k", type=int, dest="top_k")
     t.add_argument("--embed-dim", type=int, dest="embed_dim")
     t.add_argument("--hidden", type=int)
-    t.add_argument("--lr", type=float)
+    t.add_argument("--lr", type=float, dest="learning_rate")
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--epochs", type=int)
     t.add_argument("--seed", type=int)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ from .lora import init_lora_bank, init_molora, init_smolora, lora_apply, molora_
 from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
 from .routing import HashingEmbedder, LayerRouting, routing_histogram
 from .tensor import (
-    CosineSchedule,
     FlatParameters,
     Matrix,
     Tape,
@@ -117,9 +116,6 @@ class RunConfig:
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
             raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _effective_rank(rank: int, d_in: int, d_out: int) -> int:
     """Clamp the configured rank to the low-rank constraint of this layer."""
@@ -130,34 +126,22 @@ def _effective_rank(rank: int, d_in: int, d_out: int) -> int:
 
 
 class AdapterLayer:
-    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter."""
+    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter of `cfg.method`."""
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        d_in: int,
-        d_out: int,
-        cfg: RunConfig,
-        rng: np.random.Generator,
-        layer_id: int,
-    ):
+    def __init__(self, name: str, d_in: int, d_out: int, cfg: RunConfig, rng: np.random.Generator):
         self.name = name
-        self.kind = kind
-        self.layer_id = layer_id
+        self.kind = cfg.method
         r = _effective_rank(cfg.rank, d_in, d_out)
-        if kind == "seqlora":
+        if self.kind == "seqlora":
             self.W0 = rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in))
             self.bank = init_lora_bank(d_in, d_out, 1, r, rng)
         else:
-            if kind == "molora":
+            if self.kind == "molora":
                 self.layer = init_molora(d_in, d_out, cfg.vu_blocks + cfg.if_blocks, r, cfg.top_k, rng)
-            elif kind == "smolora":
-                self.layer = init_smolora(
-                    d_in, d_out, cfg.vu_blocks, cfg.if_blocks, r, cfg.embed_dim, cfg.top_k, rng, layer_id
-                )
             else:
-                raise ConfigError(f"unknown adapter kind {kind!r}")
+                self.layer = init_smolora(
+                    d_in, d_out, cfg.vu_blocks, cfg.if_blocks, r, cfg.embed_dim, cfg.top_k, rng
+                )
             self.W0 = self.layer.W0
 
     def forward(
@@ -168,7 +152,7 @@ class AdapterLayer:
         routing: list[LayerRouting] | None = None,
     ) -> np.ndarray:
         if self.kind == "seqlora":
-            return lora_apply(self.bank, x, tape, self.W0)
+            return lora_apply(self.bank, x, self.W0, tape)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
         return smolora_forward(self.layer, x, instr_emb, tape, routing)
@@ -204,11 +188,10 @@ class ToyModel:
         rng = np.random.default_rng(config.seed)
         e, h = config.embed_dim, config.hidden
         self.instr_proj = rng.normal(0.0, np.sqrt(1.0 / e), size=(d_v, e))
-        kind = config.method
-        self.proj = AdapterLayer("proj", kind, d_v, h, config, rng, layer_id=0)
-        self.hidden = AdapterLayer("hidden", kind, h, h, config, rng, layer_id=1)
-        self.head_content = AdapterLayer("head_content", kind, h, class_count, config, rng, layer_id=2)
-        self.head_format = AdapterLayer("head_format", kind, h, format_count, config, rng, layer_id=3)
+        self.proj = AdapterLayer("proj", d_v, h, config, rng)
+        self.hidden = AdapterLayer("hidden", h, h, config, rng)
+        self.head_content = AdapterLayer("head_content", h, class_count, config, rng)
+        self.head_format = AdapterLayer("head_format", h, format_count, config, rng)
         self.layers = [self.proj, self.hidden, self.head_content, self.head_format]
         self.params = FlatParameters(m for layer in self.layers for m in layer.trainable())
 
@@ -316,8 +299,9 @@ def train_stage(
     """One sequential stage: epochs x shuffled mini-batches of summed-head CE.
 
     Each mini-batch is a column selection of the split, run as one forward
-    on one tape, then one backward sweep and one SGD step. The cosine
-    schedule spans exactly this stage's step count.
+    on one tape, then one backward sweep and one SGD step. The learning
+    rate decays along a half cosine from `config.learning_rate` at the
+    stage's first step towards 0 after its last.
     Returns the per-step batch losses.
     """
     n = len(train_set)
@@ -327,10 +311,10 @@ def train_stage(
     total_steps = config.epochs * steps_per_epoch
     if total_steps == 0:
         return []
-    schedule = CosineSchedule(config.learning_rate, total_steps)
     rng = np.random.default_rng([config.seed, stage_index])
     params = model.params
     losses: list[float] = []
+    step = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -339,8 +323,9 @@ def train_stage(
             content, fmt = model.forward(batch, tape)
             loss = model.loss(batch, content, fmt, tape)
             backward(tape, loss)
-            sgd_step(params, schedule.rate())
-            schedule.advance()
+            rate = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * (step / total_steps)))
+            sgd_step(params, rate)
+            step += 1
             losses.append(loss)
     return losses
 
@@ -375,16 +360,16 @@ def _percentages(correct: np.ndarray) -> tuple[float, float]:
     return 100.0 * content_hits / n, 100.0 * format_hits / n
 
 
-def eval_packs(sizes: Sequence[int], cap: int = EVAL_PACK_INSTANCES) -> list[tuple[int, int]]:
-    """Task ranges [start, stop) of consecutive whole tasks with at most `cap`
-    instances together; a task larger than `cap` is a pack of its own.
+def eval_packs(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """Task ranges [start, stop) of consecutive whole tasks with at most
+    `EVAL_PACK_INSTANCES` instances together; a larger task is a pack of its own.
 
     The packing is greedy, so the packs of the first k tasks are these packs
     cut at k.
     """
     packs, start, total = [], 0, 0
     for j, n in enumerate(sizes):
-        if j > start and total + n > cap:
+        if j > start and total + n > EVAL_PACK_INSTANCES:
             packs.append((start, j))
             start, total = j, 0
         total += n
@@ -507,15 +492,18 @@ def run_cvit(
 
 
 def _fusion_stats(routing_by_task: dict[int, list[LayerRouting]]) -> list[dict]:
-    """Per layer, the mean and sd of the instances' mean alpha and beta, tasks in run order."""
-    records = [r for routing in routing_by_task.values() for r in routing]
+    """Per layer, the mean and sd of the instances' mean alpha and beta, tasks in run order.
+
+    Each task holds one record per separable layer, in layer order, so
+    layers are numbered by position.
+    """
     stats = []
-    for layer_id in sorted({r.layer_id for r in records}):
-        row = {"layer": layer_id}
+    for layer, records in enumerate(zip(*routing_by_task.values())):
+        row = {"layer": layer}
         for key in ("alpha", "beta"):
             means = np.concatenate([
                 run_means(getattr(r, key), r.alpha.shape[1] // r.vu_gate.shape[1])[0]
-                for r in records if r.layer_id == layer_id
+                for r in records
             ])
             row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
         stats.append(row)

@@ -84,26 +84,21 @@ def init_lora_bank(d: int, k_out: int, n: int, r: int, rng: np.random.Generator)
     return LoRABank(A=A, B=Matrix(np.zeros((k_out, n * r))), rank=r)
 
 
-def lora_apply(
-    bank: LoRABank, x: np.ndarray, tape: Tape | None = None, base: np.ndarray | None = None
-) -> np.ndarray:
-    """B @ (A @ x), plus base @ x when a frozen base weight is given, as one tape record.
+def lora_apply(bank: LoRABank, x: np.ndarray, base: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    """base @ x + B @ (A @ x), with a frozen base weight, as one tape record.
 
     seqlora's kernel: its bank holds one block. The k_out x d product is
     never materialized. The rule writes the gradients of A and B and
     returns x's: A.T @ dz first, then base.T @ g.
     """
     A, B = bank.A.a, bank.B.a
-    if x.shape[0] != A.shape[1] or (base is not None and base.shape != (B.shape[0], x.shape[0])):
+    if x.shape[0] != A.shape[1] or base.shape != (B.shape[0], x.shape[0]):
         raise ShapeError(
             f"block {B.shape[0]}x{A.shape[1]} does not map {x.shape[0]}x{x.shape[1]} input"
         )
     z = A @ x
-    if base is None:
-        y = B @ z
-    else:
-        y = base @ x
-        y += B @ z
+    y = base @ x
+    y += B @ z
     check_finite(y)
     if tape is not None:
         require_grads(bank.A, bank.B)
@@ -114,9 +109,7 @@ def lora_apply(
             np.matmul(g, z.T, out=gB)
             np.matmul(dz, x.T, out=gA)
             if need_x:
-                dx = _plus(dx, A.T @ dz)
-                if base is not None:
-                    dx = _plus(dx, base.T @ g)
+                dx = _plus(_plus(dx, A.T @ dz), base.T @ g)
             return dx
 
         tape._ops.append(back)
@@ -239,12 +232,12 @@ class SMoLoRALayer:
     I_vu: Matrix
     I_if: Matrix
     top_k: int
-    layer_id: int = 0
 
     def __post_init__(self):
-        if self.top_k > min(len(self.vu_bank), len(self.if_bank)):
+        if not 1 <= self.top_k <= min(len(self.vu_bank), len(self.if_bank)):
             raise ValueError(
-                f"top_k {self.top_k} exceeds bank sizes {len(self.vu_bank)}/{len(self.if_bank)}"
+                f"top_k {self.top_k} out of range for banks of "
+                f"{len(self.vu_bank)} and {len(self.if_bank)}"
             )
         k_out = self.W0.shape[0]
         if self.I_vu.shape != (1, k_out) or self.I_if.shape != (1, k_out):
@@ -365,7 +358,7 @@ def smolora_forward(
 
         tape._ops.append(back)
     if routing is not None:
-        routing.append(LayerRouting(layer.layer_id, vu_gate, if_gate, alpha, beta))
+        routing.append(LayerRouting(vu_gate, if_gate, alpha, beta))
     return y
 
 
@@ -378,7 +371,6 @@ def init_smolora(
     e: int,
     top_k: int,
     seed: int | np.random.Generator,
-    layer_id: int = 0,
 ) -> SMoLoRALayer:
     """Seeded layer construction matching the default configuration.
 
@@ -386,11 +378,6 @@ def init_smolora(
     importance rows from N(0, 0.02^2); all B matrices start at zero. A
     Generator passed as `seed` is drawn from in place.
     """
-    for name, val in (("d", d), ("k_out", k_out), ("M", M), ("N_minus_M", N_minus_M), ("r", r), ("e", e)):
-        if val < 1:
-            raise ValueError(f"{name} must be positive, got {val}")
-    if not 1 <= top_k <= min(M, N_minus_M):
-        raise ValueError(f"top_k {top_k} out of range for banks of {M} and {N_minus_M}")
     rng = np.random.default_rng(seed)
     W0 = rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d))
     vu_bank = init_lora_bank(d, k_out, M, r, rng)
@@ -399,17 +386,13 @@ def init_smolora(
     R_if = Matrix(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
     I_vu = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
     I_if = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
-    return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I_vu, I_if, top_k, layer_id)
+    return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I_vu, I_if, top_k)
 
 
 def init_molora(
     d: int, k_out: int, N: int, r: int, top_k: int, seed: int | np.random.Generator
 ) -> MoLoRALayer:
     """Seeded token-wise mixture layer with N blocks; a Generator seed is drawn from in place."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if not 1 <= top_k <= N:
-        raise ValueError(f"top_k {top_k} out of range for {N} blocks")
     rng = np.random.default_rng(seed)
     W0 = rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d))
     bank = init_lora_bank(d, k_out, N, r, rng)

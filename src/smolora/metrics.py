@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,29 +119,17 @@ class Records:
         )
 
 
-def mif(
-    records: Records,
-    stage: int | None = None,
-    expected_tasks: Iterable[int] | None = None,
-) -> float:
-    """Mean instruction following (%) from per-sample records.
+def mif(records: Records) -> float:
+    """Mean instruction following (%) from the latest stage's per-sample records.
 
-    Uses records of one stage (the latest by default): for each task, the
-    fraction of samples whose format matched, averaged over tasks, x100.
-    Per-task sample counts may differ; each task weighs equally.
+    For each task, the fraction of its samples whose format matched,
+    averaged over tasks, x100. Per-task sample counts may differ; each task
+    weighs equally.
     """
     if not len(records):
         raise ContractError("mif requires at least one record")
-    if stage is None:
-        stage = int(records.stage.max())
-    at = records.stage == stage
+    at = records.stage == records.stage.max()
     tasks, task_of, counts = np.unique(records.task_id[at], return_inverse=True, return_counts=True)
-    if not tasks.size:
-        raise ContractError(f"no records for stage {stage}")
-    if expected_tasks is not None:
-        missing = sorted(set(expected_tasks) - set(tasks.tolist()))
-        if missing:
-            raise ContractError(f"tasks with zero records at stage {stage}: {missing}")
     hits = np.zeros(tasks.size, dtype=np.int64)
     np.add.at(hits, task_of, records.format_correct[at])
     rates = [h / n for h, n in zip(hits.tolist(), counts.tolist())]
@@ -157,15 +145,6 @@ class MetricReport:
     bwt: float | None
     mif: float | None
     per_stage_ap: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "map": self.map,
-            "bwt": self.bwt,
-            "mif": self.mif,
-            "per_stage_ap": self.per_stage_ap,
-        }
 
 
 def compute_report(a: AccuracyMatrix, records: Records | None = None) -> MetricReport:
@@ -202,6 +181,12 @@ def write_accuracy_csv(path, a: AccuracyMatrix, task_count: int | None = None) -
 
 
 def read_accuracy_csv(path) -> AccuracyMatrix:
+    """The table of an accuracy file, as :func:`write_accuracy_csv` writes it.
+
+    Data row k (blank lines skipped) is the stage number k, then k scores,
+    then only blank cells, and no row has more cells than the header. Any
+    fault raises FormatError naming its line.
+    """
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         rows = list(reader)
@@ -209,19 +194,26 @@ def read_accuracy_csv(path) -> AccuracyMatrix:
         raise FormatError(f"{path}: {exc}", line=reader.line_num) from None
     if not rows or not rows[0] or rows[0][0] != "stage":
         raise FormatError(f"{path}: missing 'stage' header", line=1)
+    width = len(rows[0])
     a = AccuracyMatrix()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        cells = [c for c in row[1:] if c != ""]
+        k = a.stages + 1
+        if len(row) > width:
+            raise FormatError(f"{path}: {len(row)} cells, more than the header's {width}", line=lineno)
+        if row[0] != str(k):
+            raise FormatError(f"{path}: stage cell {row[0]!r} in data row {k}", line=lineno)
+        cells = row[1:]
+        while cells and cells[-1] == "":
+            cells.pop()
         scores = []
         for col, cell in enumerate(cells, start=2):
             try:
                 scores.append(float(cell))
             except ValueError:
-                raise FormatError(
-                    f"{path}: non-numeric cell {cell!r} in column {col}", line=lineno
-                ) from None
+                what = "blank cell before a score" if cell == "" else f"non-numeric cell {cell!r}"
+                raise FormatError(f"{path}: {what} in column {col}", line=lineno) from None
         try:
             a.add_row(scores)
         except ContractError as exc:

@@ -132,7 +132,6 @@ class LayerRouting(NamedTuple):
     are the fusion weights, 1 x columns, each instance's columns consecutive.
     """
 
-    layer_id: int
     vu_gate: np.ndarray
     if_gate: np.ndarray
     alpha: np.ndarray
@@ -191,17 +190,28 @@ def write_routing_csv(path, hist: Mapping[int, Mapping[str, np.ndarray]]) -> Non
 
 
 def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
-    """Frequencies per task and bank, in file order; a malformed row raises FormatError."""
+    """Frequencies per task and bank, in file order.
+
+    A row is a task id, a bank ('vu' or 'if'), then its frequencies, then
+    only blank cells; no (task, bank) pair repeats. A malformed row raises
+    FormatError naming its line.
+    """
     out: dict[int, dict[str, np.ndarray]] = {}
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         next(reader, None)  # header
         for row in reader:
-            task_id, bank = int(row[0]), row[1]
+            task_id, bank, cells = int(row[0]), row[1], row[2:]
             if bank not in ("vu", "if"):
                 raise ValueError(f"bank must be 'vu' or 'if', got {bank!r}")
-            freq = np.array([finite_float(x) for x in row[2:] if x != ""])
-            out.setdefault(task_id, {})[bank] = freq
+            banks = out.setdefault(task_id, {})
+            if bank in banks:
+                raise ValueError(f"task {task_id} bank {bank!r} appears twice")
+            while cells and cells[-1] == "":
+                cells.pop()
+            if "" in cells:
+                raise ValueError("a blank cell before a frequency")
+            banks[bank] = np.array([finite_float(x) for x in cells])
     except (csv.Error, IndexError, ValueError) as exc:
         raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num) from None
     return out

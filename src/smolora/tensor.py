@@ -19,26 +19,16 @@ operation each. numpy's own `reshape(..., s).sum(axis=-1)` and
 `repeat(s, axis=1)` make one inner-loop call per output entry along an axis
 that short, which costs several times more; the strided kernels give the
 same bits.
-
-Parameters and tapes are single-writer objects: they may move between
-threads but must not be mutated concurrently. Kernels on distinct or
-read-only inputs are safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from collections.abc import Sequence
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
-
-# Flat parameter and gradient arrays start every matrix at a multiple of this
-# many float64 entries: 64 bytes, one cache line.
-_ALIGN = 8
 
 
 class Matrix:
@@ -82,13 +72,6 @@ def check_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
 def _scan_finite(arr: np.ndarray, what: str = "matrix entries") -> None:
     if not np.isfinite(arr).all():
         raise ShapeError(f"{what} must all be finite")
-
-
-def _aligned_zeros(n: int) -> np.ndarray:
-    """A zero float64 array of n entries whose data starts at a 64-byte boundary."""
-    raw = np.zeros(n + _ALIGN)
-    start = (-raw.ctypes.data % (8 * _ALIGN)) // 8
-    return raw[start : start + n]
 
 
 def _fmt(arr: np.ndarray) -> str:
@@ -245,72 +228,38 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # -- optimizer ----------------------------------------------------------------
 
 
-@dataclass
-class CosineSchedule:
-    """Half-cosine learning-rate decay from base_rate to 0 over total_steps."""
-
-    base_rate: float
-    total_steps: int
-    current_step: int = 0
-
-    def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ValueError(f"base_rate must be positive, got {self.base_rate}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
-        if not 0 <= self.current_step <= self.total_steps:
-            raise ValueError(
-                f"current_step {self.current_step} out of range [0, {self.total_steps}]"
-            )
-
-    def rate(self) -> float:
-        frac = self.current_step / self.total_steps
-        return self.base_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
-
-    def advance(self) -> None:
-        if self.current_step >= self.total_steps:
-            raise ContractError("schedule advanced past total_steps")
-        self.current_step += 1
-
-
-class FlatParameters(Sequence):
+class FlatParameters:
     """Trainable matrices whose arrays are views into one flat float64 array.
 
-    Each matrix keeps its values and shape and starts at a 64-byte boundary,
-    in the given order. `grad` has the layout of `flat`, and each matrix's
-    `.grad` is its view of it, so backward rules write gradients in place
-    and one subtraction updates every matrix. Writes through a matrix's `.a`,
-    or through a view of it taken after packing, land in `flat`. Only matrices that own their
-    arrays are adopted: a view (a matrix already in another buffer is one)
-    is refused, so no matrix leaves a buffer that still updates it.
+    The matrices keep their values and shapes and sit back to back, in the
+    given order. `grad` has the layout of `flat`, and each matrix's `.grad`
+    is its view of it, so backward rules write gradients in place and one
+    subtraction updates every matrix. Writes through a matrix's `.a`, or
+    through a view of it taken after packing, land in `flat`. Only matrices
+    that own their arrays are adopted: a view (a matrix already in another
+    buffer is one) is refused, so no matrix leaves a buffer that still
+    updates it.
     """
 
     __slots__ = ("matrices", "flat", "grad")
 
     def __init__(self, matrices: Iterable[Matrix]):
-        self.matrices = tuple(dict.fromkeys(matrices))
-        starts, size = [], 0
+        self.matrices = tuple(matrices)
         for m in self.matrices:
             if m.a.base is not None:
                 raise ContractError(
                     f"{m!r} is a view of another array, such as a FlatParameters; "
                     "pass that buffer instead of packing the matrix again"
                 )
-            starts.append(size)
-            size += -(-m.a.size // _ALIGN) * _ALIGN
-        self.flat = _aligned_zeros(size)
-        self.grad = _aligned_zeros(size)
-        for m, lo in zip(self.matrices, starts):
+        self.flat = np.zeros(sum(m.a.size for m in self.matrices))
+        self.grad = np.zeros_like(self.flat)
+        lo = 0
+        for m in self.matrices:
             hi = lo + m.a.size
             view = self.flat[lo:hi].reshape(m.shape)
             view[...] = m.a
             m.a, m.grad = view, self.grad[lo:hi].reshape(m.shape)
-
-    def __getitem__(self, i):
-        return self.matrices[i]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
+            lo = hi
 
 
 def sgd_step(params: FlatParameters, rate: float) -> None:

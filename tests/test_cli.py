@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 from _reference_tables import TABLES
 
 from smolora import benchmark
-from smolora.cli import main
+from smolora.cli import build_parser, main
+from smolora.harness import RunConfig
 from smolora.metrics import AccuracyMatrix, write_accuracy_csv
 
 
@@ -116,11 +118,19 @@ class TestTrain:
         }))
         out_dir = tmp_path / "run"
         code = run_cli("train", "--stream", str(stream_file), "--out-dir", str(out_dir),
-                       "--config", str(cfg_path), "--epochs", "1")
+                       "--config", str(cfg_path), "--epochs", "1", "--lr", "0.5")
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1  # flag wins
+        assert manifest["config"]["learning_rate"] == 0.5  # --lr sets learning_rate
         assert manifest["config"]["seed"] == 3  # file value kept
+
+    def test_every_config_field_is_a_train_flag(self):
+        # A flag left out parses as None, so that it overrides no file value.
+        args = build_parser().parse_args(["train", "--stream", "s", "--out-dir", "o"])
+        for field in dataclasses.fields(RunConfig):
+            if field.name not in ("stream", "out_dir"):
+                assert getattr(args, field.name) is None, field.name
 
     def test_unknown_config_key_is_usage_error(self, stream_file, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -300,6 +310,17 @@ class TestMetrics:
     def test_non_numeric_cell_is_format_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("stage,task_1\n1,abc\n")
+        assert run_cli("metrics", "--accuracy", str(path)) == 3
+
+    @pytest.mark.parametrize("text", [
+        # Rows that once shifted scores between tasks and stages.
+        "stage,task_1,task_2\n1,50.0,\n2,,60.0,70.0\n",
+        "stage,task_1,task_2\n1,,50.0\n2,60.0,70.0\n",
+        "stage,task_1,task_2\n5,50.0,\n1,60.0,70.0\n",
+    ])
+    def test_score_shifting_row_is_format_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
         assert run_cli("metrics", "--accuracy", str(path)) == 3
 
     def test_records_give_mif(self, stream_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestToyModel:
         assert not any(np.shares_memory(named[n], model.params.flat) for n in frozen)
         adapter = [named[n] for n in names if n not in frozen]
         assert all(np.shares_memory(a, model.params.flat) for a in adapter)
-        assert sum(a.size for a in adapter) == sum(m.a.size for m in model.params)
+        assert sum(a.size for a in adapter) == model.params.flat.size
 
     def test_head_rank_is_clamped(self):
         cfg = small_config("seqlora", rank=16)
@@ -207,6 +208,26 @@ class TestTrainStage:
         content_acc, _, _, _ = evaluate_task(model, stream[0][2])
         assert content_acc >= 25.0 + 20.0  # chance for 4 classes plus margin
 
+    def test_learning_rate_is_a_half_cosine_restarted_each_stage(self, monkeypatch):
+        # 40 instances in batches of 8 over 2 epochs: 10 steps per stage.
+        rates = []
+
+        def record(params, rate):
+            rates.append(rate)
+            sgd_step(params, rate)
+
+        monkeypatch.setattr(harness, "sgd_step", record)
+        stream = prepared(train=40)
+        cfg = small_config(learning_rate=0.3, batch_size=8, epochs=2)
+        model = ToyModel(cfg, 8, 4, 3)
+        for k in range(2):
+            train_stage(model, stream[k][1], cfg, stage_index=k)
+        assert len(rates) == 20
+        for stage in (rates[:10], rates[10:]):
+            assert stage[0] == 0.3
+            assert stage == [0.3 * 0.5 * (1.0 + math.cos(math.pi * (i / 10))) for i in range(10)]
+            assert all(a > b > 0.0 for a, b in zip(stage, stage[1:]))
+
     def test_loss_finite_and_median_non_increasing(self):
         # First 10 steps at default generation scale, median across 5 seeds.
         all_losses = []
@@ -283,8 +304,9 @@ class TestBatchedForward:
         n = len(batch)
         if method == "smolora":
             banks = []
-            for layer, r in zip(model.layers, routing):  # one record per layer, in order
-                assert r.layer_id == layer.layer_id and r.vu_gate.shape[1] == n
+            assert len(routing) == len(model.layers)  # one record per layer, in order
+            for layer, r in zip(model.layers, routing):
+                assert r.vu_gate.shape[1] == n
                 for bank, gate in ((layer.layer.vu_bank, r.vu_gate),
                                    (layer.layer.if_bank, r.if_gate)):
                     banks.append((bank, set(np.flatnonzero(gate.any(axis=1)).tolist())))
@@ -769,7 +791,7 @@ class TestCheckpoint:
         cfg, model = self._trained_model()
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
-        clone = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 123}), 8, 4, 3)
+        clone = ToyModel(dataclasses.replace(cfg, seed=123), 8, 4, 3)
         load_checkpoint(p1, clone)
         save_checkpoint(clone, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -850,7 +872,7 @@ class TestCheckpoint:
             data, error = data[: data.rindex(name.encode()) - 4], ContractError
             assert len(path.read_bytes()) - len(data) == 4 + len(name) + 8 + 8 * last.size
         path.write_bytes(data)
-        target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3)
+        target = ToyModel(dataclasses.replace(cfg, seed=7), 8, 4, 3)
         flat = target.params.flat.tobytes()
         frozen = {k: a.tobytes() for k, a in _frozen(target).items()}
         with pytest.raises(error):
@@ -862,7 +884,7 @@ class TestCheckpoint:
         cfg, model = self._trained_model("seqlora")
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        other = ToyModel(RunConfig(**{**cfg.to_dict(), "hidden": 8}), 8, 4, 3)
+        other = ToyModel(dataclasses.replace(cfg, hidden=8), 8, 4, 3)
         with pytest.raises(ContractError):
             load_checkpoint(path, other)
 
@@ -871,13 +893,13 @@ class TestCheckpoint:
         # A matrix whose array was rebound would silently drop out of the
         # flat update, so training after a load must still move the values.
         cfg, model = self._trained_model(method)
-        for m in model.params:
+        for m in model.params.matrices:
             assert np.shares_memory(m.a, model.params.flat)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        clone = load_checkpoint(path, ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3))
+        clone = load_checkpoint(path, ToyModel(dataclasses.replace(cfg, seed=7), 8, 4, 3))
         flat = clone.params.flat
-        for m in clone.params:
+        for m in clone.params.matrices:
             assert np.shares_memory(m.a, flat)
         loaded = {name: a.copy() for name, a in clone.named_matrices().items()}
         train_stage(clone, prepared()[1][1], cfg)
@@ -894,7 +916,7 @@ class TestCheckpoint:
         cfg, model = self._trained_model(method)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        clone = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 7}), 8, 4, 3)
+        clone = ToyModel(dataclasses.replace(cfg, seed=7), 8, 4, 3)
         assert clone.params.flat.tobytes() != model.params.flat.tobytes()
         load_checkpoint(path, clone)
         assert clone.params.flat.tobytes() == model.params.flat.tobytes()
@@ -917,7 +939,7 @@ class TestCheckpoint:
         fresh = ToyModel(cfg, 8, 4, 3)
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(fresh, path)
-        target = ToyModel(RunConfig(**{**cfg.to_dict(), "seed": 999}), 8, 4, 3)
+        target = ToyModel(dataclasses.replace(cfg, seed=999), 8, 4, 3)
         load_checkpoint(path, target)
         one = stream[0][1].take([0])
         content, _ = target.forward(one)

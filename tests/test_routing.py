@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from _oracles import mask_then_softmax, trace_routing
 
+from smolora.errors import FormatError
 from smolora.routing import (
     HashingEmbedder,
     LayerRouting,
@@ -152,10 +153,10 @@ def _gate(rows: int, columns) -> np.ndarray:
     return gate
 
 
-def _routing(vu: np.ndarray, if_: np.ndarray, layer_id: int = 0) -> LayerRouting:
+def _routing(vu: np.ndarray, if_: np.ndarray) -> LayerRouting:
     """One layer record of the given gates, with fusion weights 1/2 over 2 columns each."""
     half = np.full((1, 2 * vu.shape[1]), 0.5)
-    return LayerRouting(layer_id, vu, if_, half, half)
+    return LayerRouting(vu, if_, half, half)
 
 
 class TestRoutingHistogram:
@@ -195,8 +196,8 @@ class TestRoutingHistogram:
         routing = {
             task: [
                 _routing(topk_softmax(rng.normal(size=(6, 50)), 2),
-                         topk_softmax(rng.normal(size=(5, 50)), 2), layer_id)
-                for layer_id in range(3)
+                         topk_softmax(rng.normal(size=(5, 50)), 2))
+                for _ in range(3)
             ]
             for task in (4, 1)
         }
@@ -223,6 +224,18 @@ class TestRoutingHistogram:
         assert np.array_equal(back[0]["if"], hist[0]["if"])
         header = path.read_text().splitlines()[0]
         assert header == "task,bank,block_0,block_1,block_2,block_3"
+
+    @pytest.mark.parametrize("rows, fault", [
+        # Once read as {0: {'vu': [1.0], 'if': [1.0]}}: the second vu row
+        # replaced the first, its block_1 value moved to block_0.
+        ("0,vu,0.5,0.5\n0,if,1.0,\n0,vu,,1.0\n", r"appears twice.*line 4"),
+        ("0,vu,,1.0\n0,if,1.0,\n", r"blank cell before a frequency.*line 2"),
+    ])
+    def test_rows_that_rewrite_frequencies_rejected(self, tmp_path, rows, fault):
+        path = tmp_path / "routing.csv"
+        path.write_text("task,bank,block_0,block_1\n" + rows)
+        with pytest.raises(FormatError, match=fault):
+            read_routing_csv(path)
 
 
 class TestHistogramEntropy:
