@@ -253,12 +253,6 @@ def generate_stream(
     return stream
 
 
-def nearest_mean_accuracy(spec: TaskSpec, split: TaskSplit) -> float:
-    """Accuracy (%) of a 1-nearest-cluster-mean classifier; separability oracle."""
-    dists = np.linalg.norm(spec.visual_cluster_means[:, :, None] - split.visual[None], axis=1)
-    return 100.0 * np.count_nonzero(dists.argmin(axis=0) == split.answer_class) / len(split)
-
-
 # -- stream file format --------------------------------------------------------
 
 

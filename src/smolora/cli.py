@@ -198,14 +198,17 @@ def _write_fusion_csv(path: Path, stats: list[dict]) -> None:
 
 
 def read_fusion_csv(path) -> list[dict]:
+    """The rows of a fusion file, which number the layers 0, 1, ... in file order."""
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    rows: list[dict] = []
     try:
-        return [
-            {"layer": int(r["layer"]), **{k: finite_float(r[k]) for k in _FUSION_FIELDS[1:]}}
-            for r in reader
-        ]
+        for r in reader:
+            if int(r["layer"]) != len(rows):
+                raise ValueError(f"layer {r['layer']} where layer {len(rows)} is due")
+            rows.append({"layer": len(rows), **{k: finite_float(r[k]) for k in _FUSION_FIELDS[1:]}})
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num) from None
+    return rows
 
 
 # -- metrics --------------------------------------------------------------------
@@ -214,11 +217,17 @@ def read_fusion_csv(path) -> list[dict]:
 def cmd_metrics(args) -> int:
     a = metrics.read_accuracy_csv(args.accuracy)
     records = metrics.read_records_jsonl(args.records) if args.records else None
+    # MIF is scored on the records' latest stage, which must be the table's last.
     if records and records.stage.max() > a.stages:
         i = int((records.stage > a.stages).argmax())
         raise FormatError(
             f"{args.records}: record {i + 1} is of stage {records.stage[i]}, past the "
             f"{a.stages} stages of {args.accuracy}"
+        )
+    if records and records.stage.max() < a.stages:
+        raise FormatError(
+            f"{args.records}: the latest stage is {records.stage.max()}, before stage "
+            f"{a.stages}, the last of {args.accuracy}"
         )
     report = metrics.compute_report(a, records)
     print(json.dumps(_report_dict(report), sort_keys=True, indent=2))

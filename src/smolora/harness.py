@@ -1,4 +1,4 @@
-"""Sequential fine-tuning loop, the toy adapter-wrapped model, and checkpoints.
+"""Sequential fine-tuning loop, the toy adapter-wrapped model, and the checkpoint writer.
 
 The model is a small feed-forward network whose every linear layer is a
 frozen random base weight plus an adapter of the configured kind (single
@@ -19,14 +19,11 @@ test splits once: a pack is a run of consecutive whole tasks of at most
 `EVAL_PACK_INSTANCES` instances together, joined side by side, and a
 larger task is a pack of its own. After stage k the first k tasks run as
 one tape-free forward per pack, or per column view of a pack's seen
-tasks. Each forward's argmax predictions are compared with the label
-arrays, each task's accuracies and correctness columns are read by its
-offset in the pack, and the run stacks those into one columnar
-`metrics.Records` table: no per-sample Python object is built between the
-forward and `records.jsonl`. An evaluation forward also returns one
-`routing.LayerRouting` per separable layer; the run cuts the last stage's
-into per-task slices and reduces them to the routing histogram and fusion
-statistics.
+tasks, into one table of their correctness side by side. The run derives
+the accuracy tables and the columnar `metrics.Records` from these tables,
+with no per-sample Python object, and cuts the last stage's routing (one
+`routing.LayerRouting` per pack and separable layer) per task for the
+routing histogram and fusion statistics.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -330,34 +327,21 @@ def train_stage(
     return losses
 
 
-def evaluate_task(
-    model: ToyModel, test_set: TaskSplit
-) -> tuple[float, float, np.ndarray, list[LayerRouting]]:
-    """Accuracy percentages, per-sample correctness and routing for a frozen model.
+def evaluate_task(model: ToyModel, test_set: TaskSplit) -> tuple[np.ndarray, list[LayerRouting]]:
+    """Per-sample correctness and routing of a frozen model on a split.
 
     The whole split runs as one tape-free forward, and the argmax predictions
     are compared with the label arrays at once. The correctness array is
     2 x n ints, content then format, column j for instance j. The routing
     holds one LayerRouting per separable layer (none for the other methods).
     """
-    n = len(test_set)
-    if not n:
+    if not len(test_set):
         raise ValueError("evaluate_task requires a non-empty test set")
     routing: list[LayerRouting] = []
     content, fmt = model.forward(test_set, routing=routing)
-    correct = np.empty((2, n), dtype=np.int64)
-    correct[0] = np.argmax(content, axis=0) == test_set.answer_class
-    correct[1] = np.argmax(fmt, axis=0) == test_set.format_id
-    return (*_percentages(correct), correct, routing)
-
-
-def _percentages(correct: np.ndarray) -> tuple[float, float]:
-    """Content and format accuracy in percent of a 2 x n correctness array."""
-    n = correct.shape[1]
-    if not n:
-        raise ValueError("accuracy of an empty test split")
-    content_hits, format_hits = correct.sum(axis=1).tolist()
-    return 100.0 * content_hits / n, 100.0 * format_hits / n
+    correct = np.array([np.argmax(content, axis=0) == test_set.answer_class,
+                        np.argmax(fmt, axis=0) == test_set.format_id], dtype=np.int64)
+    return correct, routing
 
 
 def eval_packs(sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -379,29 +363,16 @@ def eval_packs(sizes: Sequence[int]) -> list[tuple[int, int]]:
 
 def _evaluate_seen(
     model: ToyModel, packs: list[tuple[int, int, TaskSplit]], offsets: list[int], k: int
-) -> tuple[list[float], list[float], list[np.ndarray], dict[int, list[LayerRouting]]]:
+) -> tuple[np.ndarray, list[list[LayerRouting]]]:
     """Evaluate the first k tasks, one forward per pack or pack prefix.
 
-    A pack (first, last, split) holds tasks first to last - 1 side by side;
-    task j starts at column offsets[j] - offsets[first]. Returns each seen
-    task's content and format accuracy, correctness columns and routing.
+    A pack (first, last, split) holds tasks first to last - 1 side by side.
+    Returns the seen tasks' correctness side by side (2 x offsets[k], task j
+    from column offsets[j]) and each evaluated pack's routing.
     """
-    c_row, f_row, oks = [], [], []
-    routing_by_task: dict[int, list[LayerRouting]] = {}
-    for first, last, split in packs:
-        if first >= k:
-            break
-        bounds = [offsets[j] - offsets[first] for j in range(first, min(last, k) + 1)]
-        _, _, ok, routing = evaluate_task(model, split.columns(0, bounds[-1]))
-        for a, b in zip(bounds, bounds[1:]):
-            c_acc, f_acc = _percentages(ok[:, a:b])
-            c_row.append(c_acc)
-            f_row.append(f_acc)
-            oks.append(ok[:, a:b])
-            routing_by_task.setdefault(int(split.task_id[a]), []).extend(
-                r.instances(a, b) for r in routing
-            )
-    return c_row, f_row, oks, routing_by_task
+    seen = [evaluate_task(model, split.columns(0, offsets[min(last, k)] - offsets[first]))
+            for first, last, split in packs if first < k]
+    return np.concatenate([ok for ok, _ in seen], axis=1), [routing for _, routing in seen]
 
 
 @dataclass
@@ -440,18 +411,21 @@ def run_cvit(
     # prefix of a pack as a column view.
     packs = [(first, last, TaskSplit.concat([test for _, _, test in stream[first:last]]))
              for first, last in eval_packs(sizes)]
+    # The record columns of all test splits side by side; stage k's are the first offsets[k].
+    task_id = np.concatenate([test.task_id for _, _, test in stream])
+    instance_index = np.concatenate([np.arange(n) for n in sizes])
 
-    content = AccuracyMatrix()
-    fmt = AccuracyMatrix()
-    evaluated: list[tuple[int, TaskSplit, np.ndarray]] = []  # (stage, test split, correctness)
+    tables: list[np.ndarray] = []  # per stage k, the correctness of tasks 1..k side by side
     step_losses: list[list[float]] = []
     # Weights that grow past float64 range end the run as a configuration
     # error at the first overflow, with no warning printed.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for k, (_, train, _) in enumerate(stream, start=1):
+        for k, (spec, train, _) in enumerate(stream, start=1):
             try:
                 step_losses.append(train_stage(model, train, config, stage_index=k - 1))
-                c_row, f_row, oks, routing_by_task = _evaluate_seen(model, packs, offsets, k)
+                if not sizes[k - 1]:  # reduceat below would read a neighbour's column for it
+                    raise ValueError(f"task {spec.task_id} has an empty test split")
+                ok, routing = _evaluate_seen(model, packs, offsets, k)
             except FloatingPointError as exc:
                 largest = max(float(np.abs(split.visual).max(initial=0.0))
                               for _, train, test in stream[:k] for split in (train, test))
@@ -465,17 +439,18 @@ def run_cvit(
                 ) from None
             except Exception as exc:  # noqa: BLE001 - annotate with the stage index
                 raise StageError(k, exc) from exc
-            content.add_row(c_row)
-            fmt.add_row(f_row)
-            evaluated += [(k, stream[j][2], ok) for j, ok in enumerate(oks)]
+            tables.append(ok)
 
-    correct = np.concatenate([ok for _, _, ok in evaluated], axis=1)
+    # Each task's accuracy is 100 * hits / n, from its columns of each stage's table.
+    rows = [100.0 * np.add.reduceat(ok, offsets[:k], axis=1) / sizes[:k]
+            for k, ok in enumerate(tables, start=1)]
+    content = AccuracyMatrix([c_row for c_row, _ in rows])
+    fmt = AccuracyMatrix([f_row for _, f_row in rows])
     records = Records(
-        stage=np.concatenate([np.full(len(split), k) for k, split, _ in evaluated]),
-        task_id=np.concatenate([split.task_id for _, split, _ in evaluated]),
-        instance_index=np.concatenate([np.arange(len(split)) for _, split, _ in evaluated]),
-        content_correct=correct[0],
-        format_correct=correct[1],
+        np.repeat(np.arange(1, len(stream) + 1), offsets[1:]),
+        np.concatenate([task_id[:n] for n in offsets[1:]]),
+        np.concatenate([instance_index[:n] for n in offsets[1:]]),
+        *np.concatenate(tables, axis=1),  # content, then format correctness
     )
     report = RunReport(
         config=config,
@@ -486,6 +461,12 @@ def run_cvit(
         step_losses=step_losses,
     )
     if config.method == "smolora":
+        # The last stage evaluated every pack whole: cut its routing per task.
+        routing_by_task: dict[int, list[LayerRouting]] = {}
+        for (first, last, _), layers in zip(packs, routing):
+            for a, b in zip(offsets[first:last], offsets[first + 1 : last + 1]):
+                routing_by_task.setdefault(int(task_id[a]), []).extend(
+                    r.instances(a - offsets[first], b - offsets[first]) for r in layers)
         report.routing_hist = routing_histogram(routing_by_task)
         report.fusion_stats = _fusion_stats(routing_by_task)
     return model, report
@@ -525,64 +506,3 @@ def save_checkpoint(model: ToyModel, path) -> None:
             f.write(encoded)
             f.write(struct.pack("<II", *a.shape))
             f.write(a.astype("<f8", copy=False).tobytes())
-
-
-def load_checkpoint(path, model: ToyModel) -> ToyModel:
-    """Fill a freshly constructed model's weights from a checkpoint in place.
-
-    The whole file is read and checked before any weight is written, so a
-    rejected file leaves the model as it was. Blocks are written through
-    their views of the banks, and so into the flat parameter array.
-    """
-    expected = model.named_matrices()
-    loaded: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise FormatError(f"{path}: bad magic bytes", offset=0)
-    pos = len(_MAGIC)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated while reading {what}", offset=pos)
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    while pos < len(data):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name_at = pos
-        try:
-            name = take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}: parameter name is not valid UTF-8", offset=name_at + exc.start
-            ) from None
-        if name in loaded:
-            raise FormatError(f"{path}: parameter {name!r} appears twice", offset=name_at)
-        rows, cols = struct.unpack("<II", take(8, "shape"))
-        data_at = pos
-        raw = take(rows * cols * 8, f"data of {name}")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-        target = expected.get(name)
-        if target is None:
-            raise ContractError(f"checkpoint parameter {name!r} not present in model")
-        if target.shape != (rows, cols):
-            raise ContractError(
-                f"checkpoint parameter {name!r} is {rows}x{cols}, model expects "
-                f"{target.shape[0]}x{target.shape[1]}"
-            )
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise FormatError(
-                f"{path}: parameter {name!r} holds a non-finite value",
-                offset=data_at + 8 * int(finite.argmin()),
-            )
-        loaded[name] = arr
-    missing = set(expected) - set(loaded)
-    if missing:
-        raise ContractError(f"checkpoint missing parameters: {sorted(missing)}")
-    for name, arr in loaded.items():
-        expected[name][...] = arr
-    return model

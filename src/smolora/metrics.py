@@ -183,18 +183,20 @@ def write_accuracy_csv(path, a: AccuracyMatrix, task_count: int | None = None) -
 def read_accuracy_csv(path) -> AccuracyMatrix:
     """The table of an accuracy file, as :func:`write_accuracy_csv` writes it.
 
-    Data row k (blank lines skipped) is the stage number k, then k scores,
-    then only blank cells, and no row has more cells than the header. Any
-    fault raises FormatError naming its line.
+    The header is stage,task_1,...,task_W. Data row k (blank lines skipped)
+    is the stage number k, then k scores, then only blank cells, and no row
+    has more cells than the header. Any fault raises FormatError naming its
+    line.
     """
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}", line=reader.line_num) from None
-    if not rows or not rows[0] or rows[0][0] != "stage":
-        raise FormatError(f"{path}: missing 'stage' header", line=1)
-    width = len(rows[0])
+    header = rows[0] if rows else []
+    width = len(header)
+    if header != ["stage"] + [f"task_{j}" for j in range(1, width)]:
+        raise FormatError(f"{path}: header {','.join(header)!r} is not stage,task_1,...,task_W", line=1)
     a = AccuracyMatrix()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:

@@ -9,17 +9,22 @@ double-repeat and out-of-place banks, the two-row fusion and the
 per-instance routing traces below are earlier versions of the library's
 code, kept as bit-for-bit references for the array and in-place versions.
 `with_grads` hands the finite-difference checks each block of a packed bank
-as a parameter of its own.
+as a parameter of its own. The checkpoint reader, the per-split accuracy
+percentages and the nearest-cluster-mean classifier are called only by
+tests, so they live here.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 
-from smolora.errors import ContractError
+from smolora.benchmark import TaskSpec, TaskSplit
+from smolora.errors import ContractError, FormatError
+from smolora.harness import _MAGIC, ToyModel
 from smolora.tensor import Tape, repeat_columns
 
 FD_H = 1e-5
@@ -300,3 +305,78 @@ def trace_routing(routing_by_task) -> tuple[dict, list[dict]]:
             "std_beta": float(betas.std()),
         })
     return hist, fusion
+
+
+def percentages(correct: np.ndarray) -> tuple[float, float]:
+    """Content and format accuracy in percent of a 2 x n correctness array,
+    as 100 * hits / n."""
+    n = correct.shape[1]
+    content_hits, format_hits = correct.sum(axis=1).tolist()
+    return 100.0 * content_hits / n, 100.0 * format_hits / n
+
+
+def nearest_mean_accuracy(spec: TaskSpec, split: TaskSplit) -> float:
+    """Accuracy (%) of a 1-nearest-cluster-mean classifier; separability oracle."""
+    dists = np.linalg.norm(spec.visual_cluster_means[:, :, None] - split.visual[None], axis=1)
+    return 100.0 * np.count_nonzero(dists.argmin(axis=0) == split.answer_class) / len(split)
+
+
+def load_checkpoint(path, model: ToyModel) -> ToyModel:
+    """Fill a freshly constructed model's weights from a checkpoint in place.
+
+    The whole file is read and checked before any weight is written, so a
+    rejected file leaves the model as it was. Blocks are written through
+    their views of the banks, and so into the flat parameter array.
+    """
+    expected = model.named_matrices()
+    loaded: dict[str, np.ndarray] = {}
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise FormatError(f"{path}: bad magic bytes", offset=0)
+    pos = len(_MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise FormatError(f"{path}: truncated while reading {what}", offset=pos)
+        chunk = data[pos : pos + n]
+        pos += n
+        return chunk
+
+    while pos < len(data):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name_at = pos
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: parameter name is not valid UTF-8", offset=name_at + exc.start
+            ) from None
+        if name in loaded:
+            raise FormatError(f"{path}: parameter {name!r} appears twice", offset=name_at)
+        rows, cols = struct.unpack("<II", take(8, "shape"))
+        data_at = pos
+        raw = take(rows * cols * 8, f"data of {name}")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+        target = expected.get(name)
+        if target is None:
+            raise ContractError(f"checkpoint parameter {name!r} not present in model")
+        if target.shape != (rows, cols):
+            raise ContractError(
+                f"checkpoint parameter {name!r} is {rows}x{cols}, model expects "
+                f"{target.shape[0]}x{target.shape[1]}"
+            )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise FormatError(
+                f"{path}: parameter {name!r} holds a non-finite value",
+                offset=data_at + 8 * int(finite.argmin()),
+            )
+        loaded[name] = arr
+    missing = set(expected) - set(loaded)
+    if missing:
+        raise ContractError(f"checkpoint missing parameters: {sorted(missing)}")
+    for name, arr in loaded.items():
+        expected[name][...] = arr
+    return model

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from _oracles import nearest_mean_accuracy
 from smolora.benchmark import (
     generate_stream,
-    nearest_mean_accuracy,
     read_stream,
     task_formats,
     write_stream,

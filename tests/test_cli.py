@@ -334,6 +334,19 @@ class TestMetrics:
         stored = json.loads((out_dir / "metrics.json").read_text())
         assert printed == stored
 
+    def test_records_that_end_before_the_last_stage_exit_3(self, tmp_path, capsys):
+        # MIF would be scored on stage 2 and printed beside stage 3's AP.
+        stream, out_dir = tmp_path / "stream.jsonl", tmp_path / "run"
+        assert run_cli(*generate_args(stream, tasks=3)) == 0
+        assert run_cli(*train_args(stream, out_dir)) == 0
+        path = out_dir / "records.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if '"stage": 3' not in line))
+        capsys.readouterr()
+        err = format_error(capsys, "metrics", "--accuracy", str(out_dir / "accuracy.csv"),
+                           "--records", str(path))
+        assert "records.jsonl: the latest stage is 2, before stage 3, the last of" in err
+
 
 class TestReport:
     def test_single_run_summary_matches_metrics(self, stream_file, tmp_path, capsys):
@@ -465,6 +478,14 @@ class TestMalformedRunDirectory:
         path.write_text("\n".join(lines) + "\n")
         err = format_error(capsys, "report", str(run_dir))
         assert "fusion.csv" in err and "(line 3)" in err
+
+    def test_fusion_layers_not_numbered_in_order(self, run_dir, capsys):
+        path = run_dir / "fusion.csv"
+        lines = path.read_text().splitlines()
+        rows = [layer + line[1:] for layer, line in zip("007", lines[1:])]
+        path.write_text("\n".join([lines[0], *rows]) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert "fusion.csv" in err and "layer 0 where layer 1 is due" in err and "(line 3)" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name, line, column", [("routing.csv", 3, 4), ("fusion.csv", 2, 2)])

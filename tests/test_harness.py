@@ -8,8 +8,10 @@ import pytest
 from _oracles import (
     central_diff,
     dict_mif,
+    load_checkpoint,
     per_instance_input,
     per_instance_records,
+    percentages,
     rel_err,
     stage_records,
     trace_routing,
@@ -25,12 +27,11 @@ from smolora.harness import (
     ToyModel,
     attach_embeddings,
     evaluate_task,
-    load_checkpoint,
     run_cvit,
     save_checkpoint,
     train_stage,
 )
-from smolora.metrics import Records, write_records_jsonl
+from smolora.metrics import AccuracyMatrix, Records, write_records_jsonl
 from smolora.routing import HashingEmbedder, routing_histogram
 from smolora.tensor import Tape, backward, relu_pool, sgd_step
 
@@ -205,7 +206,7 @@ class TestTrainStage:
         cfg = small_config("seqlora", epochs=8)
         model = ToyModel(cfg, 8, 4, 3)
         train_stage(model, stream[0][1], cfg)
-        content_acc, _, _, _ = evaluate_task(model, stream[0][2])
+        content_acc, _ = percentages(evaluate_task(model, stream[0][2])[0])
         assert content_acc >= 25.0 + 20.0  # chance for 4 classes plus margin
 
     def test_learning_rate_is_a_half_cosine_restarted_each_stage(self, monkeypatch):
@@ -449,12 +450,13 @@ class _ConstantModel:
 class TestEvaluateTask:
     def test_constant_model_scores_chance_on_balanced_task(self):
         stream = small_stream(test=32)  # 32 samples over 4 classes, balanced
-        content_acc, _, _, _ = evaluate_task(_ConstantModel(), stream[0][2])
+        content_acc, _ = percentages(evaluate_task(_ConstantModel(), stream[0][2])[0])
         assert content_acc == pytest.approx(25.0)
 
     def test_oracle_model_scores_100(self):
         stream = small_stream()
-        c, f, correct, _ = evaluate_task(_OracleModel(), stream[0][2])
+        correct, _ = evaluate_task(_OracleModel(), stream[0][2])
+        c, f = percentages(correct)
         assert c == 100.0 and f == 100.0
         assert (correct == 1).all()
 
@@ -463,10 +465,10 @@ class TestEvaluateTask:
         cfg = small_config("smolora")
         model = ToyModel(cfg, 8, 4, 3)
         train_stage(model, stream[0][1], cfg)
-        a = evaluate_task(model, stream[0][2])
-        b = evaluate_task(model, stream[0][2])
-        assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
-        assert a[2].shape == (2, len(stream[0][2]))
+        a, _ = evaluate_task(model, stream[0][2])
+        b, _ = evaluate_task(model, stream[0][2])
+        assert percentages(a) == percentages(b) and np.array_equal(a, b)
+        assert a.shape == (2, len(stream[0][2]))
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
@@ -563,24 +565,26 @@ class TestColumnarPaths:
         for split in (batch, prepared()[1][2]):
             content, fmt = model.forward(split)
             labels = list(zip(split.task_id.tolist(), split.answer_class.tolist(), split.format_id.tolist()))
-            c_acc, f_acc, correct, _ = evaluate_task(model, split)
+            correct, _ = evaluate_task(model, split)
+            c_acc, f_acc = percentages(correct)
             want_c, want_f, want = per_instance_records(content, fmt, labels)
             assert (c_acc, f_acc) == (want_c, want_f)
             assert stage_records(1, split.task_id.tolist(), correct) == [{"stage": 1, **r} for r in want]
             assert correct.dtype == np.int64
 
-    def test_run_records_match_dict_assembly(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_records_match_dict_assembly(self, monkeypatch, tmp_path, method):
         # Eleven tasks, so that stage, task and index values reach two digits.
         # Ten 12-instance test splits fill a pack, so the last stage runs two.
         evaluated = []
 
         def evaluate(model, test_set):
             out = evaluate_task(model, test_set)
-            evaluated.append((test_set.task_id.tolist(), out[2]))
+            evaluated.append((test_set.task_id.tolist(), out[0]))
             return out
 
         monkeypatch.setattr(harness, "evaluate_task", evaluate)
-        _, report = run_cvit(small_config("seqlora", epochs=1), prepared(tasks=11, train=8, test=12))
+        _, report = run_cvit(small_config(method, epochs=1), prepared(tasks=11, train=8, test=12))
         packs = [(k, list(range(k))) for k in range(1, 11)] + [(11, list(range(10))), (11, [10])]
         assert [tasks for tasks, _ in evaluated] == [[t for t in p for _ in range(12)] for _, p in packs]
         dicts = [r for (k, pack), (_, ok) in zip(packs, evaluated) for i, t in enumerate(pack)
@@ -589,6 +593,19 @@ class TestColumnarPaths:
         write_dict_records(tmp_path / "want.jsonl", dicts)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
         assert report.metrics.mif == dict_mif(dicts)
+        # Both accuracy tables are the records counted per (stage, task).
+        counts = {}  # (stage, task) -> [samples, content hits, format hits]
+        columns = ("stage", "task_id", "content_correct", "format_correct")
+        for stage, task, c, f in zip(*(getattr(report.records, key).tolist() for key in columns)):
+            n = counts.setdefault((stage, task), [0, 0, 0])
+            n[0] += 1
+            n[1] += c
+            n[2] += f
+        for axis, table in ((1, report.content), (2, report.format)):
+            rows = {}
+            for (stage, _), n in counts.items():
+                rows.setdefault(stage, []).append(100.0 * n[axis] / n[0])
+            assert table == AccuracyMatrix(list(rows.values()))
 
     @pytest.mark.parametrize("blocks, top_k, mode", [(4, 1, "single"), (16, 2, "multi")])
     def test_routing_outputs_match_per_instance_traces(self, blocks, top_k, mode):
@@ -601,7 +618,7 @@ class TestColumnarPaths:
         # The last stage's evaluation ran this final model over every test split.
         routing = {}
         for spec, _, test in stream:
-            routing.setdefault(spec.task_id, []).extend(evaluate_task(model, test)[3])
+            routing.setdefault(spec.task_id, []).extend(evaluate_task(model, test)[1])
         hist, fusion = trace_routing(routing)
         assert list(report.routing_hist) == list(hist)
         for task_id, banks in hist.items():
@@ -666,9 +683,10 @@ class TestPackedEvaluation:
         assert calls == [first, pack, pack, lone, pack, lone, [3] * 16]
         for k, row in enumerate(stages, start=1):
             assert [t for t, _ in row] == list(range(k))
-            assert [report.content.score(k, j) for j in range(1, k + 1)] == [out[0] for _, out in row]
-            assert [report.format.score(k, j) for j in range(1, k + 1)] == [out[1] for _, out in row]
-        pieces = [(k, t, out[2]) for k, row in enumerate(stages, start=1) for t, out in row]
+            accuracies = [percentages(ok) for _, (ok, _) in row]
+            assert [report.content.score(k, j) for j in range(1, k + 1)] == [c for c, _ in accuracies]
+            assert [report.format.score(k, j) for j in range(1, k + 1)] == [f for _, f in accuracies]
+        pieces = [(k, t, out[0]) for k, row in enumerate(stages, start=1) for t, out in row]
         assert report.records == Records(
             stage=np.concatenate([np.full(ok.shape[1], k) for k, _, ok in pieces]),
             task_id=np.concatenate([np.full(ok.shape[1], t) for _, t, ok in pieces]),
@@ -676,7 +694,7 @@ class TestPackedEvaluation:
             content_correct=np.concatenate([ok[0] for *_, ok in pieces]),
             format_correct=np.concatenate([ok[1] for *_, ok in pieces]),
         )
-        routing = {t: out[3] for t, out in stages[-1]}
+        routing = {t: out[1] for t, out in stages[-1]}
         hist = routing_histogram(routing)
         assert report.routing_hist.keys() == hist.keys()
         for t, banks in hist.items():

@@ -253,6 +253,13 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="line 1"):
             read_accuracy_csv(path)
 
+    @pytest.mark.parametrize("header", ["stage,task_2,task_1", "stage,task_1,task_1", "stage,task_1,t"])
+    def test_header_task_names_out_of_order(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n1,80.0,\n2,70.0,60.0\n")
+        with pytest.raises(FormatError, match=r"is not stage,task_1,...,task_W.*line 1"):
+            read_accuracy_csv(path)
+
     def test_records_round_trip(self, tmp_path):
         records = Records(
             stage=np.ones(4, dtype=np.int64),

@@ -3,8 +3,8 @@ and accuracy CSV.
 
 `read_records_jsonl` and `read_accuracy_csv` either accept the file or raise
 FormatError, and `smolora metrics` exits 0 on an accepted file and 3 with a
-one-line message, no traceback, on a rejected one, or on an accepted table
-with fewer stages than the records.
+one-line message, no traceback, on a rejected one, or when the accepted
+table's last stage is not the records' latest.
 """
 
 import pytest
@@ -40,19 +40,24 @@ def _accepted(reader, path) -> bool:
 
 @given(data=st.data())
 def test_corrupted_records_are_rejected_cleanly(run_dir, data):
+    # Accepted records are still rejected if their latest stage is not the
+    # table's last.
     path = run_dir / "corrupted.jsonl"
     path.write_bytes(corrupt(data, (run_dir / "records.jsonl").read_bytes()))
+    accepted = _accepted(read_records_jsonl, path)
+    if accepted and len(records := read_records_jsonl(path)):
+        accepted = records.stage.max() == read_accuracy_csv(run_dir / "accuracy.csv").stages
     assert_clean_exit(["metrics", "--accuracy", str(run_dir / "accuracy.csv"),
-                       "--records", str(path)], _accepted(read_records_jsonl, path))
+                       "--records", str(path)], accepted)
 
 
 @given(data=st.data())
 def test_corrupted_accuracy_csv_is_rejected_cleanly(run_dir, data):
-    # A table the reader accepts is still rejected if it has fewer stages
-    # than the records.
+    # A table the reader accepts is still rejected if its last stage is not
+    # the records' latest.
     path = run_dir / "corrupted.csv"
     path.write_bytes(corrupt(data, (run_dir / "accuracy.csv").read_bytes()))
     stages = read_records_jsonl(run_dir / "records.jsonl").stage.max()
-    accepted = _accepted(read_accuracy_csv, path) and read_accuracy_csv(path).stages >= stages
+    accepted = _accepted(read_accuracy_csv, path) and read_accuracy_csv(path).stages == stages
     assert_clean_exit(["metrics", "--accuracy", str(path),
                        "--records", str(run_dir / "records.jsonl")], accepted)

@@ -14,12 +14,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from _fuzz import assert_clean_exit, corrupt
+from _oracles import load_checkpoint
 from hypothesis import given, strategies as st
 
 from smolora.benchmark import read_stream
 from smolora.cli import EXIT_OK, main as cli_main, read_fusion_csv
 from smolora.errors import ContractError, FormatError
-from smolora.harness import RunConfig, load_checkpoint, run_cvit
+from smolora.harness import RunConfig, run_cvit
 from smolora.routing import read_routing_csv
 
 
