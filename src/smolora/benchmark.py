@@ -131,9 +131,7 @@ class TaskSplit:
 
     @staticmethod
     def concat(splits: Sequence["TaskSplit"]) -> "TaskSplit":
-        """The splits' instances side by side, in order, as one split; one split is returned as is."""
-        if len(splits) == 1:
-            return splits[0]
+        """The splits' instances side by side, in order, as one new split."""
         embeddings = [s.embedding for s in splits]
         return TaskSplit(
             visual=np.hstack([s.visual for s in splits]),
@@ -352,7 +350,7 @@ def _task_spec(entry) -> TaskSpec:
         visual_cluster_means=_finite(means, f"task {task_id}: cluster_means", ndim=2),
         cluster_stddev=float(stddev),
         instruction_templates=list(templates),
-        format_id=_int(format_id, f"task {task_id}: format_id"),
+        format_id=_int(format_id, f"task {task_id}: format_id", hi=len(FORMAT_NAMES)),
     )
 
 

@@ -160,14 +160,15 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.json"
     _dump_json(metrics_path, _report_dict(report.metrics))
     outputs.append(metrics_path)
-    if report.routing_hist is not None:
-        routing_path = out_dir / "routing.csv"
+    routing_path, fusion_path = out_dir / "routing.csv", out_dir / "fusion.csv"
+    if report.routing_hist is None:
+        # An earlier separable run's files would be reported as this run's.
+        routing_path.unlink(missing_ok=True)
+        fusion_path.unlink(missing_ok=True)
+    else:
         write_routing_csv(routing_path, report.routing_hist)
-        outputs.append(routing_path)
-    if report.fusion_stats is not None:
-        fusion_path = out_dir / "fusion.csv"
         _write_fusion_csv(fusion_path, report.fusion_stats)
-        outputs.append(fusion_path)
+        outputs += [routing_path, fusion_path]
 
     for p in outputs:
         if not p.exists() or p.stat().st_size == 0:
@@ -250,9 +251,6 @@ def _load_run(run_dir: Path) -> dict:
     if manifest_path.exists():
         out["manifest"] = _read_json_object(manifest_path)
     out["content"] = metrics.read_accuracy_csv(run_dir / "accuracy.csv")
-    fmt_path = run_dir / "accuracy.format.csv"
-    if fmt_path.exists():
-        out["format"] = metrics.read_accuracy_csv(fmt_path)
     return out
 
 

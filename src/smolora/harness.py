@@ -14,15 +14,14 @@ embeds each distinct text once. The model runs a whole split or
 mini-batch at once: the instances' columns sit side by side, two per
 instance, with one embedding column per instance, taken from the split's
 arrays without a loop over instances. A training mini-batch is a column
-selection of its stage's split and records one tape. Evaluation packs the
-test splits once: a pack is a run of consecutive whole tasks of at most
-`EVAL_PACK_INSTANCES` instances together, joined side by side, and a
-larger task is a pack of its own. After stage k the first k tasks run as
-one tape-free forward per pack, or per column view of a pack's seen
-tasks, into one table of their correctness side by side. The run derives
-the accuracy tables and the columnar `metrics.Records` from these tables,
-with no per-sample Python object, and cuts the last stage's routing (one
-`routing.LayerRouting` per pack and separable layer) per task for the
+selection of its stage's split and records one tape. Evaluation joins the
+test splits once, side by side in stream order; after stage k the first k
+tasks' instances run as tape-free forwards over consecutive windows of at
+most `EVAL_WINDOW` instances, column views of the joined split, into one
+table of their correctness side by side. The run derives the accuracy
+tables and the columnar `metrics.Records` from these tables, with no
+per-sample Python object, and cuts the last stage's routing (its windows'
+`routing.LayerRouting`, joined per separable layer) per task for the
 routing histogram and fusion statistics.
 
 Training is strictly sequential over tasks with no replay: each stage sees
@@ -59,10 +58,11 @@ from .tensor import (
 
 METHODS = ("seqlora", "molora", "smolora")
 
-# Evaluation runs consecutive whole test splits as one forward up to this
-# many instances: below it a forward's fixed cost dominates, above it a
-# forward runs slower per instance (README, "Training and evaluation").
-EVAL_PACK_INSTANCES = 128
+# Evaluation runs the joined test splits as one forward per this many
+# consecutive instances: below it a forward's fixed cost dominates, and no
+# wider forward runs faster per instance for every method (README,
+# "Training and evaluation").
+EVAL_WINDOW = 96
 
 # An overflow is blamed on the input, not the learning rate, when the square
 # of a visual value is beyond float64's range. A step changes a bank's B by
@@ -344,37 +344,6 @@ def evaluate_task(model: ToyModel, test_set: TaskSplit) -> tuple[np.ndarray, lis
     return correct, routing
 
 
-def eval_packs(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """Task ranges [start, stop) of consecutive whole tasks with at most
-    `EVAL_PACK_INSTANCES` instances together; a larger task is a pack of its own.
-
-    The packing is greedy, so the packs of the first k tasks are these packs
-    cut at k.
-    """
-    packs, start, total = [], 0, 0
-    for j, n in enumerate(sizes):
-        if j > start and total + n > EVAL_PACK_INSTANCES:
-            packs.append((start, j))
-            start, total = j, 0
-        total += n
-    packs.append((start, len(sizes)))
-    return packs
-
-
-def _evaluate_seen(
-    model: ToyModel, packs: list[tuple[int, int, TaskSplit]], offsets: list[int], k: int
-) -> tuple[np.ndarray, list[list[LayerRouting]]]:
-    """Evaluate the first k tasks, one forward per pack or pack prefix.
-
-    A pack (first, last, split) holds tasks first to last - 1 side by side.
-    Returns the seen tasks' correctness side by side (2 x offsets[k], task j
-    from column offsets[j]) and each evaluated pack's routing.
-    """
-    seen = [evaluate_task(model, split.columns(0, offsets[min(last, k)] - offsets[first]))
-            for first, last, split in packs if first < k]
-    return np.concatenate([ok for ok, _ in seen], axis=1), [routing for _, routing in seen]
-
-
 @dataclass
 class RunReport:
     """Everything one sequential run produces, ready for serialization."""
@@ -407,12 +376,9 @@ def run_cvit(
             raise ShapeError(f"task {spec.task_id} test visual dim {test.visual.shape[0]} != d_v {d_v}")
     sizes = [len(test) for _, _, test in stream]
     offsets = np.cumsum([0, *sizes]).tolist()
-    # Each pack's test splits side by side, joined once; a stage evaluates a
-    # prefix of a pack as a column view.
-    packs = [(first, last, TaskSplit.concat([test for _, _, test in stream[first:last]]))
-             for first, last in eval_packs(sizes)]
-    # The record columns of all test splits side by side; stage k's are the first offsets[k].
-    task_id = np.concatenate([test.task_id for _, _, test in stream])
+    # All test splits side by side, joined once; stage k evaluates the first
+    # offsets[k] instances in windows of column views.
+    tests = TaskSplit.concat([test for _, _, test in stream])
     instance_index = np.concatenate([np.arange(n) for n in sizes])
 
     tables: list[np.ndarray] = []  # per stage k, the correctness of tasks 1..k side by side
@@ -425,7 +391,8 @@ def run_cvit(
                 step_losses.append(train_stage(model, train, config, stage_index=k - 1))
                 if not sizes[k - 1]:  # reduceat below would read a neighbour's column for it
                     raise ValueError(f"task {spec.task_id} has an empty test split")
-                ok, routing = _evaluate_seen(model, packs, offsets, k)
+                seen = [evaluate_task(model, tests.columns(a, min(a + EVAL_WINDOW, offsets[k])))
+                        for a in range(0, offsets[k], EVAL_WINDOW)]
             except FloatingPointError as exc:
                 largest = max(float(np.abs(split.visual).max(initial=0.0))
                               for _, train, test in stream[:k] for split in (train, test))
@@ -439,7 +406,7 @@ def run_cvit(
                 ) from None
             except Exception as exc:  # noqa: BLE001 - annotate with the stage index
                 raise StageError(k, exc) from exc
-            tables.append(ok)
+            tables.append(np.concatenate([ok for ok, _ in seen], axis=1))
 
     # Each task's accuracy is 100 * hits / n, from its columns of each stage's table.
     rows = [100.0 * np.add.reduceat(ok, offsets[:k], axis=1) / sizes[:k]
@@ -448,7 +415,7 @@ def run_cvit(
     fmt = AccuracyMatrix([f_row for _, f_row in rows])
     records = Records(
         np.repeat(np.arange(1, len(stream) + 1), offsets[1:]),
-        np.concatenate([task_id[:n] for n in offsets[1:]]),
+        np.concatenate([tests.task_id[:n] for n in offsets[1:]]),
         np.concatenate([instance_index[:n] for n in offsets[1:]]),
         *np.concatenate(tables, axis=1),  # content, then format correctness
     )
@@ -461,12 +428,12 @@ def run_cvit(
         step_losses=step_losses,
     )
     if config.method == "smolora":
-        # The last stage evaluated every pack whole: cut its routing per task.
-        routing_by_task: dict[int, list[LayerRouting]] = {}
-        for (first, last, _), layers in zip(packs, routing):
-            for a, b in zip(offsets[first:last], offsets[first + 1 : last + 1]):
-                routing_by_task.setdefault(int(task_id[a]), []).extend(
-                    r.instances(a - offsets[first], b - offsets[first]) for r in layers)
+        # The last stage evaluated every test split: join its windows'
+        # routing per layer and cut it per task.
+        layers = [LayerRouting(*map(np.hstack, zip(*windows)))
+                  for windows in zip(*(routing for _, routing in seen))]
+        routing_by_task = {int(tests.task_id[a]): [r.instances(a, b) for r in layers]
+                           for a, b in zip(offsets, offsets[1:])}
         report.routing_hist = routing_histogram(routing_by_task)
         report.fusion_stats = _fusion_stats(routing_by_task)
     return model, report

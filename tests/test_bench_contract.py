@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smolora import harness
@@ -180,3 +181,26 @@ def test_evaluation_calls_hold_whole_tasks_and_every_record(monkeypatch):
     assert [list(dict.fromkeys(ids)) for ids in calls] == [[0], [0, 1], [0, 1], [2], [0, 1], [2, 3]]
     for ids in calls:
         assert ids == [t for t in dict.fromkeys(ids) for _ in range(48)]
+
+
+def test_evaluation_calls_are_consecutive_windows_of_the_stream(monkeypatch):
+    # Three 40-instance test splits: stage 3's 120 instances take two
+    # calls, and the second starts inside task 2's split. child.py counts
+    # each call's `len(test_set)`, so the calls must still cover every
+    # record once, in stream order.
+    calls = []
+
+    def evaluate(model, test_set):
+        calls.append(test_set)
+        return evaluate_task(model, test_set)
+
+    monkeypatch.setattr(harness, "evaluate_task", evaluate)
+    stream = generate_stream(0, task_count=3, train_per_task=4, test_per_task=40, d_v=8,
+                             class_count=4)
+    config = RunConfig(method="seqlora", embed_dim=16, hidden=16, rank=4, batch_size=4, epochs=1)
+    _, report = run_cvit(config, stream)
+    assert sum(map(len, calls)) == len(report.records) == 40 * (1 + 2 + 3)
+    assert [len(c) for c in calls] == [40, 80, harness.EVAL_WINDOW, 120 - harness.EVAL_WINDOW]
+    joined = np.hstack([test.visual for _, _, test in stream])
+    for start, call in zip([0, 0, 0, harness.EVAL_WINDOW], calls):
+        assert np.array_equal(call.visual, joined[:, start : start + len(call)])

@@ -95,6 +95,18 @@ class TestTrain:
         assert (out_dir / "routing.csv").stat().st_size > 0
         assert (out_dir / "fusion.csv").stat().st_size > 0
 
+    def test_run_without_routing_removes_an_earlier_runs_files(self, stream_file, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli(*train_args(stream_file, out_dir, method="smolora")) == 0
+        assert run_cli(*train_args(stream_file, out_dir)) == 0
+        assert not (out_dir / "routing.csv").exists()
+        assert not (out_dir / "fusion.csv").exists()
+        capsys.readouterr()
+        assert run_cli("report", str(out_dir)) == 0
+        out = capsys.readouterr().out
+        assert "(method=seqlora)" in out
+        assert "routing frequencies" not in out and "fusion weights" not in out
+
     def test_identical_invocations_identical_artifacts(self, stream_file, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli(*train_args(stream_file, d1, method="smolora")) == 0
@@ -246,6 +258,7 @@ def _edit_line(path, lineno, change):
 # and 16 test records (task 0: train 2-33, test 34-49; task 1: 50-97).
 STREAM_FAULTS = {
     "no-cluster-stddev": (1, lambda m: m["tasks"][1].pop("cluster_stddev")),
+    "huge-format-id": (1, lambda m: m["tasks"][1].update(format_id=1_000_000_000_000)),
     "short-visual": (5, lambda r: r["visual"].pop()),
     "train-class-out-of-range": (6, lambda r: r.update(answer_class=99)),
     "test-class-out-of-range": (40, lambda r: r.update(answer_class=4)),

@@ -575,7 +575,7 @@ class TestColumnarPaths:
     @pytest.mark.parametrize("method", METHODS)
     def test_run_records_match_dict_assembly(self, monkeypatch, tmp_path, method):
         # Eleven tasks, so that stage, task and index values reach two digits.
-        # Ten 12-instance test splits fill a pack, so the last stage runs two.
+        # Eight 12-instance test splits fill a window, so stages 9 to 11 run two.
         evaluated = []
 
         def evaluate(model, test_set):
@@ -585,9 +585,10 @@ class TestColumnarPaths:
 
         monkeypatch.setattr(harness, "evaluate_task", evaluate)
         _, report = run_cvit(small_config(method, epochs=1), prepared(tasks=11, train=8, test=12))
-        packs = [(k, list(range(k))) for k in range(1, 11)] + [(11, list(range(10))), (11, [10])]
-        assert [tasks for tasks, _ in evaluated] == [[t for t in p for _ in range(12)] for _, p in packs]
-        dicts = [r for (k, pack), (_, ok) in zip(packs, evaluated) for i, t in enumerate(pack)
+        windows = [(k, list(range(k))) for k in range(1, 9)] + [
+            (k, tasks) for k in range(9, 12) for tasks in (list(range(8)), list(range(8, k)))]
+        assert [tasks for tasks, _ in evaluated] == [[t for t in w for _ in range(12)] for _, w in windows]
+        dicts = [r for (k, window), (_, ok) in zip(windows, evaluated) for i, t in enumerate(window)
                  for r in stage_records(k, [t] * 12, ok[:, 12 * i : 12 * (i + 1)])]
         write_records_jsonl(tmp_path / "got.jsonl", report.records)
         write_dict_records(tmp_path / "want.jsonl", dicts)
@@ -629,64 +630,58 @@ class TestColumnarPaths:
         assert report.fusion_stats == fusion
 
 
-class TestPackedEvaluation:
-    """Seen tasks evaluated in packs give what each split evaluated alone gives."""
-
-    def test_packs_are_greedy_runs_of_whole_tasks(self):
-        assert harness.eval_packs([16] * 6) == [(0, 6)]
-        assert harness.eval_packs([96] * 3) == [(0, 1), (1, 2), (2, 3)]
-        assert harness.eval_packs([64, 64, 1]) == [(0, 2), (2, 3)]
-        sizes = [16, 16, 200, 16, 50, 70, 8, 129]
-        packs = harness.eval_packs(sizes)
-        assert packs == [(0, 2), (2, 3), (3, 5), (5, 7), (7, 8)]
-        for k in range(1, len(sizes) + 1):  # a prefix packs as the packing cut at k
-            assert harness.eval_packs(sizes[:k]) == [(a, min(b, k)) for a, b in packs if a < k]
+class TestWindowedEvaluation:
+    """Seen tasks evaluated in windows give what each split evaluated alone gives."""
 
     @pytest.mark.parametrize("top_k", [1, 2])
     def test_run_matches_each_split_evaluated_alone(self, monkeypatch, top_k):
-        # Test splits of 16, 16, 200 and 16: a pack, a lone oversized task,
-        # then a pack again.
+        # Test splits of 16, 16, 200 and 16: from stage 3 on, windows cut
+        # the 200-instance split, and the last window holds two tasks.
         stream = [(spec, train, test if j == 2 else test.take(np.arange(16)))
                   for j, (spec, train, test) in enumerate(generate_stream(
                       2, task_count=4, train_per_task=8, test_per_task=200, d_v=8, class_count=4))]
+        offsets = np.cumsum([0] + [len(test) for _, _, test in stream]).tolist()
         cfg = small_config("smolora", top_k=top_k, vu_blocks=3, if_blocks=3, epochs=1)
-        stages, calls = [], []
+        stages, calls = [], []  # per stage: each seen task evaluated alone; the window calls
         train_stage_ = harness.train_stage
 
         def train(*args, **kwargs):
-            stages.append([])
+            stages.append({})
+            calls.append([])
             return train_stage_(*args, **kwargs)
 
         def evaluate(model, test_set):
-            calls.append(test_set.task_id.tolist())
-            packed = model.forward(test_set, routing=(packed_routing := []))
-            start = 0
-            for spec, _, test in stream:
-                if spec.task_id not in test_set.task_id:
+            a = sum(map(len, calls[-1]))  # the window's first column in the joined splits
+            b = a + len(test_set)
+            calls[-1].append(test_set.task_id.tolist())
+            windowed = model.forward(test_set, routing=(window_routing := []))
+            for j, (spec, _, test) in enumerate(stream):
+                lo, hi = max(a, offsets[j]), min(b, offsets[j + 1])
+                if lo >= hi:
                     continue
                 alone = model.forward(test, routing=(alone_routing := []))
-                cols = slice(start, start + len(test))
-                for got, want in zip(packed, alone):
-                    assert np.array_equal(got[:, cols], want)
-                for got, want in zip(packed_routing, alone_routing):
-                    got = got.instances(cols.start, cols.stop)
+                got_cols, want_cols = (lo - a, hi - a), (lo - offsets[j], hi - offsets[j])
+                for got, want in zip(windowed, alone):
+                    assert np.array_equal(got[:, slice(*got_cols)], want[:, slice(*want_cols)])
+                for got, want in zip(window_routing, alone_routing, strict=True):
+                    got, want = got.instances(*got_cols), want.instances(*want_cols)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                stages[-1].append((spec.task_id, evaluate_task(model, test)))
-                start = cols.stop
-            assert start == len(test_set)
+                if spec.task_id not in stages[-1]:
+                    stages[-1][spec.task_id] = evaluate_task(model, test)
             return evaluate_task(model, test_set)
 
         monkeypatch.setattr(harness, "train_stage", train)
         monkeypatch.setattr(harness, "evaluate_task", evaluate)
         _, report = run_cvit(cfg, stream)
-        first, pack, lone = [0] * 16, [0] * 16 + [1] * 16, [2] * 200
-        assert calls == [first, pack, pack, lone, pack, lone, [3] * 16]
+        head = [0] * 16 + [1] * 16 + [2] * 64
+        assert calls == [[[0] * 16], [[0] * 16 + [1] * 16], [head, [2] * 96, [2] * 40],
+                         [head, [2] * 96, [2] * 40 + [3] * 16]]
         for k, row in enumerate(stages, start=1):
-            assert [t for t, _ in row] == list(range(k))
-            accuracies = [percentages(ok) for _, (ok, _) in row]
+            assert list(row) == list(range(k))
+            accuracies = [percentages(ok) for ok, _ in row.values()]
             assert [report.content.score(k, j) for j in range(1, k + 1)] == [c for c, _ in accuracies]
             assert [report.format.score(k, j) for j in range(1, k + 1)] == [f for _, f in accuracies]
-        pieces = [(k, t, out[0]) for k, row in enumerate(stages, start=1) for t, out in row]
+        pieces = [(k, t, out[0]) for k, row in enumerate(stages, start=1) for t, out in row.items()]
         assert report.records == Records(
             stage=np.concatenate([np.full(ok.shape[1], k) for k, _, ok in pieces]),
             task_id=np.concatenate([np.full(ok.shape[1], t) for _, t, ok in pieces]),
@@ -694,7 +689,7 @@ class TestPackedEvaluation:
             content_correct=np.concatenate([ok[0] for *_, ok in pieces]),
             format_correct=np.concatenate([ok[1] for *_, ok in pieces]),
         )
-        routing = {t: out[1] for t, out in stages[-1]}
+        routing = {t: out[1] for t, out in stages[-1].items()}
         hist = routing_histogram(routing)
         assert report.routing_hist.keys() == hist.keys()
         for t, banks in hist.items():
