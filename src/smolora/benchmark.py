@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +89,8 @@ class TaskSpec:
 
 @dataclass
 class TaskSplit:
-    """One split of instances, stored by column: entry j of every field is instance j.
+    """One split of instances, stored by column: entry j of every field is instance j,
+    along its last axis.
 
     `embedding` is None until `harness.attach_embeddings` fills it. A split
     read from a file in which only some records carry a precomputed vector
@@ -106,41 +107,26 @@ class TaskSplit:
     def __len__(self) -> int:
         return self.answer_class.shape[0]
 
+    def _map(self, fn) -> "TaskSplit":
+        """fn applied to every field's array; a None embedding stays None."""
+        return TaskSplit(**{f.name: None if (a := getattr(self, f.name)) is None else fn(a)
+                            for f in fields(self)})
+
     def take(self, index) -> "TaskSplit":
         """The instances at `index`, in that order: a selection of columns."""
-        return TaskSplit(
-            visual=self.visual.take(index, axis=1),
-            texts=self.texts.take(index),
-            answer_class=self.answer_class.take(index),
-            format_id=self.format_id.take(index),
-            task_id=self.task_id.take(index),
-            embedding=None if self.embedding is None else self.embedding.take(index, axis=1),
-        )
+        return self._map(lambda a: a.take(index, axis=-1))
 
     def columns(self, start: int, stop: int) -> "TaskSplit":
         """Instances start to stop - 1 as views of this split's arrays."""
-        cols = slice(start, stop)
-        return TaskSplit(
-            visual=self.visual[:, cols],
-            texts=self.texts[cols],
-            answer_class=self.answer_class[cols],
-            format_id=self.format_id[cols],
-            task_id=self.task_id[cols],
-            embedding=None if self.embedding is None else self.embedding[:, cols],
-        )
+        return self._map(lambda a: a[..., start:stop])
 
     @staticmethod
     def concat(splits: Sequence["TaskSplit"]) -> "TaskSplit":
-        """The splits' instances side by side, in order, as one new split."""
-        embeddings = [s.embedding for s in splits]
-        return TaskSplit(
-            visual=np.hstack([s.visual for s in splits]),
-            texts=np.concatenate([s.texts for s in splits]),
-            answer_class=np.concatenate([s.answer_class for s in splits]),
-            format_id=np.concatenate([s.format_id for s in splits]),
-            task_id=np.concatenate([s.task_id for s in splits]),
-            embedding=None if any(e is None for e in embeddings) else np.hstack(embeddings),
-        )
+        """The splits' instances side by side, in order, as one new split; the
+        embedding is None if any split's is."""
+        arrays = {f.name: [getattr(s, f.name) for s in splits] for f in fields(TaskSplit)}
+        return TaskSplit(**{name: None if any(a is None for a in parts) else np.concatenate(parts, axis=-1)
+                            for name, parts in arrays.items()})
 
 
 def task_formats(task_count: int) -> list[int]:

@@ -230,6 +230,13 @@ def cmd_metrics(args) -> int:
             f"{args.records}: the latest stage is {records.stage.max()}, before stage "
             f"{a.stages}, the last of {args.accuracy}"
         )
+    # ...and must score as many tasks as the table's last row.
+    tasks = len(set(records.task_id[records.stage == a.stages].tolist())) if records else a.stages
+    if tasks != a.stages:
+        raise FormatError(
+            f"{args.records}: stage {a.stages} has records of {tasks} tasks, not the "
+            f"{a.stages} that the last row of {args.accuracy} scores"
+        )
     report = metrics.compute_report(a, records)
     print(json.dumps(_report_dict(report), sort_keys=True, indent=2))
     return EXIT_OK

@@ -28,10 +28,12 @@ base product the update is added to), never into its inputs, the
 parameters or the routing arrays it returns. The arithmetic is the taped
 forward's, so both give the same bits.
 
-A top-1 gate is one-hot whatever its logits, so its gradient is exactly 0;
-at top-1 the rule computes no router gradient and writes zeros. Given a
-list, the separable layer appends a `routing.LayerRouting` of the gate and
-fusion arrays it computed, which costs no copy.
+Every routed bank, molora's one and the separable layer's two, is one
+kernel (`_bank`) that also differentiates its router. A top-1 gate is
+one-hot whatever its logits, so its gradient is exactly 0; at top-1 the
+rule computes no router gradient and writes zeros. Given a list, the
+separable layer appends a `routing.LayerRouting` of the gate and fusion
+arrays it computed, which costs no copy.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .routing import LayerRouting, route_instance, route_instruction
-from .tensor import Matrix, Tape, check_finite, repeat_columns, require_grads, run_means, run_sums, softmax_back
+from .tensor import Matrix, Tape, check_finite, require_grads, run_means, run_sums, softmax_back
 
 
 @dataclass
@@ -116,24 +118,26 @@ def lora_apply(bank: LoRABank, x: np.ndarray, base: np.ndarray, tape: Tape | Non
     return y
 
 
-def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    """acc + term, or term when nothing has accumulated yet."""
-    return term if acc is None else acc + term
+def _plus(acc: np.ndarray | None, term: np.ndarray | None) -> np.ndarray | None:
+    """acc + term, or whichever of the two is not None."""
+    return term if acc is None else acc if term is None else acc + term
 
 
-def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, taped: bool):
-    """One bank in two matmuls, B @ (G * (A @ x)), and its backward rule when taped.
+def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, router: Matrix,
+          router_in: np.ndarray | None, taped: bool):
+    """One routed bank in two matmuls, B @ (G * (A @ x)), and its backward rule when taped.
 
-    Gate entry (i, j) scales block i's rank rows over instance j's s columns.
-    Untaped, the gate scales A @ x, a new array, in place and nothing is
-    kept: the rule is None. Taped, the rule takes the gradient of the bank output and whether
-    x and the gate need gradients; it writes the gradients of the bank's A
-    and B whole into their views and returns those of x and of the gate
-    (None where not needed). A block that no instance selected gets zeros.
+    Gate entry (i, j) scales block i's rank rows over instance j's s columns;
+    G is the top-k softmax of router @ router_in, and router_in is None at
+    top-1, where G is one-hot. Untaped, G scales A @ x, a new array, in place
+    and the rule is None. Taped, the rule takes the bank output's gradient
+    and whether x and router_in need gradients; it writes those of A, B and
+    the router (zeros at top-1) whole into their views and returns those of
+    x and router_in (None where not needed). Unselected blocks get zeros.
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
-    full = repeat_columns(gate, s).repeat(r, axis=0)
+    full = gate.repeat(s, axis=1).repeat(r, axis=0)
     z = a_stack @ x
     if not taped:
         z *= full
@@ -141,17 +145,20 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, taped: bool):
     zg = full * z
     out = b_cat @ zg
 
-    def back(g: np.ndarray, need_x: bool, need_gate: bool):
+    def back(g: np.ndarray, need_x: bool, need_in: bool):
         dzg = b_cat.T @ g
         dz = dzg * full
         np.matmul(dz, x.T, out=bank.A.grad)
         np.matmul(g, zg.T, out=bank.B.grad)
         dx = a_stack.T @ dz if need_x else None
-        if not need_gate:
+        if router_in is None:
+            router.grad[...] = 0.0
             return dx, None
         # Each instance's s columns, then each block's r rows, summed in order.
         runs = run_sums(dzg * z, s).reshape(gate.shape[0], r, gate.shape[1])
-        return dx, np.add.reduce(runs, axis=1)
+        dl = softmax_back(gate, np.add.reduce(runs, axis=1))
+        np.matmul(dl, router_in.T, out=router.grad)
+        return dx, router.a.T @ dl if need_in else None
 
     return out, back
 
@@ -195,25 +202,19 @@ def molora_forward(layer: MoLoRALayer, x: np.ndarray, tape: Tape | None = None) 
     if x.shape[0] != W0.shape[1]:
         raise ShapeError(f"input rows {x.shape[0]} != layer input dim {W0.shape[1]}")
     gate = route_instruction(layer.router.a, x, layer.top_k)
-    delta, bank_back = _bank(layer.bank, gate, x, 1, tape is not None)
+    router_in = x if layer.top_k > 1 else None
+    delta, bank_back = _bank(layer.bank, gate, x, 1, layer.router, router_in, tape is not None)
     y = W0 @ x
     y += delta
     check_finite(y)
     if tape is not None:
         require_grads(*layer.trainable())
-        need_x, routed, g_router = bool(tape._ops), layer.top_k > 1, layer.router.grad
+        need_x = bool(tape._ops)
 
         def back(g, dx=None):
-            dx_bank, d_gate = bank_back(g, need_x, routed)
-            if routed:
-                dl = softmax_back(gate, d_gate)
-                np.matmul(dl, x.T, out=g_router)
-                if need_x:
-                    dx_bank = dx_bank + layer.router.a.T @ dl
-            else:
-                g_router[...] = 0.0
+            dx_bank, d_in = bank_back(g, need_x, need_x)
             if need_x:
-                dx = _plus(_plus(dx, W0.T @ g), dx_bank)
+                dx = _plus(_plus(dx, W0.T @ g), _plus(dx_bank, d_in))
             return dx
 
         tape._ops.append(back)
@@ -316,17 +317,19 @@ def smolora_forward(
     s = x.shape[1] // n
     vu_gate = route_instance(layer.R_vu.a, x, layer.top_k, n)
     if_gate = route_instruction(layer.R_if.a, instr_emb, layer.top_k)
-    taped = tape is not None
-    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, x, s, taped)
-    x_if, if_back = _bank(layer.if_bank, if_gate, x, s, taped)
+    taped, routed = tape is not None, layer.top_k > 1
+    # The VU router reads each instance's mean input column, which only a taped top-k > 1 rule needs.
+    vu_in = run_means(x, s) if taped and routed else None
+    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, x, s, layer.R_vu, vu_in, taped)
+    x_if, if_back = _bank(layer.if_bank, if_gate, x, s, layer.R_if, instr_emb if routed else None, taped)
     fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a, overwrite=not taped)
     y = W0 @ x
     y += fused
     check_finite(y)
     if taped:
-        R_vu, R_if, I_vu, I_if = layer.R_vu, layer.R_if, layer.I_vu, layer.I_if
+        I_vu, I_if = layer.I_vu, layer.I_if
         require_grads(*layer.trainable())
-        need_x, routed = bool(tape._ops), layer.top_k > 1
+        need_x = bool(tape._ops)
         ab = np.concatenate([alpha, beta])
 
         def back(g, dx=None):
@@ -337,22 +340,13 @@ def smolora_forward(
             du, dv = d_uv[:1], d_uv[1:]
             np.matmul(du, x_vu.T, out=I_vu.grad)
             np.matmul(dv, x_if.T, out=I_if.grad)
-            dx_vu, d_vu_gate = vu_back(g * alpha + I_vu.a.T @ du, need_x, routed)
-            dx_if, d_if_gate = if_back(g * beta + I_if.a.T @ dv, need_x, routed)
-            dx_banks = dx_vu + dx_if if need_x else None
-            if routed:
-                # Instance logits from the per-instance input means,
-                # instruction logits from the embeddings.
-                dl_vu = softmax_back(vu_gate, d_vu_gate)
-                dl_if = softmax_back(if_gate, d_if_gate)
-                np.matmul(dl_vu, run_means(x, s).T, out=R_vu.grad)
-                np.matmul(dl_if, instr_emb.T, out=R_if.grad)
-                if need_x:
-                    dx_banks = dx_banks + repeat_columns((R_vu.a.T @ dl_vu) / s, s)
-            else:
-                R_vu.grad[...] = 0.0
-                R_if.grad[...] = 0.0
+            dx_vu, d_vu_in = vu_back(g * alpha + I_vu.a.T @ du, need_x, need_x)
+            dx_if, _ = if_back(g * beta + I_if.a.T @ dv, need_x, False)
             if need_x:
+                dx_banks = dx_vu + dx_if
+                if d_vu_in is not None:
+                    # Each instance's mean input column spreads back over its s columns.
+                    dx_banks = dx_banks + (d_vu_in / s).repeat(s, axis=1)
                 dx = _plus(_plus(dx, W0.T @ g), dx_banks)
             return dx
 

@@ -12,13 +12,13 @@ buffer and returns its input's gradient, :func:`backward` calls the rules
 in reverse, and :func:`sgd_step` applies the buffer with one subtraction.
 
 Each instance's columns sit side by side in runs of s (two in the model:
-visual, instruction). Pooling and expanding those runs goes through
-:func:`run_sums`, :func:`run_means` and :func:`repeat_columns`, which touch
-one strided slice `a[:, i::s]` per position in the run, one whole-array
-operation each. numpy's own `reshape(..., s).sum(axis=-1)` and
-`repeat(s, axis=1)` make one inner-loop call per output entry along an axis
-that short, which costs several times more; the strided kernels give the
-same bits.
+visual, instruction). Pooling those runs goes through :func:`run_sums` and
+:func:`run_means`, which add one strided slice `a[:, i::s]` per position in
+the run, one whole-array operation each. numpy's own
+`reshape(..., s).sum(axis=-1)` makes one inner-loop call per output entry
+along an axis that short, which costs several times more; the strided
+kernels give the same bits. Expanding a run is `ndarray.repeat(s, axis=1)`,
+which costs less than strided copies at training-batch widths.
 """
 
 from __future__ import annotations
@@ -161,20 +161,6 @@ def run_means(a: np.ndarray, s: int) -> np.ndarray:
     return total
 
 
-def repeat_columns(a: np.ndarray, s: int) -> np.ndarray:
-    """np.repeat(a, s, axis=1): each column of a copied into s consecutive columns.
-
-    One strided copy per position in the run; for s = 1 this is a itself,
-    not a copy.
-    """
-    if s == 1:
-        return a
-    out = np.empty((a.shape[0], a.shape[1] * s), dtype=a.dtype)
-    for i in range(s):
-        out[:, i::s] = a
-    return out
-
-
 def relu_pool(h: np.ndarray, groups: int, tape: Tape | None = None) -> np.ndarray:
     """Row-wise means of max(h, 0) over each of `groups` equal runs of consecutive
     columns (rows x groups), as one tape record."""
@@ -185,7 +171,7 @@ def relu_pool(h: np.ndarray, groups: int, tape: Tape | None = None) -> np.ndarra
     check_finite(out)
     if tape is not None:
         pos = h > 0
-        tape._ops.append(lambda g: repeat_columns(g / s, s) * pos)
+        tape._ops.append(lambda g: (g / s).repeat(s, axis=1) * pos)
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from smolora.benchmark import TaskSpec, TaskSplit
 from smolora.errors import ContractError, FormatError
 from smolora.harness import _MAGIC, ToyModel
-from smolora.tensor import Tape, repeat_columns
+from smolora.tensor import Tape
 
 FD_H = 1e-5
 
@@ -239,7 +239,7 @@ def double_repeat_bank(a_stack, b_cat, r: int, gate, x, s: int, g):
 def out_of_place_bank(a_stack, b_cat, r: int, gate, x, s: int):
     """A bank's output with the gated product G * (A @ x) built as a new array,
     the reference for the untaped `lora._bank`, which gates A @ x in place."""
-    full = repeat_columns(gate, s).repeat(r, axis=0)
+    full = gate.repeat(s, axis=1).repeat(r, axis=0)
     z = a_stack @ x
     zg = full * z
     return b_cat @ zg

@@ -347,18 +347,24 @@ class TestMetrics:
         stored = json.loads((out_dir / "metrics.json").read_text())
         assert printed == stored
 
-    def test_records_that_end_before_the_last_stage_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dropped, message", [
         # MIF would be scored on stage 2 and printed beside stage 3's AP.
+        ('"stage": 3', "records.jsonl: the latest stage is 2, before stage 3, the last of"),
+        # MIF would average two tasks' rates and be printed beside three tasks' AP.
+        ('"stage": 3, "task_id": 2',
+         "records.jsonl: stage 3 has records of 2 tasks, not the 3 that the last row of"),
+    ], ids=["stage", "task"])
+    def test_records_short_of_the_tables_last_row_exit_3(self, tmp_path, capsys, dropped, message):
         stream, out_dir = tmp_path / "stream.jsonl", tmp_path / "run"
         assert run_cli(*generate_args(stream, tasks=3)) == 0
         assert run_cli(*train_args(stream, out_dir)) == 0
         path = out_dir / "records.jsonl"
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if '"stage": 3' not in line))
+        path.write_text("".join(line for line in lines if dropped not in line))
         capsys.readouterr()
         err = format_error(capsys, "metrics", "--accuracy", str(out_dir / "accuracy.csv"),
                            "--records", str(path))
-        assert "records.jsonl: the latest stage is 2, before stage 3, the last of" in err
+        assert message in err
 
 
 class TestReport:

@@ -1,0 +1,51 @@
+"""The names the documentation points at exist.
+
+Every backticked module-qualified name in README.md (`lora.LoRABank`,
+`harness.EVAL_WINDOW`, ...) and every :func: and :class: name in a
+docstring under src/smolora, looked up in that docstring's module, must
+resolve to an attribute, so a name cannot outlive its code unnoticed.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import smolora
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(smolora.__file__).resolve().parent
+MODULES = ("tensor", "lora", "routing", "harness", "metrics", "benchmark", "cli")
+README_NAME = re.compile(rf"`((?:{'|'.join(MODULES)})(?:\.\w+)+)")
+# A file the program reads or writes (`metrics.json`, `routing.csv`) is no name.
+FILE_SUFFIXES = {"json", "jsonl", "csv", "ckpt", "py"}
+ROLE_NAME = re.compile(r":(?:func|class):`([\w.]+)`")
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_resolve():
+    names = {n for n in README_NAME.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+             if n.rsplit(".", 1)[1] not in FILE_SUFFIXES}
+    assert names
+    missing = [n for n in sorted(names)
+               if not _resolves(importlib.import_module(f"smolora.{n.split('.')[0]}"), n.split(".", 1)[1])]
+    assert not missing
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_docstring_names_resolve_in_their_module(path):
+    module = importlib.import_module("smolora" if path.stem == "__init__" else f"smolora.{path.stem}")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = {n for doc in docs for n in ROLE_NAME.findall(doc)}
+    assert not [n for n in sorted(names) if not _resolves(module, n)]

@@ -24,7 +24,7 @@ from smolora.lora import (
     smolora_forward,
 )
 from smolora.routing import topk_softmax
-from smolora.tensor import FlatParameters, Matrix, Tape
+from smolora.tensor import FlatParameters, Matrix, Tape, softmax_back
 
 
 def _seeded_smolora(seed=0, d=8, k_out=8, M=4, nm=4, r=2, e=6, top_k=1):
@@ -142,33 +142,50 @@ class TestMoLoRAForward:
 
 
 class TestBankGateExpansion:
-    """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit;
-    untaped, against the out-of-place bank, leaving its inputs as they were."""
+    """`lora._bank` against the gate expanded by two np.repeat calls, bit for bit,
+    with the router's gradients built from that oracle's gate gradient; untaped,
+    against the out-of-place bank, leaving its inputs as they were."""
 
     # Blocks, rank, input and output widths, instances; the second shape is
     # smolora-wide's proj layer (16 blocks of rank 16).
     @pytest.mark.parametrize("shape", [(4, 3, 8, 6, 5), (16, 16, 32, 64, 16)], ids=["4x3", "16x16"])
     @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
     def test_output_and_gradients_match(self, shape, s, top_k):
         rng = np.random.default_rng(10 * s + top_k)
         n, r, d, k_out, instances = shape
         bank = LoRABank(Matrix(rng.normal(size=(n * r, d))), Matrix(rng.normal(size=(k_out, n * r))), r)
-        gate = topk_softmax(rng.normal(size=(n, instances)), top_k)
+        router = Matrix(rng.normal(size=(n, 5)))
+        router_in = rng.normal(size=(5, instances))
+        gate = topk_softmax(router.a @ router_in, top_k)
         x = rng.normal(size=(d, instances * s))
         g = rng.normal(size=(k_out, instances * s))
-        FlatParameters([bank.A, bank.B])
-        inputs = [a.copy() for a in (bank.A.a, bank.B.a, gate, x)]
-        out, back = _bank(bank, gate, x, s, False)
+        FlatParameters([bank.A, bank.B, router])
+        routed_in = router_in if top_k > 1 else None
+        inputs = [a.copy() for a in (bank.A.a, bank.B.a, router.a, gate, x, router_in)]
+        out, back = _bank(bank, gate, x, s, router, routed_in, False)
         assert back is None
         assert np.array_equal(out, out_of_place_bank(bank.A.a, bank.B.a, r, gate, x, s))
-        for have, want in zip((bank.A.a, bank.B.a, gate, x), inputs):
+        for have, want in zip((bank.A.a, bank.B.a, router.a, gate, x, router_in), inputs):
             assert np.array_equal(have, want)
-        out, back = _bank(bank, gate, x, s, True)
-        dx, d_gate = back(g, True, True)
-        got = (out, bank.A.grad, bank.B.grad, dx, d_gate)
-        for have, want in zip(got, double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)):
-            assert np.array_equal(have, want)
+        out, back = _bank(bank, gate, x, s, router, routed_in, True)
+        router.grad[...] = np.nan  # the top-1 rule must overwrite it with zeros
+        dx, d_in = back(g, True, True)
+        *want, d_gate = double_repeat_bank(bank.A.a, bank.B.a, r, gate, x, s, g)
+        for have, ref in zip((out, bank.A.grad, bank.B.grad, dx), want):
+            assert np.array_equal(have, ref)
+        if top_k == 1:
+            assert d_in is None
+            assert router.grad.tobytes() == np.zeros(router.shape).tobytes()
+        else:
+            dl = softmax_back(gate, d_gate)
+            assert np.array_equal(router.grad, dl @ router_in.T)
+            assert np.array_equal(d_in, router.a.T @ dl)
+        # A rule recorded first computes neither input gradient, and writes the same.
+        grads = [a.copy() for a in (bank.A.grad, bank.B.grad, router.grad)]
+        assert back(g, False, False) == (None, None)
+        for have, ref in zip((bank.A.grad, bank.B.grad, router.grad), grads):
+            assert np.array_equal(have, ref)
 
 
 class TestAdaptiveFusion:

@@ -4,7 +4,8 @@ and accuracy CSV.
 `read_records_jsonl` and `read_accuracy_csv` either accept the file or raise
 FormatError, and `smolora metrics` exits 0 on an accepted file and 3 with a
 one-line message, no traceback, on a rejected one, or when the accepted
-table's last stage is not the records' latest.
+table's last stage is not the records' latest, or its last row scores
+another number of tasks than that stage's records hold.
 """
 
 import pytest
@@ -41,12 +42,14 @@ def _accepted(reader, path) -> bool:
 @given(data=st.data())
 def test_corrupted_records_are_rejected_cleanly(run_dir, data):
     # Accepted records are still rejected if their latest stage is not the
-    # table's last.
+    # table's last, or holds another number of tasks than that stage.
     path = run_dir / "corrupted.jsonl"
     path.write_bytes(corrupt(data, (run_dir / "records.jsonl").read_bytes()))
     accepted = _accepted(read_records_jsonl, path)
     if accepted and len(records := read_records_jsonl(path)):
-        accepted = records.stage.max() == read_accuracy_csv(run_dir / "accuracy.csv").stages
+        stages, latest = read_accuracy_csv(run_dir / "accuracy.csv").stages, records.stage.max()
+        tasks = len(set(records.task_id[records.stage == latest].tolist()))
+        accepted = latest == stages and tasks == stages
     assert_clean_exit(["metrics", "--accuracy", str(run_dir / "accuracy.csv"),
                        "--records", str(path)], accepted)
 

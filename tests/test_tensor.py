@@ -15,7 +15,6 @@ from smolora.tensor import (
     cross_entropy,
     matmul,
     relu_pool,
-    repeat_columns,
     run_means,
     sgd_step,
     softmax_back,
@@ -144,16 +143,7 @@ class TestRunMeans:
         assert run_means(a, s).tobytes() == a.reshape(8, 6, s).mean(axis=2).tobytes()
 
 
-class TestRepeatColumns:
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_bit_equal_to_np_repeat(self, s):
-        rng = np.random.default_rng(80 + s)
-        wide = rng.normal(size=(64, 96))
-        strided = rng.normal(size=(12, 10))[::2, 1::3]
-        assert not strided.flags.c_contiguous
-        for a in (wide, strided):
-            assert repeat_columns(a, s).tobytes() == np.repeat(a, s, axis=1).tobytes()
-
+class TestReluPool:
     @pytest.mark.parametrize("groups", [2, 3, 12])
     def test_relu_pool_rule_as_np_repeat(self, groups):
         rng = np.random.default_rng(90 + groups)
