@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -18,9 +17,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import benchmark, harness, metrics
-from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, finite_float, read_utf8
+from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, read_utf8
 from .metrics import round_display
-from .routing import read_routing_csv, write_routing_csv
+from .routing import read_fusion_csv, read_routing_csv, write_fusion_csv, write_routing_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,14 +141,13 @@ def cmd_train(args) -> int:
             p.rmdir()
         raise
 
-    task_count = len(stream)
     outputs: list[Path] = []
 
     acc_path = out_dir / "accuracy.csv"
-    metrics.write_accuracy_csv(acc_path, report.content, task_count)
+    metrics.write_accuracy_csv(acc_path, report.content)
     outputs.append(acc_path)
     fmt_path = out_dir / "accuracy.format.csv"
-    metrics.write_accuracy_csv(fmt_path, report.format, task_count)
+    metrics.write_accuracy_csv(fmt_path, report.format)
     outputs.append(fmt_path)
     rec_path = out_dir / "records.jsonl"
     metrics.write_records_jsonl(rec_path, report.records)
@@ -167,7 +165,7 @@ def cmd_train(args) -> int:
         fusion_path.unlink(missing_ok=True)
     else:
         write_routing_csv(routing_path, report.routing_hist)
-        _write_fusion_csv(fusion_path, report.fusion_stats)
+        write_fusion_csv(fusion_path, report.fusion_stats)
         outputs += [routing_path, fusion_path]
 
     for p in outputs:
@@ -185,31 +183,6 @@ def cmd_train(args) -> int:
     _dump_json(out_dir / "manifest.json", manifest)
     print(json.dumps({"out_dir": str(out_dir), "metrics": _report_dict(report.metrics)}, sort_keys=True))
     return EXIT_OK
-
-
-_FUSION_FIELDS = ["layer", "mean_alpha", "std_alpha", "mean_beta", "std_beta"]
-
-
-def _write_fusion_csv(path: Path, stats: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_FUSION_FIELDS)
-        for row in stats:
-            w.writerow([row["layer"]] + [repr(row[k]) for k in _FUSION_FIELDS[1:]])
-
-
-def read_fusion_csv(path) -> list[dict]:
-    """The rows of a fusion file, which number the layers 0, 1, ... in file order."""
-    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
-    rows: list[dict] = []
-    try:
-        for r in reader:
-            if int(r["layer"]) != len(rows):
-                raise ValueError(f"layer {r['layer']} where layer {len(rows)} is due")
-            rows.append({"layer": len(rows), **{k: finite_float(r[k]) for k in _FUSION_FIELDS[1:]}})
-    except (csv.Error, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num) from None
-    return rows
 
 
 # -- metrics --------------------------------------------------------------------

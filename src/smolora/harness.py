@@ -20,9 +20,8 @@ tasks' instances run as tape-free forwards over consecutive windows of at
 most `EVAL_WINDOW` instances, column views of the joined split, into one
 table of their correctness side by side. The run derives the accuracy
 tables and the columnar `metrics.Records` from these tables, with no
-per-sample Python object, and cuts the last stage's routing (its windows'
-`routing.LayerRouting`, joined per separable layer) per task for the
-routing histogram and fusion statistics.
+per-sample Python object, and joins the last stage's windows'
+`routing.LayerRouting` per separable layer for `routing`'s two summaries.
 
 Training is strictly sequential over tasks with no replay: each stage sees
 only its own training split, and the cosine learning-rate schedule restarts
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from .lora import init_lora_bank, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
-from .routing import HashingEmbedder, LayerRouting, routing_histogram
+from .routing import HashingEmbedder, LayerRouting, fusion_stats, routing_histogram
 from .tensor import (
     FlatParameters,
     Matrix,
@@ -52,7 +51,6 @@ from .tensor import (
     check_finite,
     cross_entropy,
     relu_pool,
-    run_means,
     sgd_step,
 )
 
@@ -348,14 +346,12 @@ def evaluate_task(model: ToyModel, test_set: TaskSplit) -> tuple[np.ndarray, lis
 class RunReport:
     """Everything one sequential run produces, ready for serialization."""
 
-    config: RunConfig
     content: AccuracyMatrix
     format: AccuracyMatrix
     records: Records
     metrics: MetricReport
     routing_hist: dict | None = None
     fusion_stats: list[dict] | None = None
-    step_losses: list[list[float]] = field(default_factory=list)
 
 
 def run_cvit(
@@ -382,13 +378,12 @@ def run_cvit(
     instance_index = np.concatenate([np.arange(n) for n in sizes])
 
     tables: list[np.ndarray] = []  # per stage k, the correctness of tasks 1..k side by side
-    step_losses: list[list[float]] = []
     # Weights that grow past float64 range end the run as a configuration
     # error at the first overflow, with no warning printed.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for k, (spec, train, _) in enumerate(stream, start=1):
             try:
-                step_losses.append(train_stage(model, train, config, stage_index=k - 1))
+                train_stage(model, train, config, stage_index=k - 1)
                 if not sizes[k - 1]:  # reduceat below would read a neighbour's column for it
                     raise ValueError(f"task {spec.task_id} has an empty test split")
                 seen = [evaluate_task(model, tests.columns(a, min(a + EVAL_WINDOW, offsets[k])))
@@ -419,43 +414,15 @@ def run_cvit(
         np.concatenate([instance_index[:n] for n in offsets[1:]]),
         *np.concatenate(tables, axis=1),  # content, then format correctness
     )
-    report = RunReport(
-        config=config,
-        content=content,
-        format=fmt,
-        records=records,
-        metrics=compute_report(content, records),
-        step_losses=step_losses,
-    )
+    report = RunReport(content, fmt, records, compute_report(content, records))
     if config.method == "smolora":
-        # The last stage evaluated every test split: join its windows'
-        # routing per layer and cut it per task.
+        # The last stage evaluated every test split: join its windows' routing per layer.
         layers = [LayerRouting(*map(np.hstack, zip(*windows)))
                   for windows in zip(*(routing for _, routing in seen))]
-        routing_by_task = {int(tests.task_id[a]): [r.instances(a, b) for r in layers]
-                           for a, b in zip(offsets, offsets[1:])}
-        report.routing_hist = routing_histogram(routing_by_task)
-        report.fusion_stats = _fusion_stats(routing_by_task)
+        tasks = {int(tests.task_id[a]): slice(a, b) for a, b in zip(offsets, offsets[1:])}
+        report.routing_hist = routing_histogram(layers, tasks)
+        report.fusion_stats = fusion_stats(layers)
     return model, report
-
-
-def _fusion_stats(routing_by_task: dict[int, list[LayerRouting]]) -> list[dict]:
-    """Per layer, the mean and sd of the instances' mean alpha and beta, tasks in run order.
-
-    Each task holds one record per separable layer, in layer order, so
-    layers are numbered by position.
-    """
-    stats = []
-    for layer, records in enumerate(zip(*routing_by_task.values())):
-        row = {"layer": layer}
-        for key in ("alpha", "beta"):
-            means = np.concatenate([
-                run_means(getattr(r, key), r.alpha.shape[1] // r.vu_gate.shape[1])[0]
-                for r in records
-            ])
-            row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
-        stats.append(row)
-    return stats
 
 
 # -- checkpoint format ----------------------------------------------------------

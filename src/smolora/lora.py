@@ -31,7 +31,7 @@ forward's, so both give the same bits.
 Every routed bank, molora's one and the separable layer's two, is one
 kernel (`_bank`) that also differentiates its router. A top-1 gate is
 one-hot whatever its logits, so its gradient is exactly 0; at top-1 the
-rule computes no router gradient and writes zeros. Given a list, the
+rule neither computes nor writes a router gradient. Given a list, the
 separable layer appends a `routing.LayerRouting` of the gate and fusion
 arrays it computed, which costs no copy.
 """
@@ -131,9 +131,11 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, router: Matri
     G is the top-k softmax of router @ router_in, and router_in is None at
     top-1, where G is one-hot. Untaped, G scales A @ x, a new array, in place
     and the rule is None. Taped, the rule takes the bank output's gradient
-    and whether x and router_in need gradients; it writes those of A, B and
-    the router (zeros at top-1) whole into their views and returns those of
-    x and router_in (None where not needed). Unselected blocks get zeros.
+    and whether x and router_in need gradients; it writes those of A, B and,
+    above top-1, the router whole into their views and returns those of x
+    and router_in (None where not needed). Unselected blocks get zeros. A
+    top-1 router's gradient is 0: its view keeps the zeros that
+    `tensor.FlatParameters` allocates, since no rule writes it.
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
@@ -152,7 +154,6 @@ def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, router: Matri
         np.matmul(g, zg.T, out=bank.B.grad)
         dx = a_stack.T @ dz if need_x else None
         if router_in is None:
-            router.grad[...] = 0.0
             return dx, None
         # Each instance's s columns, then each block's r rows, summed in order.
         runs = run_sums(dzg * z, s).reshape(gate.shape[0], r, gate.shape[1])
@@ -195,7 +196,7 @@ def molora_forward(layer: MoLoRALayer, x: np.ndarray, tape: Tape | None = None) 
 
     Each column of x routes independently through :func:`route_instruction`'s
     gate, and the bank runs with one gate column per input column. The rule
-    writes the gradients of the bank and the router (zeros at top-1) and
+    writes the gradients of the bank and, above top-1, the router and
     returns x's.
     """
     W0 = layer.W0
@@ -298,7 +299,7 @@ def smolora_forward(
 
     instr_emb holds one embedding column per instance, and x the instances'
     columns in order, as many for each. The rule writes the gradients of
-    both banks, importance rows and routers (zeros at top-1) and returns
+    both banks, importance rows and, above top-1, routers and returns
     x's; the embeddings, model inputs, take none. When `routing` is given,
     one LayerRouting holding this call's gates and fusion weights is
     appended to it; that takes no copy and no per-instance work.

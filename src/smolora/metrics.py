@@ -170,9 +170,9 @@ def round_display(x: float, places: int = 2) -> float:
 # -- file formats ---------------------------------------------------------------
 
 
-def write_accuracy_csv(path, a: AccuracyMatrix, task_count: int | None = None) -> None:
-    """Header stage,task_1..task_T; row k lists scores for tasks 1..k, then blanks."""
-    t = task_count if task_count is not None else a.stages
+def write_accuracy_csv(path, a: AccuracyMatrix) -> None:
+    """Header stage,task_1..task_T for T stages; row k lists scores for tasks 1..k, then blanks."""
+    t = a.stages
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["stage"] + [f"task_{j}" for j in range(1, t + 1)])

@@ -6,6 +6,9 @@ and instruction-based gates computed from an embedding of the task's
 instruction text. The default embedder is a deterministic feature-hashing
 bag of words standing in for a learned sentence encoder; precomputed vectors
 can be supplied through the benchmark stream file instead.
+
+A run's two routing summaries, `routing.csv` (:func:`routing_histogram`)
+and `fusion.csv` (:func:`fusion_stats`), are computed, written and read here.
 """
 
 from __future__ import annotations
@@ -137,36 +140,40 @@ class LayerRouting(NamedTuple):
     alpha: np.ndarray
     beta: np.ndarray
 
-    def instances(self, start: int, stop: int) -> "LayerRouting":
-        """The routing of instances start to stop - 1, as views of these arrays."""
-        s = self.alpha.shape[1] // self.vu_gate.shape[1]
-        gates, fusion = slice(start, stop), slice(start * s, stop * s)
-        return self._replace(vu_gate=self.vu_gate[:, gates], if_gate=self.if_gate[:, gates],
-                             alpha=self.alpha[:, fusion], beta=self.beta[:, fusion])
-
 
 def routing_histogram(
-    routing_by_task: Mapping[int, Sequence[LayerRouting]],
+    layers: Sequence[LayerRouting],
+    tasks: Mapping[int, slice],
 ) -> dict[int, dict[str, np.ndarray]]:
-    """Gate-weighted block-usage frequencies per task and bank; rows sum to 1.
+    """Gate-weighted block-usage frequencies per task and bank, tasks sorted; rows sum to 1.
 
-    A block's usage is its gate weights added in forward order, layer by
-    layer and then instance by instance: a cumulative sum, since numpy's
-    pairwise sum would round differently above top-1.
+    `layers` holds one forward's routing per separable layer, and `tasks`
+    maps each task id to its instances' slice of the gate columns. A block's
+    usage is its gate weights added in forward order, layer by layer and
+    then instance by instance: a cumulative sum, since numpy's pairwise sum
+    would round differently above top-1.
     """
-    if not routing_by_task:
-        raise ValueError("routing_histogram requires at least one layer record")
     out: dict[int, dict[str, np.ndarray]] = {}
-    for task_id in sorted(routing_by_task):
-        layers = routing_by_task[task_id]
-        if not layers:
-            raise ValueError(f"task {task_id} has no layer records")
+    for task_id in sorted(tasks):
+        cols = tasks[task_id]
         usage = {
-            "vu": np.cumsum(np.hstack([r.vu_gate for r in layers]), axis=1)[:, -1],
-            "if": np.cumsum(np.hstack([r.if_gate for r in layers]), axis=1)[:, -1],
+            "vu": np.cumsum(np.hstack([r.vu_gate[:, cols] for r in layers]), axis=1)[:, -1],
+            "if": np.cumsum(np.hstack([r.if_gate[:, cols] for r in layers]), axis=1)[:, -1],
         }
         out[task_id] = {bank: u / u.sum() for bank, u in usage.items()}
     return out
+
+
+def fusion_stats(layers: Sequence[LayerRouting]) -> list[dict]:
+    """Per layer, numbered by position, the mean and sd of the instances' mean alpha and beta."""
+    stats = []
+    for layer, r in enumerate(layers):
+        row = {"layer": layer}
+        for key in ("alpha", "beta"):
+            means = run_means(getattr(r, key), r.alpha.shape[1] // r.vu_gate.shape[1])[0]
+            row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
+        stats.append(row)
+    return stats
 
 
 def histogram_entropy(freq: np.ndarray) -> float:
@@ -192,15 +199,21 @@ def write_routing_csv(path, hist: Mapping[int, Mapping[str, np.ndarray]]) -> Non
 def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
     """Frequencies per task and bank, in file order.
 
-    A row is a task id, a bank ('vu' or 'if'), then its frequencies, then
-    only blank cells; no (task, bank) pair repeats. A malformed row raises
-    FormatError naming its line.
+    The header is task,bank,block_0,...,block_{W-1} with W >= 1. A row is a
+    task id, a bank ('vu' or 'if'), then its frequencies, then only blank
+    cells, and no wider than the header; no (task, bank) pair repeats. Any
+    fault raises FormatError naming its line.
     """
     out: dict[int, dict[str, np.ndarray]] = {}
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
-        next(reader, None)  # header
+        header = next(reader, [])
+        width = len(header)
+        if width < 3 or header != ["task", "bank"] + [f"block_{i}" for i in range(width - 2)]:
+            raise ValueError(f"header {','.join(header)!r} is not task,bank,block_0,...,block_W")
         for row in reader:
+            if len(row) > width:
+                raise ValueError(f"{len(row)} cells, more than the header's {width}")
             task_id, bank, cells = int(row[0]), row[1], row[2:]
             if bank not in ("vu", "if"):
                 raise ValueError(f"bank must be 'vu' or 'if', got {bank!r}")
@@ -213,5 +226,38 @@ def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
                 raise ValueError("a blank cell before a frequency")
             banks[bank] = np.array([finite_float(x) for x in cells])
     except (csv.Error, IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num) from None
+        raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num or 1) from None
     return out
+
+
+_FUSION_FIELDS = ["layer", "mean_alpha", "std_alpha", "mean_beta", "std_beta"]
+
+
+def write_fusion_csv(path, stats: Sequence[Mapping]) -> None:
+    """One row per :func:`fusion_stats` row, under the header of its five fields."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(_FUSION_FIELDS)
+        for row in stats:
+            w.writerow([row["layer"]] + [repr(row[k]) for k in _FUSION_FIELDS[1:]])
+
+
+def read_fusion_csv(path) -> list[dict]:
+    """The rows of a fusion file: the header of :func:`write_fusion_csv` exactly, then
+    rows of its five cells (blank lines skipped), finite floats after the layers
+    0, 1, ... in file order. Any fault raises FormatError naming its line.
+    """
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    rows: list[dict] = []
+    try:
+        if next(reader, []) != _FUSION_FIELDS:
+            raise ValueError(f"header is not {','.join(_FUSION_FIELDS)}")
+        for cells in filter(None, reader):
+            if len(cells) != len(_FUSION_FIELDS):
+                raise ValueError(f"{len(cells)} cells, not {len(_FUSION_FIELDS)}")
+            if int(cells[0]) != len(rows):
+                raise ValueError(f"layer {cells[0]} where layer {len(rows)} is due")
+            rows.append({"layer": len(rows), **dict(zip(_FUSION_FIELDS[1:], map(finite_float, cells[1:])))})
+    except (csv.Error, ValueError) as exc:
+        raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num or 1) from None
+    return rows

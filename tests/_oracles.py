@@ -5,9 +5,9 @@ probe gradients, and the straight-line forward below re-evaluates the
 separable layer with plain numpy, step by step. The per-instance model input
 and records rebuild, one instance at a time, what the harness builds from a
 split's arrays. The dict-based records, their writer and MIF, the
-double-repeat and out-of-place banks, the two-row fusion and the
-per-instance routing traces below are earlier versions of the library's
-code, kept as bit-for-bit references for the array and in-place versions.
+double-repeat and out-of-place banks, the two-row fusion, the
+per-instance routing traces and the per-task fusion statistics below are
+earlier versions of the library's code, kept as bit-for-bit references for the array and in-place versions.
 `with_grads` hands the finite-difference checks each block of a packed bank
 as a parameter of its own. The checkpoint reader, the per-split accuracy
 percentages and the nearest-cluster-mean classifier are called only by
@@ -25,7 +25,7 @@ import numpy as np
 from smolora.benchmark import TaskSpec, TaskSplit
 from smolora.errors import ContractError, FormatError
 from smolora.harness import _MAGIC, ToyModel
-from smolora.tensor import Tape
+from smolora.tensor import Tape, run_means
 
 FD_H = 1e-5
 
@@ -254,23 +254,24 @@ def two_row_fusion(x_vu, x_if, I_vu, I_if):
     return alpha * x_vu + beta * x_if, alpha, beta
 
 
-def trace_routing(routing_by_task) -> tuple[dict, list[dict]]:
+def trace_routing(layers, tasks) -> tuple[dict, list[dict]]:
     """Routing histogram and fusion statistics through one trace per instance and layer.
 
-    routing_by_task maps each task to its LayerRouting records, one per
-    layer in layer order. Each trace holds its layer's position, an
-    instance's nonzero (block, weight) pairs and its mean alpha and beta.
-    A block's usage adds the weights trace by trace (layer by layer, then
-    instance by instance) from 0.0; the fusion statistics pool the
-    instances' means per layer, tasks in dict order.
+    layers holds one LayerRouting per layer, in layer order, and tasks maps
+    each task id to its instances' slice of the gate columns. Each trace
+    holds its layer's position, an instance's nonzero (block, weight) pairs
+    and its mean alpha and beta. A block's usage adds the weights trace by
+    trace (layer by layer, then instance by instance) from 0.0, tasks
+    sorted; the fusion statistics pool the instances' means per layer,
+    tasks in dict order.
     """
     traces_by_task = {}
-    for task_id, layers in routing_by_task.items():
+    for task_id, cols in tasks.items():
         traces = traces_by_task.setdefault(task_id, [])
         for layer, r in enumerate(layers):
             n = r.vu_gate.shape[1]
             s = r.alpha.shape[1] // n
-            for j in range(n):
+            for j in range(n)[cols]:
                 traces.append((
                     layer,
                     [(i, float(w)) for i, w in enumerate(r.vu_gate[:, j]) if w > 0.0],
@@ -280,7 +281,6 @@ def trace_routing(routing_by_task) -> tuple[dict, list[dict]]:
                 ))
     hist = {}
     for task_id in sorted(traces_by_task):
-        layers = routing_by_task[task_id]
         vu = np.zeros(layers[0].vu_gate.shape[0])
         if_ = np.zeros(layers[0].if_gate.shape[0])
         for _, vu_selected, if_selected, _, _ in traces_by_task[task_id]:
@@ -305,6 +305,22 @@ def trace_routing(routing_by_task) -> tuple[dict, list[dict]]:
             "std_beta": float(betas.std()),
         })
     return hist, fusion
+
+
+def per_task_fusion_stats(layers, tasks) -> list[dict]:
+    """The fusion statistics from each task's cut of the routing: per layer,
+    the instances' mean alpha and beta, task by task in dict order and then
+    concatenated, and the mean and sd of those."""
+    stats = []
+    for layer, r in enumerate(layers):
+        s = r.alpha.shape[1] // r.vu_gate.shape[1]
+        row = {"layer": layer}
+        for key in ("alpha", "beta"):
+            means = np.concatenate([run_means(getattr(r, key)[:, cols.start * s : cols.stop * s], s)[0]
+                                    for cols in tasks.values()])
+            row[f"mean_{key}"], row[f"std_{key}"] = float(means.mean()), float(means.std())
+        stats.append(row)
+    return stats
 
 
 def percentages(correct: np.ndarray) -> tuple[float, float]:

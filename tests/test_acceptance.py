@@ -61,12 +61,12 @@ class TestMetricOracle:
         t0 = time.time()
 
         path = tmp_path / "smolora_single.csv"
-        write_accuracy_csv(path, AccuracyMatrix(TABLES["smolora_single"]), 6)
+        write_accuracy_csv(path, AccuracyMatrix(TABLES["smolora_single"]))
         assert cli_main(["metrics", "--accuracy", str(path)]) == 0
         smo = json.loads(capsys.readouterr().out)
 
         path = tmp_path / "seqlora_single.csv"
-        write_accuracy_csv(path, AccuracyMatrix(TABLES["seqlora_single"]), 6)
+        write_accuracy_csv(path, AccuracyMatrix(TABLES["seqlora_single"]))
         assert cli_main(["metrics", "--accuracy", str(path)]) == 0
         seq = json.loads(capsys.readouterr().out)
 

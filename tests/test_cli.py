@@ -304,7 +304,7 @@ class TestStreamValidation:
 class TestMetrics:
     def test_published_table(self, tmp_path, capsys):
         path = tmp_path / "accuracy.csv"
-        write_accuracy_csv(path, AccuracyMatrix(TABLES["smolora_single"]), 6)
+        write_accuracy_csv(path, AccuracyMatrix(TABLES["smolora_single"]))
         assert run_cli("metrics", "--accuracy", str(path)) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ap"] == pytest.approx(83.44, abs=0.005)
@@ -314,7 +314,7 @@ class TestMetrics:
 
     def test_single_stage_has_no_bwt(self, tmp_path, capsys):
         path = tmp_path / "accuracy.csv"
-        write_accuracy_csv(path, AccuracyMatrix([[55.5]]), 1)
+        write_accuracy_csv(path, AccuracyMatrix([[55.5]]))
         assert run_cli("metrics", "--accuracy", str(path)) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ap"] == 55.5
@@ -388,7 +388,7 @@ class TestReport:
         assert "BWT delta" in capsys.readouterr().out
 
     def test_fusion_rows_sum_to_one(self, stream_file, tmp_path):
-        from smolora.cli import read_fusion_csv
+        from smolora.routing import read_fusion_csv
 
         out_dir = tmp_path / "run"
         assert run_cli(*train_args(stream_file, out_dir, method="smolora")) == 0
@@ -432,7 +432,7 @@ class TestMalformedRecords:
     @pytest.fixture
     def accuracy_file(self, tmp_path):
         path = tmp_path / "accuracy.csv"
-        write_accuracy_csv(path, AccuracyMatrix([[55.5]]), 1)
+        write_accuracy_csv(path, AccuracyMatrix([[55.5]]))
         return path
 
     @pytest.mark.parametrize(
@@ -517,6 +517,20 @@ class TestMalformedRunDirectory:
         path.write_text("\n".join(lines) + "\n")
         err = format_error(capsys, "report", str(run_dir))
         assert name in err and f"(line {line})" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("name, line, edit", [
+        ("routing.csv", 1, lambda row: "garbage"),
+        ("routing.csv", 2, lambda row: row + ",0.25"),  # task 0's vu row
+        ("fusion.csv", 1, lambda row: row + ",note"),
+        ("fusion.csv", 2, lambda row: row + ",99"),  # layer 0's row
+    ], ids=["routing-header", "routing-wide-row", "fusion-header", "fusion-wide-row"])
+    def test_header_or_row_width_unlike_the_writer(self, run_dir, capsys, name, line, edit):
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert name in err and f"(line {line})" in err
 
     def test_routing_row_too_short(self, run_dir, capsys):
         path = run_dir / "routing.csv"

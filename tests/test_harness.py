@@ -11,6 +11,7 @@ from _oracles import (
     load_checkpoint,
     per_instance_input,
     per_instance_records,
+    per_task_fusion_stats,
     percentages,
     rel_err,
     stage_records,
@@ -32,7 +33,7 @@ from smolora.harness import (
     train_stage,
 )
 from smolora.metrics import AccuracyMatrix, Records, write_records_jsonl
-from smolora.routing import HashingEmbedder, routing_histogram
+from smolora.routing import HashingEmbedder, LayerRouting
 from smolora.tensor import Tape, backward, relu_pool, sgd_step
 
 
@@ -533,6 +534,15 @@ class TestEvaluationAllocations:
         assert peak / (config.hidden * 2 * len(split) * 8) <= budget
 
 
+def _joined(per_task):
+    """The routing of one forward per task, joined per layer, and each task's
+    slice of its columns, tasks in the given order."""
+    layers = [LayerRouting(*map(np.hstack, zip(*records))) for records in zip(*per_task.values())]
+    sizes = [records[0].vu_gate.shape[1] for records in per_task.values()]
+    offsets = np.cumsum([0, *sizes]).tolist()
+    return layers, {t: slice(a, b) for t, a, b in zip(per_task, offsets, offsets[1:])}
+
+
 def _trained_smolora():
     stream = prepared()
     cfg = small_config("smolora")
@@ -617,10 +627,8 @@ class TestColumnarPaths:
         cfg = small_config("smolora", vu_blocks=blocks, if_blocks=blocks, top_k=top_k, epochs=2)
         model, report = run_cvit(cfg, stream)
         # The last stage's evaluation ran this final model over every test split.
-        routing = {}
-        for spec, _, test in stream:
-            routing.setdefault(spec.task_id, []).extend(evaluate_task(model, test)[1])
-        hist, fusion = trace_routing(routing)
+        routing = {spec.task_id: evaluate_task(model, test)[1] for spec, _, test in stream}
+        hist, fusion = trace_routing(*_joined(routing))
         assert list(report.routing_hist) == list(hist)
         for task_id, banks in hist.items():
             assert report.routing_hist[task_id].keys() == banks.keys()
@@ -670,8 +678,10 @@ class TestWindowedEvaluation:
                 for got, want in zip(windowed, alone):
                     assert np.array_equal(got[:, slice(*got_cols)], want[:, slice(*want_cols)])
                 for got, want in zip(window_routing, alone_routing, strict=True):
-                    got, want = got.instances(*got_cols), want.instances(*want_cols)
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    for g, w in zip(got, want):  # c columns per instance
+                        c = w.shape[1] // len(test)
+                        assert np.array_equal(g[:, c * got_cols[0] : c * got_cols[1]],
+                                              w[:, c * want_cols[0] : c * want_cols[1]])
                 if spec.task_id not in stages[-1]:
                     stages[-1][spec.task_id] = evaluate_task(model, test)
             return evaluate_task(model, test_set)
@@ -695,12 +705,12 @@ class TestWindowedEvaluation:
             content_correct=np.concatenate([ok[0] for *_, ok in pieces]),
             format_correct=np.concatenate([ok[1] for *_, ok in pieces]),
         )
-        routing = {t: out[1] for t, out in stages[-1].items()}
-        hist = routing_histogram(routing)
-        assert report.routing_hist.keys() == hist.keys()
+        layers, tasks = _joined({t: out[1] for t, out in stages[-1].items()})
+        hist, _ = trace_routing(layers, tasks)
+        assert list(report.routing_hist) == list(hist)
         for t, banks in hist.items():
             assert all(np.array_equal(report.routing_hist[t][b], banks[b]) for b in ("vu", "if"))
-        assert report.fusion_stats == harness._fusion_stats(routing)
+        assert report.fusion_stats == per_task_fusion_stats(layers, tasks)
 
 
 class TestRunCvit:

@@ -223,7 +223,7 @@ class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         a = AccuracyMatrix(TABLES["seqlora_multi"])
         path = tmp_path / "accuracy.csv"
-        write_accuracy_csv(path, a, task_count=6)
+        write_accuracy_csv(path, a)
         back = read_accuracy_csv(path)
         assert back == a
         header = path.read_text().splitlines()[0]

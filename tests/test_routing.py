@@ -2,20 +2,23 @@ import hashlib
 
 import numpy as np
 import pytest
-from _oracles import mask_then_softmax, trace_routing
+from _oracles import mask_then_softmax, per_task_fusion_stats, trace_routing
 
 from smolora.errors import FormatError
 from smolora.routing import (
     HashingEmbedder,
     LayerRouting,
     embed_text,
+    fusion_stats,
     histogram_entropy,
+    read_fusion_csv,
     read_routing_csv,
     route_instance,
     route_instruction,
     routing_histogram,
     token_hash,
     topk_softmax,
+    write_fusion_csv,
     write_routing_csv,
 )
 
@@ -162,61 +165,50 @@ def _routing(vu: np.ndarray, if_: np.ndarray) -> LayerRouting:
 class TestRoutingHistogram:
     def test_single_instance_top1(self):
         r = _routing(_gate(4, [{2: 1.0}]), _gate(4, [{0: 1.0}]))
-        hist = routing_histogram({5: [r]})
+        hist = routing_histogram([r], {5: slice(0, 1)})
         assert hist[5]["vu"].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_identical_gates_identical_rows(self):
-        r = _routing(_gate(4, [{1: 0.7, 3: 0.3}]), _gate(2, [{0: 1.0}]))
-        hist = routing_histogram({0: [r], 1: [r]})
+        r = _routing(_gate(4, [{1: 0.7, 3: 0.3}] * 2), _gate(2, [{0: 1.0}] * 2))
+        hist = routing_histogram([r], {0: slice(0, 1), 1: slice(1, 2)})
         assert np.array_equal(hist[0]["vu"], hist[1]["vu"])
         assert np.array_equal(hist[0]["if"], hist[1]["if"])
         assert hist[0]["if"].shape == (2,)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(7)
-        routing = {}
-        for task in range(3):
-            vu, if_ = [], []
-            for _ in range(20):
-                picks = rng.choice(4, size=2, replace=False)
-                w = rng.uniform(0.2, 0.8)
-                vu.append({int(picks[0]): w, int(picks[1]): 1 - w})
-                if_.append({int(rng.integers(4)): 1.0})
-            routing[task] = [_routing(_gate(4, vu), _gate(4, if_))]
-        hist = routing_histogram(routing)
+        vu, if_ = [], []
+        for _ in range(60):
+            picks = rng.choice(4, size=2, replace=False)
+            w = rng.uniform(0.2, 0.8)
+            vu.append({int(picks[0]): w, int(picks[1]): 1 - w})
+            if_.append({int(rng.integers(4)): 1.0})
+        tasks = {task: slice(20 * task, 20 * (task + 1)) for task in range(3)}
+        hist = routing_histogram([_routing(_gate(4, vu), _gate(4, if_))], tasks)
         for banks in hist.values():
             assert abs(banks["vu"].sum() - 1.0) <= 1e-9
             assert abs(banks["if"].sum() - 1.0) <= 1e-9
 
     def test_usage_adds_in_forward_order(self):
-        # Top-2 weights over 3 layers of 50 instances: the usage is the
-        # per-instance trace sum, layer by layer, then instance by instance,
-        # bit for bit; numpy's pairwise sum rounds some of these differently.
+        # Top-2 weights over 3 layers of 50 instances per task: the usage is
+        # the per-instance trace sum, layer by layer, then instance by
+        # instance, bit for bit; numpy's pairwise sum rounds some of these
+        # differently. The tasks, given out of order, come back sorted.
         rng = np.random.default_rng(8)
-        routing = {
-            task: [
-                _routing(topk_softmax(rng.normal(size=(6, 50)), 2),
-                         topk_softmax(rng.normal(size=(5, 50)), 2))
-                for _ in range(3)
-            ]
-            for task in (4, 1)
-        }
-        want, _ = trace_routing(routing)
-        got = routing_histogram(routing)
+        layers = [_routing(topk_softmax(rng.normal(size=(6, 100)), 2),
+                           topk_softmax(rng.normal(size=(5, 100)), 2))
+                  for _ in range(3)]
+        tasks = {4: slice(0, 50), 1: slice(50, 100)}
+        want, _ = trace_routing(layers, tasks)
+        got = routing_histogram(layers, tasks)
         assert list(got) == [1, 4]
         for task in got:
             for bank in ("vu", "if"):
                 assert np.array_equal(got[task][bank], want[task][bank])
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            routing_histogram({})
-        with pytest.raises(ValueError):
-            routing_histogram({0: []})
-
     def test_csv_round_trip(self, tmp_path):
         r = _routing(_gate(4, [{1: 1.0}]), _gate(4, [{2: 0.5, 3: 0.5}]))
-        hist = routing_histogram({0: [r]})
+        hist = routing_histogram([r], {0: slice(0, 1)})
         path = tmp_path / "routing.csv"
         write_routing_csv(path, hist)
         back = read_routing_csv(path)
@@ -230,12 +222,66 @@ class TestRoutingHistogram:
         # replaced the first, its block_1 value moved to block_0.
         ("0,vu,0.5,0.5\n0,if,1.0,\n0,vu,,1.0\n", r"appears twice.*line 4"),
         ("0,vu,,1.0\n0,if,1.0,\n", r"blank cell before a frequency.*line 2"),
+        ("0,vu,0.5,0.5\n0,if,1.0,,0.0\n", r"5 cells, more than the header's 4.*line 3"),
     ])
     def test_rows_that_rewrite_frequencies_rejected(self, tmp_path, rows, fault):
         path = tmp_path / "routing.csv"
         path.write_text("task,bank,block_0,block_1\n" + rows)
         with pytest.raises(FormatError, match=fault):
             read_routing_csv(path)
+
+    @pytest.mark.parametrize("header", ["", "garbage", "task,bank", "task,bank,block_1",
+                                        "task,bank,block_0,block_2", "bank,task,block_0"])
+    def test_header_other_than_task_bank_blocks_rejected(self, tmp_path, header):
+        path = tmp_path / "routing.csv"
+        path.write_text(header + "\n0,vu,1.0\n0,if,1.0\n")
+        with pytest.raises(FormatError, match=r"header.*line 1"):
+            read_routing_csv(path)
+
+
+class TestFusionStats:
+    def _layers(self, rng, instances, s):
+        """Two layers of random fusion weights, s columns per instance."""
+        layers = []
+        for _ in range(2):
+            alpha = rng.uniform(size=(1, s * instances))
+            gate = np.ones((1, instances))
+            layers.append(LayerRouting(gate, gate, alpha, 1.0 - alpha))
+        return layers
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_joined_equals_per_task_cut(self, s):
+        # Computing on the joined columns gives the bits of the per-task
+        # means concatenated in run order.
+        layers = self._layers(np.random.default_rng(s), 700, s)
+        tasks = {3: slice(0, 96), 0: slice(96, 500), 7: slice(500, 700)}
+        got = fusion_stats(layers)
+        assert got == per_task_fusion_stats(layers, tasks)
+        assert got == trace_routing(layers, tasks)[1]
+        assert [row["layer"] for row in got] == [0, 1]
+
+    def test_csv_round_trip(self, tmp_path):
+        stats = fusion_stats(self._layers(np.random.default_rng(0), 9, 2))
+        path = tmp_path / "fusion.csv"
+        write_fusion_csv(path, stats)
+        assert read_fusion_csv(path) == stats
+        assert path.read_text().splitlines()[0] == "layer,mean_alpha,std_alpha,mean_beta,std_beta"
+
+    @pytest.mark.parametrize("text, fault", [
+        ("", r"header is not layer,mean_alpha,std_alpha,mean_beta,std_beta.*line 1"),
+        ("layer,mean_alpha,std_alpha,mean_beta\n0,0.5,0.1,0.5\n", r"header.*line 1"),
+        ("layer,mean_alpha,std_alpha,mean_beta,std_beta,extra\n0,0.5,0.1,0.5,0.1,1\n",
+         r"header.*line 1"),
+        ("layer,mean_alpha,std_alpha,mean_beta,std_beta\n0,0.5,0.1,0.5,0.1,99\n",
+         r"6 cells, not 5.*line 2"),
+        ("layer,mean_alpha,std_alpha,mean_beta,std_beta\n0,0.5,0.1,0.5,0.1\n1,0.5,0.1,0.5\n",
+         r"4 cells, not 5.*line 3"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, fault):
+        path = tmp_path / "fusion.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=fault):
+            read_fusion_csv(path)
 
 
 class TestHistogramEntropy:

@@ -18,10 +18,10 @@ from _oracles import load_checkpoint
 from hypothesis import given, strategies as st
 
 from smolora.benchmark import read_stream
-from smolora.cli import EXIT_OK, main as cli_main, read_fusion_csv
+from smolora.cli import EXIT_OK, main as cli_main
 from smolora.errors import ContractError, FormatError
 from smolora.harness import RunConfig, run_cvit
-from smolora.routing import read_routing_csv
+from smolora.routing import read_fusion_csv, read_routing_csv
 
 
 @pytest.fixture(scope="module")
