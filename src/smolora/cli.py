@@ -189,29 +189,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    a = metrics.read_accuracy_csv(args.accuracy)
     records = metrics.read_records_jsonl(args.records) if args.records else None
-    # MIF is scored on the records' latest stage, which must be the table's last.
-    if records and records.stage.max() > a.stages:
-        i = int((records.stage > a.stages).argmax())
-        raise FormatError(
-            f"{args.records}: record {i + 1} is of stage {records.stage[i]}, past the "
-            f"{a.stages} stages of {args.accuracy}"
-        )
-    if records and records.stage.max() < a.stages:
-        raise FormatError(
-            f"{args.records}: the latest stage is {records.stage.max()}, before stage "
-            f"{a.stages}, the last of {args.accuracy}"
-        )
-    # ...and must score as many tasks as the table's last row.
-    tasks = len(set(records.task_id[records.stage == a.stages].tolist())) if records else a.stages
-    if tasks != a.stages:
-        raise FormatError(
-            f"{args.records}: stage {a.stages} has records of {tasks} tasks, not the "
-            f"{a.stages} that the last row of {args.accuracy} scores"
-        )
-    report = metrics.compute_report(a, records)
-    print(json.dumps(_report_dict(report), sort_keys=True, indent=2))
+    a = metrics.accuracy_tables(records)[0] if records else metrics.read_accuracy_csv(args.accuracy)
+    print(json.dumps(_report_dict(metrics.compute_report(a, records)), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -276,18 +256,11 @@ def cmd_report(args) -> int:
                     f"    layer {row['layer']}: {row['mean_alpha']:.3f} "
                     f"(sd {row['std_alpha']:.3f}) / {row['mean_beta']:.3f}"
                 )
-    if len(runs) >= 2:
+    for key in ("bwt", "mif") if len(runs) >= 2 else ():
         base, other = runs[0], runs[1]
-        b_bwt, o_bwt = base["metrics"].get("bwt"), other["metrics"].get("bwt")
-        if b_bwt is not None and o_bwt is not None:
-            lines.append(
-                f"BWT delta ({other['dir']} - {base['dir']}): {o_bwt - b_bwt:+.2f} points"
-            )
-        b_mif, o_mif = base["metrics"].get("mif"), other["metrics"].get("mif")
-        if b_mif is not None and o_mif is not None:
-            lines.append(
-                f"MIF delta ({other['dir']} - {base['dir']}): {o_mif - b_mif:+.2f} points"
-            )
+        if key in base["metrics"] and key in other["metrics"]:
+            delta = other["metrics"][key] - base["metrics"][key]
+            lines.append(f"{key.upper()} delta ({other['dir']} - {base['dir']}): {delta:+.2f} points")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -329,8 +302,9 @@ def build_parser() -> _Parser:
     t.set_defaults(func=cmd_train)
 
     m = sub.add_parser("metrics", help="recompute metrics from output files")
-    m.add_argument("--accuracy", required=True)
-    m.add_argument("--records")
+    source = m.add_mutually_exclusive_group(required=True)
+    source.add_argument("--records", help="a run's records.jsonl: AP, MAP, BWT and MIF")
+    source.add_argument("--accuracy", help="an accuracy CSV alone: AP, MAP and BWT")
     m.set_defaults(func=cmd_metrics)
 
     r = sub.add_parser("report", help="summarize one or more run directories")

@@ -18,9 +18,9 @@ selection of its stage's split and records one tape. Evaluation joins the
 test splits once, side by side in stream order; after stage k the first k
 tasks' instances run as tape-free forwards over consecutive windows of at
 most `EVAL_WINDOW` instances, column views of the joined split, into one
-table of their correctness side by side. The run derives the accuracy
-tables and the columnar `metrics.Records` from these tables, with no
-per-sample Python object, and joins the last stage's windows'
+table of their correctness side by side. The run cuts the columnar
+`metrics.Records` from these tables, with no per-sample Python object, derives
+both accuracy tables from the records, and joins the last stage's windows'
 `routing.LayerRouting` per separable layer for `routing`'s two summaries.
 
 Training is strictly sequential over tasks with no replay: each stage sees
@@ -41,7 +41,7 @@ import numpy as np
 from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
 from .lora import init_lora_bank, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
-from .metrics import AccuracyMatrix, MetricReport, Records, compute_report
+from .metrics import AccuracyMatrix, MetricReport, Records, accuracy_tables, compute_report
 from .routing import HashingEmbedder, LayerRouting, fusion_stats, routing_histogram
 from .tensor import (
     FlatParameters,
@@ -384,7 +384,7 @@ def run_cvit(
         for k, (spec, train, _) in enumerate(stream, start=1):
             try:
                 train_stage(model, train, config, stage_index=k - 1)
-                if not sizes[k - 1]:  # reduceat below would read a neighbour's column for it
+                if not sizes[k - 1]:  # the task would have no records to score it by
                     raise ValueError(f"task {spec.task_id} has an empty test split")
                 seen = [evaluate_task(model, tests.columns(a, min(a + EVAL_WINDOW, offsets[k])))
                         for a in range(0, offsets[k], EVAL_WINDOW)]
@@ -403,17 +403,13 @@ def run_cvit(
                 raise StageError(k, exc) from exc
             tables.append(np.concatenate([ok for ok, _ in seen], axis=1))
 
-    # Each task's accuracy is 100 * hits / n, from its columns of each stage's table.
-    rows = [100.0 * np.add.reduceat(ok, offsets[:k], axis=1) / sizes[:k]
-            for k, ok in enumerate(tables, start=1)]
-    content = AccuracyMatrix([c_row for c_row, _ in rows])
-    fmt = AccuracyMatrix([f_row for _, f_row in rows])
     records = Records(
         np.repeat(np.arange(1, len(stream) + 1), offsets[1:]),
         np.concatenate([tests.task_id[:n] for n in offsets[1:]]),
         np.concatenate([instance_index[:n] for n in offsets[1:]]),
         *np.concatenate(tables, axis=1),  # content, then format correctness
     )
+    content, fmt = accuracy_tables(records)
     report = RunReport(content, fmt, records, compute_report(content, records))
     if config.method == "smolora":
         # The last stage evaluated every test split: join its windows' routing per layer.

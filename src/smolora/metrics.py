@@ -6,9 +6,10 @@ row seen so far, MAP averages the APs of all stages, backward transfer (BWT)
 averages each task's drop between its own stage and the final stage, and mean
 instruction following (MIF) averages per-task format-correctness rates.
 
-Per-sample records are columnar: one `Records` table of five int arrays, built
-from the evaluation's arrays, written to `records.jsonl` one JSON object per
-line through a single template and read back into the same table.
+Per-sample records are a run's one store of scores: a columnar `Records`
+table of five int arrays, written to `records.jsonl` one JSON object per line
+through a single template and read back, complete, into the same table.
+:func:`accuracy_tables` derives both accuracy tables from them.
 """
 
 from __future__ import annotations
@@ -136,6 +137,23 @@ def mif(records: Records) -> float:
     return 100.0 * sum(rates) / len(rates)
 
 
+def accuracy_tables(records: Records) -> tuple[AccuracyMatrix, AccuracyMatrix]:
+    """The content and format tables of a run's records, as :func:`read_records_jsonl` accepts
+    them: entry (k, j) is 100 * hits / n over stage k's records of the task first scored at stage j.
+    """
+    stages = int(records.stage.max())
+    _, task_of = np.unique(records.task_id, return_inverse=True)
+    first = np.full(task_of.max() + 1, stages)  # per task, the stage that first scores it
+    np.minimum.at(first, task_of, records.stage)
+    counts = np.zeros((3, stages, stages), dtype=np.int64)  # records, content hits, format hits
+    np.add.at(counts, (slice(None), records.stage - 1, first[task_of] - 1),
+              [np.ones_like(records.stage), records.content_correct, records.format_correct])
+    n, *hits = counts
+    content, fmt = (AccuracyMatrix([100.0 * h[k, : k + 1] / n[k, : k + 1] for k in range(stages)])
+                    for h in hits)
+    return content, fmt
+
+
 @dataclass
 class MetricReport:
     """Headline metrics of one run; bwt/mif are None when undefined/unavailable."""
@@ -149,9 +167,7 @@ class MetricReport:
 
 def compute_report(a: AccuracyMatrix, records: Records | None = None) -> MetricReport:
     """Full MetricReport for the final stage of an accuracy table."""
-    k = a.stages
-    if k < 1:
-        raise ContractError("accuracy matrix is empty")
+    k = a.stages  # ap raises ContractError on an empty table
     return MetricReport(
         ap=ap(a, k),
         map=mean_ap(a, k),
@@ -233,16 +249,19 @@ def write_records_jsonl(path, records: Records) -> None:
 
 
 def read_records_jsonl(path) -> Records:
-    """The records of a records file, each checked as it fills the columns.
+    """The records of a whole run, each checked as it fills the columns, then all together.
 
     A record is a JSON object with exactly the five fields, each an int (not
     a bool) within its range: stage >= 1, task_id and instance_index >= 0,
     both correctness fields 0 or 1; no two records share their stage, task_id
-    and instance_index. Any fault raises FormatError naming its line, or the
-    byte offset of a byte that is not UTF-8.
+    and instance_index. The stages run 1..K, stage k scores stage k - 1's tasks
+    and exactly one new one, and a task has the same instance indices at every
+    stage. Any fault raises FormatError naming its stage and task, the line
+    of the record at fault if there is one, or the byte offset of a byte
+    that is not UTF-8.
     """
     columns: dict[str, list[int]] = {key: [] for key in _RECORD_RANGES}
-    seen: dict[tuple[int, int, int], int] = {}  # (stage, task_id, instance_index) -> line
+    lines: dict[int, dict[int, dict[int, int]]] = {}  # stage -> task_id -> instance_index -> line
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -261,11 +280,21 @@ def read_records_jsonl(path) -> Records:
                 wanted = "0 or 1" if hi == 1 else f"an int64 >= {lo}"
                 raise FormatError(f"{path}: {key} must be {wanted}, got {value!r}", line=lineno)
             columns[key].append(value)
-        first = seen.setdefault((record["stage"], record["task_id"], record["instance_index"]), lineno)
+        stage, task, i = record["stage"], record["task_id"], record["instance_index"]
+        first = lines.setdefault(stage, {}).setdefault(task, {}).setdefault(i, lineno)
         if first != lineno:
-            raise FormatError(
-                f"{path}: stage {record['stage']}, task {record['task_id']}, instance "
-                f"{record['instance_index']} repeats the record of line {first}",
-                line=lineno,
-            )
+            raise FormatError(f"{path}: stage {stage}, task {task}, instance {i} repeats the "
+                              f"record of line {first}", line=lineno)
+    for k in range(1, max(lines, default=1) + 1):  # an empty file fails at stage 1
+        before, now = lines.get(k - 1, {}), lines.get(k, {})
+        for task, instances in before.items():
+            at = now.get(task, {})
+            if at.keys() != instances.keys():  # name a stage-k record if one is unpaired
+                i = min(at.keys() - instances.keys() or instances.keys() - at.keys())
+                raise FormatError(f"{path}: stage {k}, task {task}: instance {i} is scored at only one "
+                                  f"of stages {k - 1} and {k}", line=at.get(i))
+        new = [task for task in now if task not in before]
+        if len(new) != 1:  # a second new task is named at its first record
+            raise FormatError(f"{path}: stage {k} adds the tasks {new}, not exactly one",
+                              line=min(now[new[1]].values()) if new else None)
     return Records(**{key: np.array(values, dtype=np.int64) for key, values in columns.items()})

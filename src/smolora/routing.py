@@ -201,10 +201,13 @@ def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
 
     The header is task,bank,block_0,...,block_{W-1} with W >= 1. A row is a
     task id, a bank ('vu' or 'if'), then its frequencies, then only blank
-    cells, and no wider than the header; no (task, bank) pair repeats. Any
-    fault raises FormatError naming its line.
+    cells, and no wider than the header; no (task, bank) pair repeats. The
+    frequencies are non-negative and sum to 1 within 1e-9, a bank has as
+    many at every task, and every task has both banks. Any fault raises
+    FormatError naming its line, or the task that lacks a bank.
     """
     out: dict[int, dict[str, np.ndarray]] = {}
+    widths: dict[str, int] = {}  # bank -> its block count at the first task
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header = next(reader, [])
@@ -224,9 +227,16 @@ def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
                 cells.pop()
             if "" in cells:
                 raise ValueError("a blank cell before a frequency")
-            banks[bank] = np.array([finite_float(x) for x in cells])
+            freq = banks[bank] = np.array([finite_float(x) for x in cells])
+            if (freq < 0).any() or abs(freq.sum() - 1.0) > 1e-9:
+                raise ValueError(f"frequencies must be non-negative and sum to 1, got {freq.tolist()}")
+            if widths.setdefault(bank, freq.size) != freq.size:
+                raise ValueError(f"bank {bank!r} has {freq.size} blocks, not {widths[bank]} as above")
     except (csv.Error, IndexError, ValueError) as exc:
         raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num or 1) from None
+    for task_id, banks in out.items():
+        if len(banks) < 2:
+            raise FormatError(f"{path}: task {task_id} has no {'if' if 'vu' in banks else 'vu'} row")
     return out
 
 
@@ -245,7 +255,8 @@ def write_fusion_csv(path, stats: Sequence[Mapping]) -> None:
 def read_fusion_csv(path) -> list[dict]:
     """The rows of a fusion file: the header of :func:`write_fusion_csv` exactly, then
     rows of its five cells (blank lines skipped), finite floats after the layers
-    0, 1, ... in file order. Any fault raises FormatError naming its line.
+    0, 1, ... in file order, each mean in [0, 1] and each sd >= 0. Any fault
+    raises FormatError naming its line.
     """
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     rows: list[dict] = []
@@ -257,7 +268,11 @@ def read_fusion_csv(path) -> list[dict]:
                 raise ValueError(f"{len(cells)} cells, not {len(_FUSION_FIELDS)}")
             if int(cells[0]) != len(rows):
                 raise ValueError(f"layer {cells[0]} where layer {len(rows)} is due")
-            rows.append({"layer": len(rows), **dict(zip(_FUSION_FIELDS[1:], map(finite_float, cells[1:])))})
+            row = dict(zip(_FUSION_FIELDS[1:], map(finite_float, cells[1:])))
+            for key, value in row.items():
+                if value < 0 or value > 1 and key.startswith("mean"):
+                    raise ValueError(f"{key} {value!r} is out of range")
+            rows.append({"layer": len(rows), **row})
     except (csv.Error, ValueError) as exc:
         raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num or 1) from None
     return rows

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from _reference_tables import TABLES
@@ -7,7 +8,16 @@ from _reference_tables import TABLES
 from smolora import benchmark
 from smolora.cli import build_parser, main
 from smolora.harness import RunConfig
-from smolora.metrics import AccuracyMatrix, write_accuracy_csv
+from smolora.metrics import (
+    AccuracyMatrix,
+    accuracy_tables,
+    ap,
+    bwt,
+    mif,
+    read_accuracy_csv,
+    read_records_jsonl,
+    write_accuracy_csv,
+)
 
 
 def run_cli(*argv):
@@ -340,31 +350,75 @@ class TestMetrics:
         out_dir = tmp_path / "run"
         assert run_cli(*train_args(stream_file, out_dir)) == 0
         capsys.readouterr()
-        code = run_cli("metrics", "--accuracy", str(out_dir / "accuracy.csv"),
-                       "--records", str(out_dir / "records.jsonl"))
-        assert code == 0
+        assert run_cli("metrics", "--records", str(out_dir / "records.jsonl")) == 0
         printed = json.loads(capsys.readouterr().out)
         stored = json.loads((out_dir / "metrics.json").read_text())
         assert printed == stored
 
-    @pytest.mark.parametrize("dropped, message", [
-        # MIF would be scored on stage 2 and printed beside stage 3's AP.
-        ('"stage": 3', "records.jsonl: the latest stage is 2, before stage 3, the last of"),
-        # MIF would average two tasks' rates and be printed beside three tasks' AP.
-        ('"stage": 3, "task_id": 2',
-         "records.jsonl: stage 3 has records of 2 tasks, not the 3 that the last row of"),
-    ], ids=["stage", "task"])
-    def test_records_short_of_the_tables_last_row_exit_3(self, tmp_path, capsys, dropped, message):
+    @pytest.mark.parametrize("argv", [("--accuracy", "accuracy.csv", "--records", "records.jsonl"), ()],
+                             ids=["both", "neither"])
+    def test_metrics_takes_exactly_one_source(self, capsys, argv):
+        err = one_line_error(capsys, 1, "usage error: ", "metrics", *argv)
+        assert "--accuracy" in err and "--records" in err
+
+    def test_records_cut_after_a_stage_score_that_stage(self, tmp_path, capsys):
+        # AP, BWT and MIF all come from stage 2, as a two-task run would give them.
         stream, out_dir = tmp_path / "stream.jsonl", tmp_path / "run"
         assert run_cli(*generate_args(stream, tasks=3)) == 0
         assert run_cli(*train_args(stream, out_dir)) == 0
         path = out_dir / "records.jsonl"
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if dropped not in line))
+        path.write_text("".join(line for line in lines if '"stage": 3' not in line))
         capsys.readouterr()
-        err = format_error(capsys, "metrics", "--accuracy", str(out_dir / "accuracy.csv"),
-                           "--records", str(path))
-        assert message in err
+        assert run_cli("metrics", "--records", str(path)) == 0
+        printed = json.loads(capsys.readouterr().out)
+        table = read_accuracy_csv(out_dir / "accuracy.csv")
+        cut = AccuracyMatrix(table.rows[:2])
+        assert (printed["ap"], printed["bwt"]) == (ap(cut, 2), bwt(cut, 2))
+        assert printed["mif"] == mif(read_records_jsonl(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        # Each of the first two once printed the whole run's AP, BWT and MIF with exit 0.
+        (lambda r: r if (r["stage"], r["instance_index"]) != (1, 0) else None,
+         r"stage 2, task 0: instance 0 is scored at only one of stages 1 and 2 \(line 4\)"),
+        (lambda r: r if (r["stage"], r["task_id"]) != (2, 0) else None,
+         r"stage 2, task 0: instance 0 is scored at only one of stages 1 and 2\n"),
+        (lambda r: {**r, "stage": 4} if r["stage"] == 3 else r,
+         r"stage 3, task 0: instance 0 is scored at only one of stages 2 and 3\n"),
+        (lambda r: {**r, "instance_index": 7} if (r["stage"], r["task_id"], r["instance_index"]) == (3, 1, 2)
+         else r, r"stage 3, task 1: instance 7 is scored at only one of stages 2 and 3 \(line 19\)"),
+        (lambda r: None if r["stage"] == 2 else {**r, "stage": 2} if r["stage"] == 3 else r,
+         r"stage 2 adds the tasks \[1, 2\], not exactly one \(line 13\)"),
+        (lambda r: r if (r["stage"], r["task_id"]) != (3, 2) else None,
+         r"stage 3 adds the tasks \[\], not exactly one"),
+    ], ids=["first-record", "task-at-stage-2", "stage-gap", "other-instance", "two-new-tasks",
+            "no-new-task"])
+    def test_incomplete_records_exit_3_naming_stage_and_task(self, tmp_path, capsys, edit, message):
+        stream, out_dir = tmp_path / "stream.jsonl", tmp_path / "run"
+        assert run_cli("generate", "--seed", "5", "--tasks", "3", "--dv", "4", "--classes", "2",
+                       "--train-per-task", "3", "--test-per-task", "4", "--out", str(stream)) == 0
+        assert run_cli("train", "--stream", str(stream), "--out-dir", str(out_dir), "--method",
+                       "seqlora", "--rank", "1", "--embed-dim", "4", "--hidden", "4", "--epochs", "1") == 0
+        path = out_dir / "records.jsonl"
+        records = [edit(json.loads(line)) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records if r))
+        err = format_error(capsys, "metrics", "--records", str(path))
+        assert re.search(message, err), err
+
+    @pytest.mark.parametrize("method, top_k", [("seqlora", "1"), ("molora", "2"), ("smolora", "2")])
+    def test_records_give_both_accuracy_tables_byte_for_byte(self, tmp_path, method, top_k):
+        # Four 40-instance test splits: the last stage's second 96-wide window starts inside task 3.
+        stream, out_dir = tmp_path / "stream.jsonl", tmp_path / "run"
+        assert run_cli("generate", "--seed", "2", "--tasks", "4", "--mode", "multi", "--dv", "8",
+                       "--classes", "4", "--train-per-task", "16", "--test-per-task", "40",
+                       "--out", str(stream)) == 0
+        args = train_args(stream, out_dir, method=method)
+        assert run_cli(*args, "--vu-blocks", "2", "--if-blocks", "2", "--top-k", top_k) == 0
+        content, fmt = accuracy_tables(read_records_jsonl(out_dir / "records.jsonl"))
+        write_accuracy_csv(tmp_path / "content.csv", content)
+        write_accuracy_csv(tmp_path / "format.csv", fmt)
+        assert (tmp_path / "content.csv").read_bytes() == (out_dir / "accuracy.csv").read_bytes()
+        assert (tmp_path / "format.csv").read_bytes() == (out_dir / "accuracy.format.csv").read_bytes()
 
 
 class TestReport:
@@ -429,12 +483,6 @@ def format_error(capsys, *argv) -> str:
 
 
 class TestMalformedRecords:
-    @pytest.fixture
-    def accuracy_file(self, tmp_path):
-        path = tmp_path / "accuracy.csv"
-        write_accuracy_csv(path, AccuracyMatrix([[55.5]]))
-        return path
-
     @pytest.mark.parametrize(
         "second_line, where",
         [
@@ -448,18 +496,18 @@ class TestMalformedRecords:
         ],
         ids=["missing-key", "array", "string-stage", "non-utf8", "repeated"],
     )
-    def test_bad_records_exit_3_naming_the_place(self, accuracy_file, tmp_path, capsys,
-                                                  second_line, where):
+    def test_bad_records_exit_3_naming_the_place(self, tmp_path, capsys, second_line, where):
         path = tmp_path / "records.jsonl"
         path.write_bytes(_GOOD_RECORD.encode() + second_line + b"\n")
-        err = format_error(capsys, "metrics", "--accuracy", str(accuracy_file), "--records", str(path))
+        err = format_error(capsys, "metrics", "--records", str(path))
         assert "records.jsonl" in err and where in err
 
-    def test_record_past_the_last_stage_exits_3(self, accuracy_file, tmp_path, capsys):
+    def test_record_past_the_last_stage_exits_3(self, tmp_path, capsys):
+        # A stage that scores no task beyond the last one's is no stage of the run.
         path = tmp_path / "records.jsonl"
         path.write_text(_GOOD_RECORD + _GOOD_RECORD.replace('"stage": 1', '"stage": 2'))
-        err = format_error(capsys, "metrics", "--accuracy", str(accuracy_file), "--records", str(path))
-        assert "record 2 is of stage 2, past the 1 stages of" in err
+        err = format_error(capsys, "metrics", "--records", str(path))
+        assert "stage 2 adds the tasks [], not exactly one" in err
 
     def test_non_utf8_accuracy_exits_3_with_offset(self, tmp_path, capsys):
         path = tmp_path / "accuracy.csv"
@@ -539,3 +587,30 @@ class TestMalformedRunDirectory:
         path.write_text("\n".join(lines) + "\n")
         err = format_error(capsys, "report", str(run_dir))
         assert "routing.csv" in err and "(line 5)" in err
+
+    @pytest.mark.parametrize("name, line, edit, fault", [
+        ("routing.csv", 2, lambda cells: [*cells[:2], "-0.25", "1.25", *["0.0"] * (len(cells) - 4)],
+         "non-negative"),
+        ("routing.csv", 3, lambda cells: [*cells[:3], "0.75", *cells[4:]], "sum to 1"),
+        ("routing.csv", 4, lambda cells: [*cells[:2], "0.5", "0.5", *[""] * (len(cells) - 4)],
+         "'vu' has 2 blocks, not 4"),
+        ("fusion.csv", 3, lambda cells: [*cells[:2], "-0.001", *cells[3:]], "std_alpha -0.001"),
+        ("fusion.csv", 2, lambda cells: [*cells[:3], "1.5", *cells[4:]], "mean_beta 1.5"),
+        ("fusion.csv", 2, lambda cells: [cells[0], "-0.5", *cells[2:]], "mean_alpha -0.5"),
+    ], ids=["negative-frequency", "sum", "width", "negative-sd", "mean-above-1", "mean-below-0"])
+    def test_value_out_of_range(self, run_dir, capsys, name, line, edit, fault):
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        assert name in err and fault in err and f"(line {line})" in err
+
+    @pytest.mark.parametrize("line, bank", [(3, "if"), (4, "vu")])
+    def test_task_without_a_bank(self, run_dir, capsys, line, bank):
+        path = run_dir / "routing.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: line - 1] + lines[line:]) + "\n")
+        err = format_error(capsys, "report", str(run_dir))
+        task = (line - 2) // 2
+        assert f"routing.csv: task {task} has no {bank} row" in err

@@ -9,6 +9,7 @@ from smolora.errors import ContractError, FormatError, MetricUndefinedError
 from smolora.metrics import (
     AccuracyMatrix,
     Records,
+    accuracy_tables,
     ap,
     bwt,
     compute_report,
@@ -200,6 +201,23 @@ class TestMIF:
             assert len(upto) and mif(upto) == dict_mif(as_dicts(upto))
 
 
+class TestAccuracyTables:
+    # Task 7 is learned first, then task 3, with seven instances; the records
+    # are out of stage order.
+    ROWS = [(2, 3, i, int(i < 3), int(i % 2 == 0)) for i in range(7)] + [
+        (1, 7, 0, 1, 1), (2, 7, 1, 0, 1), (1, 7, 1, 1, 0), (2, 7, 0, 1, 1)]
+
+    def test_columns_follow_the_stage_each_task_is_first_scored(self):
+        content, fmt = accuracy_tables(Records(*map(np.array, zip(*self.ROWS))))
+        assert content == AccuracyMatrix([[100.0], [50.0, 100.0 * 3 / 7]])
+        assert fmt == AccuracyMatrix([[50.0], [100.0, 100.0 * 4 / 7]])
+
+    def test_records_in_any_order_read_back(self, tmp_path):
+        records = Records(*map(np.array, zip(*self.ROWS)))
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        assert read_records_jsonl(tmp_path / "records.jsonl") == records
+
+
 class TestReport:
     def test_report_consistency(self):
         a = AccuracyMatrix(TABLES["smolora_single"])
@@ -289,11 +307,12 @@ class TestRecordsFile:
         write_dict_records(tmp_path / "want.jsonl", as_dicts(records))
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
-    def test_empty_file_reads_as_no_records(self, tmp_path):
+    def test_empty_file_is_no_run(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records_jsonl(path, records_of([]))
         assert path.read_bytes() == b""
-        assert len(read_records_jsonl(path)) == 0
+        with pytest.raises(FormatError, match=r"stage 1 adds the tasks \[\], not exactly one"):
+            read_records_jsonl(path)
 
     @pytest.mark.parametrize(
         "line, problem",
