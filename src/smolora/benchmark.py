@@ -109,8 +109,8 @@ class TaskSplit:
 
     def _map(self, fn) -> "TaskSplit":
         """fn applied to every field's array; a None embedding stays None."""
-        return TaskSplit(**{f.name: None if (a := getattr(self, f.name)) is None else fn(a)
-                            for f in fields(self)})
+        return TaskSplit(*[None if (a := getattr(self, name)) is None else fn(a)
+                           for name in _SPLIT_FIELDS])
 
     def take(self, index) -> "TaskSplit":
         """The instances at `index`, in that order: a selection of columns."""
@@ -124,9 +124,14 @@ class TaskSplit:
     def concat(splits: Sequence["TaskSplit"]) -> "TaskSplit":
         """The splits' instances side by side, in order, as one new split; the
         embedding is None if any split's is."""
-        arrays = {f.name: [getattr(s, f.name) for s in splits] for f in fields(TaskSplit)}
+        arrays = {name: [getattr(s, name) for s in splits] for name in _SPLIT_FIELDS}
         return TaskSplit(**{name: None if any(a is None for a in parts) else np.concatenate(parts, axis=-1)
                             for name, parts in arrays.items()})
+
+
+# TaskSplit's field names in order; `take` runs once per training step, and
+# `dataclasses.fields` costs more than the array takes themselves.
+_SPLIT_FIELDS = tuple(f.name for f in fields(TaskSplit))
 
 
 def task_formats(task_count: int) -> list[int]:

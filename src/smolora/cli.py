@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -199,18 +198,14 @@ def cmd_metrics(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    metrics_path = run_dir / "metrics.json"
-    if not metrics_path.exists():
-        raise FileNotFoundError(f"no metrics.json in {run_dir}")
-    report = _read_json_object(metrics_path)
-    numbers = [report.get("ap"), report.get("map")] + [report[k] for k in ("bwt", "mif") if k in report]
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
-        raise FormatError(f"{metrics_path}: ap, map, bwt and mif must be finite numbers", line=1)
-    out = {"dir": run_dir, "metrics": report}
+    """A run's scores, all from its records.jsonl, and its manifest where there is one."""
+    records = metrics.read_records_jsonl(run_dir / "records.jsonl")
+    content = metrics.accuracy_tables(records)[0]
+    out = {"dir": run_dir, "content": content,
+           "metrics": _report_dict(metrics.compute_report(content, records))}
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
         out["manifest"] = _read_json_object(manifest_path)
-    out["content"] = metrics.read_accuracy_csv(run_dir / "accuracy.csv")
     return out
 
 

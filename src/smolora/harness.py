@@ -66,7 +66,8 @@ EVAL_WINDOW = 96
 # of a visual value is beyond float64's range. A step changes a bank's B by
 # about rate * |x|, and the next forward multiplies that by |x| again, so
 # with such an input the overflow follows from its scale; an input near the
-# float64 limit itself overflows before any step.
+# float64 limit itself overflows before any step. Below the limit either
+# may be at fault, and the message names both.
 _INPUT_LIMIT = math.sqrt(sys.float_info.max)
 
 
@@ -397,7 +398,8 @@ def run_cvit(
                         f"value is {largest:.6g} ({exc})"
                     ) from None
                 raise ConfigError(
-                    f"stage {k}: training diverged at learning_rate {config.learning_rate!r} ({exc})"
+                    f"stage {k}: training diverged at learning_rate {config.learning_rate!r}, "
+                    f"with a largest |visual| value of {largest:.6g} ({exc})"
                 ) from None
             except Exception as exc:  # noqa: BLE001 - annotate with the stage index
                 raise StageError(k, exc) from exc

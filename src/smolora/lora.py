@@ -34,6 +34,15 @@ one-hot whatever its logits, so its gradient is exactly 0; at top-1 the
 rule neither computes nor writes a router gradient. Given a list, the
 separable layer appends a `routing.LayerRouting` of the gate and fusion
 arrays it computed, which costs no copy.
+
+The separable layer works on its two banks at once: each `_bank` call
+writes its output into its row of one stacked array (`out=`, 2 x k_out x
+columns, VU then IF), and the layer's importance rows are one 2 x k_out
+parameter `I` (VU's row, then IF's; `named()` gives them as `I_vu` and
+`I_if`). The fusion scores, weights and scaling, and in the rule the
+fusion weights', importances' and bank outputs' gradients, are then one
+numpy call each for both banks, and give the bits of the two banks handled
+one by one.
 """
 
 from __future__ import annotations
@@ -124,28 +133,30 @@ def _plus(acc: np.ndarray | None, term: np.ndarray | None) -> np.ndarray | None:
 
 
 def _bank(bank: LoRABank, gate: np.ndarray, x: np.ndarray, s: int, router: Matrix,
-          router_in: np.ndarray | None, taped: bool):
+          router_in: np.ndarray | None, taped: bool, out: np.ndarray | None = None):
     """One routed bank in two matmuls, B @ (G * (A @ x)), and its backward rule when taped.
 
     Gate entry (i, j) scales block i's rank rows over instance j's s columns;
     G is the top-k softmax of router @ router_in, and router_in is None at
-    top-1, where G is one-hot. Untaped, G scales A @ x, a new array, in place
-    and the rule is None. Taped, the rule takes the bank output's gradient
-    and whether x and router_in need gradients; it writes those of A, B and,
-    above top-1, the router whole into their views and returns those of x
-    and router_in (None where not needed). Unselected blocks get zeros. A
-    top-1 router's gradient is 0: its view keeps the zeros that
-    `tensor.FlatParameters` allocates, since no rule writes it.
+    top-1, where G is one-hot. The output is written into `out` when given
+    (the separable layer passes its bank's row of the stacked outputs).
+    Untaped, G scales A @ x, a new array, in place and the rule is None.
+    Taped, the rule takes the bank output's gradient and whether x and
+    router_in need gradients; it writes those of A, B and, above top-1, the
+    router whole into their views and returns those of x and router_in
+    (None where not needed). Unselected blocks get zeros. A top-1 router's
+    gradient is 0: its view keeps the zeros that `tensor.FlatParameters`
+    allocates, since no rule writes it.
     """
     r = bank.rank
     a_stack, b_cat = bank.A.a, bank.B.a
-    full = gate.repeat(s, axis=1).repeat(r, axis=0)
+    full = (gate if s == 1 else gate.repeat(s, axis=1)).repeat(r, axis=0)
     z = a_stack @ x
     if not taped:
         z *= full
-        return b_cat @ z, None
+        return np.matmul(b_cat, z, out=out), None
     zg = full * z
-    out = b_cat @ zg
+    out = np.matmul(b_cat, zg, out=out)
 
     def back(g: np.ndarray, need_x: bool, need_in: bool):
         dzg = b_cat.T @ g
@@ -224,15 +235,17 @@ def molora_forward(layer: MoLoRALayer, x: np.ndarray, tape: Tape | None = None) 
 
 @dataclass
 class SMoLoRALayer:
-    """Frozen W0 with separable banks, dual routers, and fusion importances."""
+    """Frozen W0 with separable banks, dual routers, and fusion importances.
+
+    I holds the importance rows, VU's then IF's (2 x k_out).
+    """
 
     W0: np.ndarray
     vu_bank: LoRABank
     if_bank: LoRABank
     R_vu: Matrix
     R_if: Matrix
-    I_vu: Matrix
-    I_if: Matrix
+    I: Matrix
     top_k: int
 
     def __post_init__(self):
@@ -242,50 +255,48 @@ class SMoLoRALayer:
                 f"{len(self.vu_bank)} and {len(self.if_bank)}"
             )
         k_out = self.W0.shape[0]
-        if self.I_vu.shape != (1, k_out) or self.I_if.shape != (1, k_out):
-            raise ShapeError(f"importance matrices must be 1x{k_out}")
+        if self.I.shape != (2, k_out):
+            raise ShapeError(f"importance matrix must be 2x{k_out}")
 
     def trainable(self) -> list[Matrix]:
-        return [self.R_vu, self.R_if, self.I_vu, self.I_if,
+        return [self.R_vu, self.R_if, self.I,
                 self.vu_bank.A, self.vu_bank.B, self.if_bank.A, self.if_bank.B]
 
     def named(self) -> dict[str, np.ndarray]:
-        """Trainable arrays by checkpoint name, in checkpoint order."""
+        """Trainable arrays by checkpoint name, in checkpoint order; I's rows are I_vu and I_if."""
         return {
             "R_vu": self.R_vu.a,
             "R_if": self.R_if.a,
-            "I_vu": self.I_vu.a,
-            "I_if": self.I_if.a,
+            "I_vu": self.I.a[:1],
+            "I_if": self.I.a[1:],
             **self.vu_bank.named("vu"),
             **self.if_bank.named("if"),
         }
 
 
 def adaptive_fusion(
-    x_vu: np.ndarray,
-    x_if: np.ndarray,
-    I_vu: np.ndarray,
-    I_if: np.ndarray,
-    overwrite: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x_banks: np.ndarray, I: np.ndarray, overwrite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-position convex combination of the two bank outputs.
 
-    Scores u = I_vu @ x_vu and v = I_if @ x_if (1 x s each) pass through a
-    pairwise softmax at every column, yielding weights alpha, beta with
+    x_banks stacks the VU and IF bank outputs (2 x k_out x columns) and I their
+    importance rows (2 x k_out). Scores u = I[0] @ x_banks[0] and
+    v = I[1] @ x_banks[1] (one batched matmul) pass through a pairwise
+    softmax at every column, yielding weights alpha, beta with
     alpha_t + beta_t = 1; the result is alpha*x_vu + beta*x_if column-wise.
-    Returns the result, alpha and beta. With `overwrite`, for a caller that
-    keeps neither bank output, both are scaled in place and the result is
-    x_vu itself.
+    Returns the result and the weights `ab` (2 x columns: alpha, then beta). With
+    `overwrite`, for a caller that keeps neither bank output, both are
+    scaled in place and the result is x_banks[0] itself.
     """
-    if x_vu.shape != x_if.shape:
-        raise ShapeError(f"bank outputs differ: {x_vu.shape} vs {x_if.shape}")
-    u, v = I_vu @ x_vu, I_if @ x_if
-    e = np.exp(np.concatenate([u, v]) - np.maximum(u, v))
+    if x_banks.ndim != 3 or x_banks.shape[0] != 2 or I.shape != x_banks.shape[:2]:
+        raise ShapeError(f"bank outputs {x_banks.shape} do not match importances {I.shape}")
+    uv = np.matmul(I[:, None], x_banks)[:, 0]
+    e = np.exp(uv - np.maximum(uv[:1], uv[1:]))
     ab = e / (e[:1] + e[1:])
-    alpha, beta = ab[:1], ab[1:]
-    fused = np.multiply(alpha, x_vu, out=x_vu if overwrite else None)
-    fused += np.multiply(beta, x_if, out=x_if if overwrite else None)
-    return fused, alpha, beta
+    scaled = np.multiply(ab[:, None], x_banks, out=x_banks if overwrite else None)
+    fused = scaled[0]
+    fused += scaled[1]
+    return fused, ab
 
 
 def smolora_forward(
@@ -298,11 +309,12 @@ def smolora_forward(
     """The layer output W0 @ x + the fused update of both banks, as one tape record.
 
     instr_emb holds one embedding column per instance, and x the instances'
-    columns in order, as many for each. The rule writes the gradients of
-    both banks, importance rows and, above top-1, routers and returns
-    x's; the embeddings, model inputs, take none. When `routing` is given,
-    one LayerRouting holding this call's gates and fusion weights is
-    appended to it; that takes no copy and no per-instance work.
+    columns in order, as many for each. Both banks write into one stacked
+    array (2 x k_out x columns: VU, then IF). The rule writes the gradients
+    of both banks, the importance rows and, above top-1, routers and
+    returns x's; the embeddings, model inputs, take none. When `routing`
+    is given, one LayerRouting holding this call's gates and fusion weights
+    is appended to it; that takes no copy and no per-instance work.
     """
     W0 = layer.W0
     if x.shape[0] != W0.shape[1]:
@@ -321,28 +333,26 @@ def smolora_forward(
     taped, routed = tape is not None, layer.top_k > 1
     # The VU router reads each instance's mean input column, which only a taped top-k > 1 rule needs.
     vu_in = run_means(x, s) if taped and routed else None
-    x_vu, vu_back = _bank(layer.vu_bank, vu_gate, x, s, layer.R_vu, vu_in, taped)
-    x_if, if_back = _bank(layer.if_bank, if_gate, x, s, layer.R_if, instr_emb if routed else None, taped)
-    fused, alpha, beta = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a, overwrite=not taped)
+    x_banks = np.empty((2, W0.shape[0], x.shape[1]))
+    _, vu_back = _bank(layer.vu_bank, vu_gate, x, s, layer.R_vu, vu_in, taped, x_banks[0])
+    _, if_back = _bank(layer.if_bank, if_gate, x, s, layer.R_if, instr_emb if routed else None,
+                       taped, x_banks[1])
+    I = layer.I
+    fused, ab = adaptive_fusion(x_banks, I.a, overwrite=not taped)
     y = W0 @ x
     y += fused
     check_finite(y)
     if taped:
-        I_vu, I_if = layer.I_vu, layer.I_if
         require_grads(*layer.trainable())
         need_x = bool(tape._ops)
-        ab = np.concatenate([alpha, beta])
 
         def back(g, dx=None):
-            # Fusion: a pairwise softmax of u = I_vu @ x_vu and v = I_if @ x_if.
-            d_ab = np.concatenate([np.add.reduce(g * x_vu, axis=0, keepdims=True),
-                                   np.add.reduce(g * x_if, axis=0, keepdims=True)])
-            d_uv = softmax_back(ab, d_ab)
-            du, dv = d_uv[:1], d_uv[1:]
-            np.matmul(du, x_vu.T, out=I_vu.grad)
-            np.matmul(dv, x_if.T, out=I_if.grad)
-            dx_vu, d_vu_in = vu_back(g * alpha + I_vu.a.T @ du, need_x, need_x)
-            dx_if, _ = if_back(g * beta + I_if.a.T @ dv, need_x, False)
+            # Fusion: a pairwise softmax of the scores u, v = I @ x_banks, row by row.
+            d_uv = softmax_back(ab, np.add.reduce(g * x_banks, axis=1))
+            np.matmul(d_uv[:, None], x_banks.transpose(0, 2, 1), out=I.grad[:, None])
+            d_banks = g * ab[:, None] + I.a[:, :, None] * d_uv[:, None]
+            dx_vu, d_vu_in = vu_back(d_banks[0], need_x, need_x)
+            dx_if, _ = if_back(d_banks[1], need_x, False)
             if need_x:
                 dx_banks = dx_vu + dx_if
                 if d_vu_in is not None:
@@ -353,7 +363,7 @@ def smolora_forward(
 
         tape._ops.append(back)
     if routing is not None:
-        routing.append(LayerRouting(vu_gate, if_gate, alpha, beta))
+        routing.append(LayerRouting(vu_gate, if_gate, ab[:1], ab[1:]))
     return y
 
 
@@ -379,9 +389,8 @@ def init_smolora(
     if_bank = init_lora_bank(d, k_out, N_minus_M, r, rng)
     R_vu = Matrix(rng.normal(0.0, np.sqrt(1.0 / d), size=(M, d)))
     R_if = Matrix(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
-    I_vu = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
-    I_if = Matrix(rng.normal(0.0, 0.02, size=(1, k_out)))
-    return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I_vu, I_if, top_k)
+    I = Matrix(rng.normal(0.0, 0.02, size=(2, k_out)))
+    return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I, top_k)
 
 
 def init_molora(

@@ -14,6 +14,7 @@ and `fusion.csv` (:func:`fusion_stats`), are computed, written and read here.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import re
@@ -84,6 +85,14 @@ class HashingEmbedder:
         return hit
 
 
+@functools.cache
+def _identity(rows: int) -> np.ndarray:
+    """The read-only rows x rows identity that top-1 gates take their columns from."""
+    eye = np.eye(rows)
+    eye.flags.writeable = False
+    return eye
+
+
 def topk_softmax(logits: np.ndarray, top_k: int) -> np.ndarray:
     """Softmax over the top_k largest logits of each column; every other entry is exactly 0.
 
@@ -95,8 +104,9 @@ def topk_softmax(logits: np.ndarray, top_k: int) -> np.ndarray:
         raise ValueError(f"top-k size k={top_k} out of range [1, {rows}]")
     check_finite(logits, "router logits")
     if top_k == 1:
-        # exp(0) / exp(0): the one kept entry is exactly 1.
-        return np.eye(rows).take(logits.argmax(axis=0), axis=1)
+        # exp(0) / exp(0): the one kept entry is exactly 1. `take` copies the
+        # columns out of the shared identity, so the gate is a new array.
+        return _identity(rows).take(logits.argmax(axis=0), axis=1)
     e = np.exp(logits - logits.max(axis=0))
     if top_k < rows:
         keep = np.zeros(logits.shape, dtype=bool)

@@ -195,16 +195,18 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     rows, n = logits.shape
     if labels.size != n:
         raise ShapeError(f"{labels.size} labels for {n} logit columns")
-    outside = (labels < 0) | (labels >= rows)
-    if outside.any():
+    # The ufunc reductions are what `.min`, `.max` and `.sum` call, without
+    # their Python wrappers; the first bad label is looked for only on error.
+    if np.minimum.reduce(labels, initial=0) < 0 or np.maximum.reduce(labels, initial=0) >= rows:
+        outside = (labels < 0) | (labels >= rows)
         raise ValueError(f"label {labels[outside.argmax()]} out of range for {rows} classes")
     cols = np.arange(n)
     z = logits
-    zmax = z.max(axis=0)
+    zmax = np.maximum.reduce(z, axis=0)
     e = np.exp(z - zmax)
-    denom = e.sum(axis=0)
+    denom = np.add.reduce(e, axis=0)
     p = e / denom
-    loss = float(np.sum(np.log(denom) - (z[labels, cols] - zmax)))
+    loss = float(np.add.reduce(np.log(denom) - (z[labels, cols] - zmax)))
     if not math.isfinite(loss):
         raise ShapeError(f"cross-entropy must be finite, got {loss}")
     p[labels, cols] -= 1.0

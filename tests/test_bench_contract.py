@@ -75,6 +75,13 @@ def test_run_prints_every_declared_metric_finite(workload, trace):
         # That is 1.5 per sample-step; the count repeats exactly, so ops
         # recorded per block or per gate would show here.
         assert result["metrics"]["tensor.tape_ops_per_sample_step"]["value"] <= 3
+    if trace and workload == "smolora-recipe":
+        # Each of these functions runs in every separable training step, so
+        # its span reads > 0 unless the program stopped calling it through
+        # the attribute child.py wraps (an inlined kernel reads 0 silently).
+        for name in ("lora.smolora_forward.s", "lora.adaptive_fusion.s", "routing.route_instance.s",
+                     "routing.route_instruction.s", "tensor.cross_entropy.s"):
+            assert result["metrics"][name]["value"] > 0, name
     if trace and workload == "controls-eval":
         # seqlora, half of the forwards, calls `lora_apply` once in each of
         # its 4 layers and molora never does, so a seqlora that stopped

@@ -13,9 +13,11 @@ from smolora.metrics import (
     accuracy_tables,
     ap,
     bwt,
+    compute_report,
     mif,
     read_accuracy_csv,
     read_records_jsonl,
+    round_display,
     write_accuracy_csv,
 )
 
@@ -230,11 +232,35 @@ class TestBadValuesExitBeforeAnyWork:
         assert not path.exists()
 
 
+def _largest_visual(path) -> float:
+    """The largest |visual| value of stage 1's splits in a stream file."""
+    _, stream = benchmark.read_stream(path)
+    return max(float(abs(split.visual).max()) for split in stream[0][1:])
+
+
 def test_diverging_learning_rate_is_a_configuration_error(stream_file, tmp_path, capsys):
     argv = train_args(stream_file, tmp_path / "r")
     err = one_line_error(capsys, 1, "configuration error: ", *argv, "--lr", "1e300")
-    assert err.startswith("configuration error: stage 1: training diverged at learning_rate 1e+300")
-    assert "|visual|" not in err
+    assert err.startswith("configuration error: stage 1: training diverged at learning_rate 1e+300, "
+                          f"with a largest |visual| value of {_largest_visual(stream_file):.6g} (")
+    assert "too large for the model" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_divergence_below_the_input_limit_names_both_suspects(tmp_path, capsys):
+    # Visual values near 1e100 square to well inside float64's range, so the
+    # input is not blamed alone, yet training at the default learning rate
+    # overflows: the message gives the rate and the largest |visual| value.
+    path = tmp_path / "s.jsonl"
+    assert run_cli("generate", "--tasks", "2", "--train-per-task", "8", "--test-per-task", "4",
+                   "--stddev", "1e100", "--out", str(path)) == 0
+    argv = ["train", "--stream", str(path), "--out-dir", str(tmp_path / "r"), "--method", "smolora"]
+    err = one_line_error(capsys, 1, "configuration error: ", *argv)
+    assert err.startswith(
+        f"configuration error: stage 1: training diverged at learning_rate {RunConfig().learning_rate!r}, "
+        f"with a largest |visual| value of {_largest_visual(path):.6g} (overflow"
+    )
+    assert "too large for the model" not in err
     assert not (tmp_path / "r").exists()
 
 
@@ -245,12 +271,10 @@ def test_input_too_large_for_the_model_is_blamed_not_the_learning_rate(tmp_path,
     path = tmp_path / "s.jsonl"
     assert run_cli("generate", "--tasks", "2", "--train-per-task", "8", "--test-per-task", "4",
                    "--stddev", "1e200", "--out", str(path)) == 0
-    _, stream = benchmark.read_stream(path)
-    largest = max(float(abs(split.visual).max()) for split in stream[0][1:])
     argv = ["train", "--stream", str(path), "--out-dir", str(tmp_path / "r"), "--method", method]
     err = one_line_error(capsys, 1, "configuration error: ", *argv)
     assert err.startswith("configuration error: stage 1: the input is too large for the model: "
-                          f"the largest |visual| value is {largest:.6g} (overflow")
+                          f"the largest |visual| value is {_largest_visual(path):.6g} (overflow")
     assert "learning_rate" not in err
     assert not (tmp_path / "r").exists()
 
@@ -523,20 +547,49 @@ class TestMalformedRunDirectory:
         assert run_cli(*train_args(stream_file, out_dir, method="smolora")) == 0
         return out_dir
 
-    @pytest.mark.parametrize("name", ["metrics.json", "manifest.json"])
+    @pytest.mark.parametrize("name", ["manifest.json"])
     def test_json_that_does_not_parse(self, run_dir, capsys, name):
         (run_dir / name).write_text('{\n  "ap": 1.0,\n  oops\n}\n')
         err = format_error(capsys, "report", str(run_dir))
         assert name in err and "(line 3)" in err
 
     def test_int_too_long_to_convert(self, run_dir, capsys):
-        (run_dir / "metrics.json").write_text('{"ap": ' + "9" * 5000 + "}\n")
-        assert "metrics.json: not valid JSON" in format_error(capsys, "report", str(run_dir))
+        (run_dir / "manifest.json").write_text('{"method": ' + "9" * 5000 + "}\n")
+        assert "manifest.json: not valid JSON" in format_error(capsys, "report", str(run_dir))
 
-    def test_metrics_without_ap(self, run_dir, capsys):
-        (run_dir / "metrics.json").write_text('{"map": 1.0}\n')
+    def test_records_that_do_not_parse(self, run_dir, capsys):
+        path = run_dir / "records.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:-1]
+        path.write_text("\n".join(lines) + "\n")
         err = format_error(capsys, "report", str(run_dir))
-        assert "metrics.json" in err and "(line 1)" in err
+        assert "records.jsonl" in err and "(line 3)" in err
+
+    def test_missing_records_is_io_error(self, run_dir):
+        (run_dir / "records.jsonl").unlink()
+        assert run_cli("report", str(run_dir)) == 2
+
+    def test_scores_come_from_the_records_alone(self, run_dir, capsys):
+        # A one-stage accuracy.csv and a metrics.json of other figures beside
+        # the two-stage run's records: report prints the records' AP, MAP, BWT
+        # and MIF and writes their series, as it did before the swap.
+        capsys.readouterr()
+        assert run_cli("report", str(run_dir)) == 0
+        before = capsys.readouterr().out
+        series = (run_dir / "fig4_series.csv").read_bytes()
+        records = read_records_jsonl(run_dir / "records.jsonl")
+        content = accuracy_tables(records)[0]
+        want = compute_report(content, records)
+        shown = [f"{round_display(v):.2f}" for v in (want.ap, want.map, want.bwt, want.mif)]
+        assert "AP={} MAP={} BWT={} MIF={}".format(*shown) in before
+        (run_dir / "accuracy.csv").write_text("stage,task_1\n1,99.0\n")
+        (run_dir / "metrics.json").write_text('{"map": "none"}\n')
+        assert run_cli("report", str(run_dir)) == 0
+        assert capsys.readouterr().out == before
+        assert (run_dir / "fig4_series.csv").read_bytes() == series
+        rows = (run_dir / "fig4_series.csv").read_text().splitlines()
+        assert rows[0] == "task,stage_1,stage_2" and len(rows) == 3
+        assert rows[1] == f"1,{content.score(1, 1)!r},{content.score(2, 1)!r}"
 
     def test_fusion_layer_not_an_integer(self, run_dir, capsys):
         path = run_dir / "fusion.csv"

@@ -14,6 +14,7 @@ from smolora.errors import ShapeError
 from smolora.harness import AdapterLayer, RunConfig
 from smolora.lora import (
     LoRABank,
+    SMoLoRALayer,
     _bank,
     adaptive_fusion,
     init_lora_bank,
@@ -188,26 +189,44 @@ class TestBankGateExpansion:
             assert np.array_equal(have, ref, equal_nan=top_k == 1)
 
 
+def _fuse(x_vu, x_if, I_vu, I_if):
+    """adaptive_fusion of two separate bank outputs: the result, alpha and beta."""
+    fused, ab = adaptive_fusion(np.stack([x_vu, x_if]), np.vstack([I_vu, I_if]))
+    return fused, ab[:1], ab[1:]
+
+
 class TestAdaptiveFusion:
-    def test_matches_two_row_max_and_sum(self):
-        rng = np.random.default_rng(21)
-        for cols in (1, 8, 192):
-            args = (rng.normal(size=(6, cols)), rng.normal(size=(6, cols)),
-                    3.0 * rng.normal(size=(1, 6)), 3.0 * rng.normal(size=(1, 6)))
-            want = two_row_fusion(*args)
-            for have, ref in zip(adaptive_fusion(*args), want):
-                assert np.array_equal(have, ref)
-            x_vu, x_if = args[0].copy(), args[1].copy()
-            got = adaptive_fusion(x_vu, x_if, *args[2:], overwrite=True)
-            assert got[0] is x_vu
-            for have, ref in zip(got, want):
-                assert np.array_equal(have, ref)
+    @pytest.mark.parametrize("cols", [1, 8, 192])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_matches_two_row_max_and_sum(self, cols, overwrite):
+        # The stacked scores, weights and sums against the two rows fused one
+        # by one, bit for bit; with `overwrite`, both rows of the stacked
+        # input are scaled in place and the result is its first row.
+        rng = np.random.default_rng(21 + cols)
+        x_vu, x_if = rng.normal(size=(6, cols)), rng.normal(size=(6, cols))
+        I = 3.0 * rng.normal(size=(2, 6))
+        want, alpha, beta = two_row_fusion(x_vu, x_if, I[:1], I[1:])
+        x_banks = np.stack([x_vu, x_if])
+        fused, ab = adaptive_fusion(x_banks, I, overwrite=overwrite)
+        assert np.array_equal(fused, want)
+        assert np.array_equal(ab, np.vstack([alpha, beta]))
+        if overwrite:
+            assert fused.base is x_banks and np.shares_memory(fused, x_banks[0])
+            assert np.array_equal(x_banks[1], beta * x_if)
+        else:
+            assert np.array_equal(x_banks, np.stack([x_vu, x_if]))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            adaptive_fusion(np.zeros((2, 6, 3)), np.zeros((2, 5)))
+        with pytest.raises(ShapeError):
+            adaptive_fusion(np.zeros((3, 6, 3)), np.zeros((3, 6)))
 
     def test_equal_scores_average(self):
         x_vu = np.array([[2.0, 4.0], [0.0, 2.0]])
         x_if = np.array([[0.0, 2.0], [2.0, 0.0]])
         # Zero importances give u == v == 0 everywhere.
-        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.zeros((1, 2)), np.zeros((1, 2)))
+        y, alpha, beta = _fuse(x_vu, x_if, np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.allclose(alpha, 0.5) and np.allclose(beta, 0.5)
         assert np.allclose(y, 0.5 * (x_vu + x_if))
 
@@ -215,7 +234,7 @@ class TestAdaptiveFusion:
         x_vu = np.array([[1.0], [2.0]])
         x_if = np.array([[-3.0], [5.0]])
         # u - v = 50 >= 40 at the single position.
-        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.array([[50.0, 0.0]]), np.zeros((1, 2)))
+        y, alpha, beta = _fuse(x_vu, x_if, np.array([[50.0, 0.0]]), np.zeros((1, 2)))
         assert alpha[0, 0] > 1.0 - 1e-12
         assert np.max(np.abs(y - x_vu)) < 1e-12
 
@@ -223,7 +242,7 @@ class TestAdaptiveFusion:
         # Importances picked so u = [1.5], v = [0.9].
         x_vu = np.array([[1.5]])
         x_if = np.array([[0.9]])
-        y, alpha, beta = adaptive_fusion(x_vu, x_if, np.array([[1.0]]), np.array([[1.0]]))
+        y, alpha, beta = _fuse(x_vu, x_if, np.array([[1.0]]), np.array([[1.0]]))
         expected = scalar_softmax([1.5, 0.9])
         assert alpha[0, 0] == pytest.approx(expected[0], abs=1e-12)
         assert alpha[0, 0] == pytest.approx(0.6457, abs=1e-4)
@@ -233,7 +252,7 @@ class TestAdaptiveFusion:
         rng = np.random.default_rng(13)
         x_vu = rng.normal(size=(5, 7))
         x_if = rng.normal(size=(5, 7))
-        _, alpha, beta = adaptive_fusion(x_vu, x_if, rng.normal(size=(1, 5)), rng.normal(size=(1, 5)))
+        _, alpha, beta = _fuse(x_vu, x_if, rng.normal(size=(1, 5)), rng.normal(size=(1, 5)))
         assert np.all(alpha > 0) and np.all(alpha < 1)
         assert np.all(np.abs(alpha + beta - 1.0) <= 1e-12)
 
@@ -261,7 +280,7 @@ class TestSMoLoRAForward:
         assert r.if_gate.tolist() == [[1.0]]
         x_vu = _block_update(layer.vu_bank, 0, x)
         x_if = _block_update(layer.if_bank, 0, x)
-        fused, _, _ = adaptive_fusion(x_vu, x_if, layer.I_vu.a, layer.I_if.a)
+        fused, _ = adaptive_fusion(np.stack([x_vu, x_if]), layer.I.a)
         assert np.allclose(y, layer.W0 @ x + fused, atol=1e-12)
 
     def test_straight_line_oracle(self):
@@ -280,8 +299,8 @@ class TestSMoLoRAForward:
             if_B=[B for _, B in _blocks(layer.if_bank)],
             R_vu=layer.R_vu.a,
             R_if=layer.R_if.a,
-            I_vu=layer.I_vu.a,
-            I_if=layer.I_if.a,
+            I_vu=layer.I.a[:1],
+            I_if=layer.I.a[1:],
             top_k=2,
             x=x,
             emb=emb,
@@ -346,6 +365,37 @@ class TestInitSMoLoRA:
         assert list(named_a) == list(named_b)
         for name, view in named_a.items():
             assert np.array_equal(view, named_b[name]), name
+
+    def test_importance_rows_are_two_successive_draws(self):
+        # One 2 x k_out draw gives the values of a 1 x k_out draw for each
+        # row, made one after the other from the same generator state.
+        layer = init_smolora(d=8, k_out=6, M=3, N_minus_M=2, r=2, e=4, top_k=1, seed=9)
+        rng = np.random.default_rng(9)
+        rng.normal(size=(6, 8))  # W0
+        rng.normal(size=(3 * 2, 8)), rng.normal(size=(2 * 2, 8))  # the banks' A
+        rng.normal(size=(3, 8)), rng.normal(size=(2, 4))  # the routers
+        I_vu, I_if = rng.normal(0.0, 0.02, size=(1, 6)), rng.normal(0.0, 0.02, size=(1, 6))
+        assert np.array_equal(layer.I.a, np.vstack([I_vu, I_if]))
+
+    def test_named_importance_rows_are_views_of_I(self):
+        layer = _seeded_smolora(k_out=6)
+        FlatParameters(layer.trainable())
+        named = layer.named()
+        assert list(named)[:4] == ["R_vu", "R_if", "I_vu", "I_if"]
+        for row, name in enumerate(("I_vu", "I_if")):
+            view = named[name]
+            assert view.shape == (1, 6) and view.base is not None
+            assert np.shares_memory(view, layer.I.a)
+            view[...] = row + 1.0
+            assert np.all(layer.I.a[row] == row + 1.0)
+        # The two rows sit back to back, so the flat layout is that of two 1 x 6 matrices.
+        assert named["I_if"].ctypes.data - named["I_vu"].ctypes.data == 6 * 8
+
+    def test_importance_shape_checked(self):
+        layer = _seeded_smolora(k_out=8)
+        with pytest.raises(ShapeError, match="importance matrix must be 2x8"):
+            SMoLoRALayer(layer.W0, layer.vu_bank, layer.if_bank, layer.R_vu, layer.R_if,
+                         Matrix(np.zeros((1, 8))), 1)
 
     def test_reference_defaults_constructible(self):
         layer = init_smolora(d=64, k_out=64, M=4, N_minus_M=4, r=16, e=64, top_k=1, seed=0)

@@ -6,6 +6,7 @@ from _oracles import mask_then_softmax, rule_fd_error, scalar_softmax
 
 from smolora.errors import ContractError, ShapeError
 from smolora.lora import LoRABank, init_lora_bank, lora_apply
+from smolora import routing
 from smolora.routing import topk_softmax
 from smolora.tensor import (
     FlatParameters,
@@ -205,6 +206,21 @@ class TestTopkMask:
             assert int((out != 0.0).sum()) == k
 
 
+    def test_top_one_gate_is_a_fresh_writable_array(self):
+        # The one-hot columns come from a cached identity, which stays
+        # read-only; each gate is a new array that owns its entries.
+        logits = np.array([[0.1, 2.0, -1.0], [1.0, 0.0, -2.0], [0.5, 0.3, 3.0]])
+        first, second = topk_softmax(logits, 1), topk_softmax(logits, 1)
+        assert first.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        assert first.flags.writeable and first.flags.owndata
+        assert not np.shares_memory(first, second)
+        first[...] = 7.0
+        assert topk_softmax(logits, 1).tolist() == second.tolist()
+        eye = routing._identity(3)
+        assert eye is routing._identity(3) and not eye.flags.writeable
+        assert np.array_equal(eye, np.eye(3))
+
+
 class TestBackward:
     def test_rules_run_in_reverse_and_tuples_spread_over_arguments(self):
         # The last rule gets d loss / d loss = 1; a rule that returns a
@@ -295,6 +311,20 @@ class TestCrossEntropy:
         for bad in (-1, 3):
             with pytest.raises(ValueError, match=f"label {bad} out of range for 3 classes"):
                 cross_entropy(logits, np.array([0, bad, 1, bad]))
+
+    def test_range_error_names_the_first_bad_label(self):
+        logits = np.zeros((3, 5))
+        for labels, first in (([0, 5, -1, 1, 2], 5), ([-2, 1, 7, 0, 0], -2), ([0, 1, 2, 2, 3], 3)):
+            with pytest.raises(ValueError, match=rf"^label {first} out of range for 3 classes$"):
+                cross_entropy(logits, np.array(labels))
+
+    def test_bare_int_label_is_one_column(self):
+        logits = np.array([[0.2], [-1.0], [0.5]])
+        for label in range(3):
+            loss, d = cross_entropy(logits, label)
+            want_loss, want_d = cross_entropy(logits, np.array([label]))
+            assert loss == want_loss and np.array_equal(d, want_d)
+            assert loss == pytest.approx(-math.log(scalar_softmax([0.2, -1.0, 0.5])[label]), abs=1e-12)
 
     def test_gradient_is_probability_minus_onehot(self):
         logits = np.array([[0.2], [-1.0], [0.5]])
