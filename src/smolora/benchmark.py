@@ -374,14 +374,15 @@ def _instance(
     return (task_id, split), visual, text, answer_class, emb
 
 
-def read_stream(path) -> tuple[dict, list[tuple[TaskSpec, TaskSplit, TaskSplit]]]:
+def read_stream(path, data: bytes | None = None) -> tuple[dict, list[tuple[TaskSpec, TaskSplit, TaskSplit]]]:
     """Read a stream file back into (manifest, [(spec, train, test), ...]).
 
+    `data`, when given, is the file's bytes, already read by the caller.
     Every record is checked against the manifest's task table as it loads:
     known task, split, visual width, label ranges, format tag, finite values
     and one embedding width. Any fault raises FormatError naming its line.
     """
-    lines = read_utf8(path).splitlines()
+    lines = read_utf8(path, data).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty stream file", line=1)
     try:

@@ -123,17 +123,21 @@ def _build_config(args) -> harness.RunConfig:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
-    stream_path = Path(config.stream)
+    stream_path = Path(args.stream)
     if not stream_path.exists():
         raise FileNotFoundError(f"stream file not found: {stream_path}")
     # An unusable output directory fails here, before any training; the
     # directories made for it are removed again if the run fails.
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir)
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     try:
-        _, stream = benchmark.read_stream(stream_path)
+        # The stream is read once: the manifest hashes the bytes the run parsed.
+        data = stream_path.read_bytes()
+        stream_sha256 = hashlib.sha256(data).hexdigest()
+        _, stream = benchmark.read_stream(stream_path, data)
+        del data
         model, report = harness.run_cvit(config, stream)
     except BaseException:
         for p in made:  # innermost first, all still empty
@@ -174,7 +178,8 @@ def cmd_train(args) -> int:
         "config": dataclasses.asdict(config),
         "method": config.method,
         "seed": config.seed,
-        "stream_sha256": _sha256(stream_path),
+        "stream": str(stream_path),
+        "stream_sha256": stream_sha256,
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": {p.name: {"bytes": p.stat().st_size, "sha256": _sha256(p)} for p in outputs},

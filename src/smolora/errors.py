@@ -30,10 +30,11 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def read_utf8(path) -> str:
-    """A file's text, or FormatError at the byte offset of its first non-UTF-8 byte."""
+def read_utf8(path, data: bytes | None = None) -> str:
+    """A file's text, from its bytes `data` where the caller read them, or
+    FormatError at the byte offset of its first non-UTF-8 byte."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return (Path(path).read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8", offset=exc.start) from None
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .benchmark import TaskSpec, TaskSplit
 from .errors import ConfigError, ContractError, FormatError, ShapeError, StageError
-from .lora import init_lora_bank, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
+from .lora import init_lora, init_molora, init_smolora, lora_apply, molora_forward, smolora_forward
 from .metrics import AccuracyMatrix, MetricReport, Records, accuracy_tables, compute_report
 from .routing import HashingEmbedder, LayerRouting, fusion_stats, routing_histogram
 from .tensor import (
@@ -86,8 +86,6 @@ class RunConfig:
     batch_size: int = 64
     epochs: int = 1
     seed: int = 0
-    stream: str = ""
-    out_dir: str = ""
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -103,11 +101,13 @@ class RunConfig:
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not 1 <= self.top_k <= min(self.vu_blocks, self.if_blocks):
-            raise ConfigError(
-                f"top_k {self.top_k} out of range for banks of "
-                f"{self.vu_blocks} and {self.if_blocks}"
-            )
+        vu, if_ = self.vu_blocks, self.if_blocks
+        if self.method == "molora":  # its one bank holds both counts of blocks
+            bound, banks = vu + if_, f"molora's bank of {vu} + {if_} blocks"
+        else:
+            bound, banks = min(vu, if_), f"banks of {vu} and {if_}"
+        if not 1 <= self.top_k <= bound:
+            raise ConfigError(f"top_k {self.top_k} out of range for {banks}")
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
             raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
@@ -122,23 +122,21 @@ def _effective_rank(rank: int, d_in: int, d_out: int) -> int:
 
 
 class AdapterLayer:
-    """One linear layer: frozen base W0 (d_out x d_in) plus the adapter of `cfg.method`."""
+    """One linear layer: `layer`, the `lora` layer of `cfg.method`, with its frozen W0 (d_out x d_in)."""
 
     def __init__(self, name: str, d_in: int, d_out: int, cfg: RunConfig, rng: np.random.Generator):
         self.name = name
         self.kind = cfg.method
         r = _effective_rank(cfg.rank, d_in, d_out)
         if self.kind == "seqlora":
-            self.W0 = rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_out, d_in))
-            self.bank = init_lora_bank(d_in, d_out, 1, r, rng)
+            self.layer = init_lora(d_in, d_out, r, rng)
+        elif self.kind == "molora":
+            self.layer = init_molora(d_in, d_out, cfg.vu_blocks + cfg.if_blocks, r, cfg.top_k, rng)
         else:
-            if self.kind == "molora":
-                self.layer = init_molora(d_in, d_out, cfg.vu_blocks + cfg.if_blocks, r, cfg.top_k, rng)
-            else:
-                self.layer = init_smolora(
-                    d_in, d_out, cfg.vu_blocks, cfg.if_blocks, r, cfg.embed_dim, cfg.top_k, rng
-                )
-            self.W0 = self.layer.W0
+            self.layer = init_smolora(
+                d_in, d_out, cfg.vu_blocks, cfg.if_blocks, r, cfg.embed_dim, cfg.top_k, rng
+            )
+        self.W0 = self.layer.W0
 
     def forward(
         self,
@@ -148,24 +146,18 @@ class AdapterLayer:
         routing: list[LayerRouting] | None = None,
     ) -> np.ndarray:
         if self.kind == "seqlora":
-            return lora_apply(self.bank, x, self.W0, tape)
+            return lora_apply(self.layer.bank, x, self.W0, tape)
         if self.kind == "molora":
             return molora_forward(self.layer, x, tape)
         return smolora_forward(self.layer, x, instr_emb, tape, routing)
 
     def trainable(self) -> list[Matrix]:
         """The adapter's matrices, in the order the model packs them."""
-        if self.kind == "seqlora":
-            return [self.bank.A, self.bank.B]
         return self.layer.trainable()
 
     def named_matrices(self) -> dict[str, np.ndarray]:
         """W0, then the adapter's arrays, by checkpoint name; a block's are views of its bank's."""
-        if self.kind == "seqlora":
-            adapter = {"lora.A": self.bank.A.a, "lora.B": self.bank.B.a}
-        else:
-            adapter = self.layer.named()
-        return {f"{self.name}.{key}": a for key, a in {"W0": self.W0, **adapter}.items()}
+        return {f"{self.name}.{key}": a for key, a in {"W0": self.W0, **self.layer.named()}.items()}
 
 
 class ToyModel:

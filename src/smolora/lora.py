@@ -1,12 +1,18 @@
 """Low-rank adapter blocks and the mixture layers built from them.
 
-Three adapter designs share a frozen base weight W0:
+Three adapter designs share a frozen base weight W0, one layer type each:
 
-* a single LoRA block, a bank of one (sequential fine-tuning control),
-* a token-wise mixture of blocks with one router (MoLoRA control),
-* the separable mixture: one bank gated per instance on the averaged layer
-  input, a second bank gated on the instruction embedding, with the two bank
-  outputs fused per position by trainable importance scores.
+* :class:`LoRALayer`, a single LoRA block, a bank of one (sequential
+  fine-tuning control),
+* :class:`MoLoRALayer`, a token-wise mixture of blocks with one router
+  (MoLoRA control),
+* :class:`SMoLoRALayer`, the separable mixture: one bank gated per instance
+  on the averaged layer input, a second bank gated on the instruction
+  embedding, with the two bank outputs fused per position by trainable
+  importance scores.
+
+Each is drawn by its seeded `init_*` function and lists its trainable
+matrices (`trainable()`) and named arrays (`named()`) itself.
 
 Blocks initialize with B = 0 so a fresh layer is exactly W0 @ x.
 
@@ -125,6 +131,21 @@ def lora_apply(bank: LoRABank, x: np.ndarray, base: np.ndarray, tape: Tape | Non
 
         tape._ops.append(back)
     return y
+
+
+@dataclass
+class LoRALayer:
+    """Frozen W0 plus a bank of one block, applied by :func:`lora_apply`."""
+
+    W0: np.ndarray
+    bank: LoRABank
+
+    def trainable(self) -> list[Matrix]:
+        return [self.bank.A, self.bank.B]
+
+    def named(self) -> dict[str, np.ndarray]:
+        """Trainable arrays by checkpoint name, in checkpoint order: the bank's A and B."""
+        return {"lora.A": self.bank.A.a, "lora.B": self.bank.B.a}
 
 
 def _plus(acc: np.ndarray | None, term: np.ndarray | None) -> np.ndarray | None:
@@ -391,6 +412,13 @@ def init_smolora(
     R_if = Matrix(rng.normal(0.0, np.sqrt(1.0 / e), size=(N_minus_M, e)))
     I = Matrix(rng.normal(0.0, 0.02, size=(2, k_out)))
     return SMoLoRALayer(W0, vu_bank, if_bank, R_vu, R_if, I, top_k)
+
+
+def init_lora(d: int, k_out: int, r: int, seed: int | np.random.Generator) -> LoRALayer:
+    """Seeded one-block layer, W0 drawn before the block; a Generator seed is drawn from in place."""
+    rng = np.random.default_rng(seed)
+    W0 = rng.normal(0.0, np.sqrt(1.0 / d), size=(k_out, d))
+    return LoRALayer(W0, init_lora_bank(d, k_out, 1, r, rng))
 
 
 def init_molora(

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import re
 
 import pytest
 from _reference_tables import TABLES
 
-from smolora import benchmark
+from smolora import benchmark, harness
 from smolora.cli import build_parser, main
 from smolora.harness import RunConfig
 from smolora.metrics import (
@@ -153,8 +154,39 @@ class TestTrain:
         # A flag left out parses as None, so that it overrides no file value.
         args = build_parser().parse_args(["train", "--stream", "s", "--out-dir", "o"])
         for field in dataclasses.fields(RunConfig):
-            if field.name not in ("stream", "out_dir"):
-                assert getattr(args, field.name) is None, field.name
+            assert getattr(args, field.name) is None, field.name
+
+    def test_stream_and_out_dir_are_no_config_keys(self, stream_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "seqlora", "stream": str(stream_file)}))
+        err = one_line_error(capsys, 1, "usage error: ", "train", "--stream", str(stream_file),
+                             "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
+        assert "'stream'" in err
+
+    def test_manifest_hashes_the_stream_the_run_read(self, stream_file, tmp_path, monkeypatch):
+        # A stream file rewritten while the run trains is not the file it read.
+        read = stream_file.read_bytes()
+        run_cvit = harness.run_cvit
+
+        def rewrite_then_run(config, stream):
+            out = run_cvit(config, stream)
+            stream_file.write_bytes(read + b"\n")
+            return out
+
+        monkeypatch.setattr(harness, "run_cvit", rewrite_then_run)
+        out_dir = tmp_path / "run"
+        assert run_cli(*train_args(stream_file, out_dir)) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["stream"] == str(stream_file)
+        assert manifest["stream_sha256"] == hashlib.sha256(read).hexdigest()
+        assert "stream" not in manifest["config"] and "out_dir" not in manifest["config"]
+
+    def test_molora_top_k_is_bounded_by_its_one_bank(self, stream_file, tmp_path, capsys):
+        flags = ["--vu-blocks", "1", "--if-blocks", "1", "--top-k", "2"]
+        assert run_cli(*train_args(stream_file, tmp_path / "mo", method="molora"), *flags) == 0
+        err = one_line_error(capsys, 1, "configuration error: ",
+                             *train_args(stream_file, tmp_path / "smo", method="smolora"), *flags)
+        assert "top_k 2 out of range for banks of 1 and 1" in err
 
     def test_unknown_config_key_is_usage_error(self, stream_file, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -191,7 +223,7 @@ class TestBadValuesExitBeforeAnyWork:
 
     @pytest.fixture(autouse=True)
     def stream_unread(self, monkeypatch):
-        def read_stream(path):
+        def read_stream(path, data=None):
             raise AssertionError("the stream was read")
 
         monkeypatch.setattr(benchmark, "read_stream", read_stream)

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import smolora
+from smolora.harness import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(smolora.__file__).resolve().parent
@@ -79,6 +80,14 @@ def _unresolved_class_members(text: str) -> list[str]:
                        if inspect.isclass(obj) and obj.__module__ == module.__name__)
     return [f"{c}.{m}" for c, m in sorted(set(CLASS_MEMBER.findall(text)))
             if c not in classes or m not in _members(classes[c])]
+
+
+def test_readme_config_keys_are_the_run_config_fields():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"mirroring `RunConfig`\s+fields \(([^)]*)\)", text)
+    assert listed
+    keys = re.findall(r"`(\w+)`", listed.group(1))
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def test_readme_class_members_resolve():

@@ -136,8 +136,8 @@ class TestToyModel:
     def test_head_rank_is_clamped(self):
         cfg = small_config("seqlora", rank=16)
         model = ToyModel(cfg, 8, 4, 3)
-        assert model.head_content.bank.rank == 2  # min(16, 4) // 2
-        assert model.head_format.bank.rank == 1
+        assert model.head_content.layer.bank.rank == 2  # min(16, 4) // 2
+        assert model.head_format.layer.bank.rank == 1
 
     def test_missing_embedding_rejected(self):
         stream = small_stream()

@@ -17,6 +17,7 @@ from smolora.lora import (
     SMoLoRALayer,
     _bank,
     adaptive_fusion,
+    init_lora,
     init_lora_bank,
     init_molora,
     init_smolora,
@@ -84,6 +85,36 @@ class TestOneBlockBank:
         assert list(named) == ["lora0.A", "lora0.B"]
         assert np.shares_memory(named["lora0.A"], bank.A.a) and named["lora0.A"].shape == bank.A.shape
         assert np.shares_memory(named["lora0.B"], bank.B.a) and named["lora0.B"].shape == bank.B.shape
+
+
+class TestLoRALayer:
+    def test_init_draws_what_the_adapter_layer_drew(self):
+        # W0 and then the block's A, from one generator: the order in which
+        # seqlora's checkpoints have always been drawn.
+        layer = init_lora(d=6, k_out=4, r=2, seed=11)
+        rng = np.random.default_rng(11)
+        W0 = rng.normal(0.0, np.sqrt(1.0 / 6), size=(4, 6))
+        A = rng.normal(0.0, np.sqrt(1.0 / 6), size=(2, 6))
+        assert np.array_equal(layer.W0, W0)
+        assert np.array_equal(layer.bank.A.a, A)
+        assert np.array_equal(layer.bank.B.a, np.zeros((4, 2)))
+
+    def test_named_gives_views_of_the_bank(self):
+        layer = init_lora(d=6, k_out=4, r=2, seed=0)
+        FlatParameters(layer.trainable())
+        named = layer.named()
+        assert list(named) == ["lora.A", "lora.B"]
+        for name, m in (("lora.A", layer.bank.A), ("lora.B", layer.bank.B)):
+            assert named[name].shape == m.shape and np.shares_memory(named[name], m.a)
+            named[name][...] = 2.0
+            assert np.all(m.a == 2.0)
+
+    def test_trainable_packs_A_then_B(self):
+        layer = init_lora(d=6, k_out=4, r=2, seed=0)
+        A, B = layer.trainable()
+        assert A is layer.bank.A and B is layer.bank.B
+        params = FlatParameters([A, B])
+        assert np.shares_memory(params.flat[:12], A.a) and np.shares_memory(params.flat[12:], B.a)
 
 
 class TestMoLoRAForward:
@@ -477,7 +508,7 @@ class TestGradients:
         # The rule returns the input's gradient, W0's term included.
         rng = np.random.default_rng(80)
         layer = AdapterLayer("hidden", 6, 5, RunConfig(method="seqlora", rank=2), rng)
-        layer.bank.B.a[...] = rng.normal(size=layer.bank.B.shape)
+        layer.layer.bank.B.a[...] = rng.normal(size=layer.layer.bank.B.shape)
         params = FlatParameters(layer.trainable()).matrices
         x = rng.normal(size=(6, 3))
         emb = rng.normal(size=(64, 1))

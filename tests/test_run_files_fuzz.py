@@ -65,7 +65,7 @@ def model(run_dir):
     """An untrained model of the run's shape."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     config = RunConfig(**{**manifest["config"], "epochs": 0})
-    return run_cvit(config, read_stream(config.stream)[1])[0]
+    return run_cvit(config, read_stream(manifest["stream"])[1])[0]
 
 
 @given(data=st.data())
