@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, read_utf8
+from .errors import ConfigError, FormatError, parse_json, read_utf8
 from .routing import tokenize
 
 FORMAT_WORD = 0  # single word / short phrase
@@ -289,6 +289,7 @@ def write_stream(
 _TASK_KEYS = ("task_id", "class_count", "format_id", "templates", "cluster_stddev", "cluster_means")
 _RECORD_KEYS = ("task_id", "split", "visual", "instruction", "answer_class", "format_id")
 _SPLITS = ("train", "test")
+_NUMBERS = {int, float}  # the types json gives a JSON number
 
 
 def _fields(obj, keys: tuple[str, ...], what: str) -> list:
@@ -312,13 +313,17 @@ def _int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 
 
 def _finite(value, name: str, ndim: int) -> np.ndarray:
-    """A non-empty array of finite numbers with `ndim` dimensions."""
+    """A non-empty array of finite numbers with `ndim` dimensions. JSON lists must hold
+    JSON numbers: numpy would also convert a numeric text or a bool."""
     try:
         arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float64's range overflows
         raise ValueError(f"{name} is not an array of numbers") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    rows = value if ndim == 2 else [value]
+    if isinstance(value, list) and not all(set(map(type, row)) <= _NUMBERS for row in rows):
+        raise ValueError(f"{name} is not an array of numbers")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite values")
     return arr
@@ -333,7 +338,7 @@ def _task_spec(entry) -> TaskSpec:
     if not (isinstance(templates, list) and templates
             and all(isinstance(t, str) and t.strip() for t in templates)):
         raise ValueError(f"task {task_id}: templates must be a non-empty list of texts")
-    if isinstance(stddev, bool) or not isinstance(stddev, (int, float)) or not np.isfinite(stddev):
+    if isinstance(stddev, bool) or not isinstance(stddev, (int, float)) or not math.isfinite(stddev):
         raise ValueError(f"task {task_id}: cluster_stddev must be a finite number")
     return TaskSpec(
         task_id=task_id,
@@ -385,10 +390,7 @@ def read_stream(path, data: bytes | None = None) -> tuple[dict, list[tuple[TaskS
     lines = read_utf8(path, data).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty stream file", line=1)
-    try:
-        manifest = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: manifest is not valid JSON: {exc}", line=1) from None
+    manifest = parse_json(lines[0], f"{path}: manifest", 1)
     if not isinstance(manifest, dict) or "tasks" not in manifest:
         raise FormatError(f"{path}: manifest has no task table", line=1)
     specs: dict[int, TaskSpec] = {}
@@ -403,7 +405,7 @@ def read_stream(path, data: bytes | None = None) -> tuple[dict, list[tuple[TaskS
         widths = {spec.visual_cluster_means.shape[1] for spec in specs.values()}
         if len(widths) != 1:
             raise ValueError(f"tasks disagree on the visual width: {sorted(widths)}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a cluster_stddev beyond float64's range overflows
         raise FormatError(f"{path}: bad task table: {exc}", line=1) from None
     (d_v,) = widths
     emb_dim: int | None = None
@@ -415,9 +417,10 @@ def read_stream(path, data: bytes | None = None) -> tuple[dict, list[tuple[TaskS
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        record = parse_json(line, f"{path}: bad instance record", lineno)
         try:
-            key, visual, text, answer_class, emb = _instance(json.loads(line), specs, d_v, emb_dim)
-        except ValueError as exc:  # json.JSONDecodeError included
+            key, visual, text, answer_class, emb = _instance(record, specs, d_v, emb_dim)
+        except ValueError as exc:
             raise FormatError(f"{path}: bad instance record: {exc}", line=lineno) from None
         if emb is not None:
             emb_dim = emb.shape[0]

@@ -7,7 +7,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -16,7 +15,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import benchmark, harness, metrics
-from .errors import ConfigError, ContractError, FormatError, StageError, UsageError, read_utf8
+from .errors import (ConfigError, ContractError, FormatError, StageError, UsageError, parse_json, read_utf8,
+                     write_csv)
 from .metrics import round_display
 from .routing import read_fusion_csv, read_routing_csv, write_fusion_csv, write_routing_csv
 
@@ -47,13 +47,7 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def _read_json_object(path: Path) -> dict:
-    try:
-        obj = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc.msg}", line=exc.lineno) from None
-    except ValueError as exc:  # an int of too many digits
-        raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
+    if not isinstance(obj := parse_json(read_utf8(path), path), dict):
         raise FormatError(f"{path}: not a JSON object", line=1)
     return obj
 
@@ -84,7 +78,7 @@ def cmd_generate(args) -> int:
         )
     except ConfigError:
         raise
-    except ValueError as exc:  # a flag value out of its range
+    except (ValueError, MemoryError, OverflowError) as exc:  # a flag value out of its range, or too large
         raise UsageError(str(exc)) from None
     manifest = {
         "seed": args.seed,
@@ -144,33 +138,23 @@ def cmd_train(args) -> int:
             p.rmdir()
         raise
 
-    outputs: list[Path] = []
-
-    acc_path = out_dir / "accuracy.csv"
-    metrics.write_accuracy_csv(acc_path, report.content)
-    outputs.append(acc_path)
-    fmt_path = out_dir / "accuracy.format.csv"
-    metrics.write_accuracy_csv(fmt_path, report.format)
-    outputs.append(fmt_path)
-    rec_path = out_dir / "records.jsonl"
-    metrics.write_records_jsonl(rec_path, report.records)
-    outputs.append(rec_path)
-    ckpt_path = out_dir / "model.ckpt"
-    harness.save_checkpoint(model, ckpt_path)
-    outputs.append(ckpt_path)
-    metrics_path = out_dir / "metrics.json"
-    _dump_json(metrics_path, _report_dict(report.metrics))
-    outputs.append(metrics_path)
-    routing_path, fusion_path = out_dir / "routing.csv", out_dir / "fusion.csv"
+    writers = {
+        "accuracy.csv": lambda p: metrics.write_accuracy_csv(p, report.content),
+        "accuracy.format.csv": lambda p: metrics.write_accuracy_csv(p, report.format),
+        "records.jsonl": lambda p: metrics.write_records_jsonl(p, report.records),
+        "model.ckpt": lambda p: harness.save_checkpoint(model, p),
+        "metrics.json": lambda p: _dump_json(p, _report_dict(report.metrics)),
+        "routing.csv": lambda p: write_routing_csv(p, report.routing_hist),
+        "fusion.csv": lambda p: write_fusion_csv(p, report.fusion_stats),
+    }
     if report.routing_hist is None:
-        # An earlier separable run's files would be reported as this run's.
-        routing_path.unlink(missing_ok=True)
-        fusion_path.unlink(missing_ok=True)
-    else:
-        write_routing_csv(routing_path, report.routing_hist)
-        write_fusion_csv(fusion_path, report.fusion_stats)
-        outputs += [routing_path, fusion_path]
-
+        # An earlier separable run's routing summaries would be reported as this run's.
+        for name in ("routing.csv", "fusion.csv"):
+            del writers[name]
+            (out_dir / name).unlink(missing_ok=True)
+    outputs = [out_dir / name for name in writers]
+    for p in outputs:
+        writers[p.name](p)
     for p in outputs:
         if not p.exists() or p.stat().st_size == 0:
             raise ContractError(f"output file missing or empty: {p}")
@@ -217,13 +201,9 @@ def _load_run(run_dir: Path) -> dict:
 def _write_fig4_series(path: Path, a: metrics.AccuracyMatrix) -> None:
     """Per-task accuracy across stages: row per task, blank before it is learned."""
     t = a.stages
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["task"] + [f"stage_{k}" for k in range(1, t + 1)])
-        for j in range(1, t + 1):
-            row: list = [j] + [""] * (j - 1)
-            row += [repr(a.score(k, j)) for k in range(j, t + 1)]
-            w.writerow(row)
+    write_csv(path, ["task"] + [f"stage_{k}" for k in range(1, t + 1)],
+              ([j] + [""] * (j - 1) + [repr(a.score(k, j)) for k in range(j, t + 1)]
+               for j in range(1, t + 1)))
 
 
 def cmd_report(args) -> int:

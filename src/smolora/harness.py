@@ -109,7 +109,7 @@ class RunConfig:
         if not 1 <= self.top_k <= bound:
             raise ConfigError(f"top_k {self.top_k} out of range for {banks}")
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr <= sys.float_info.max:
             raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
 
 
@@ -354,11 +354,16 @@ def run_cvit(
     """Train sequentially over the stream, evaluating all seen tasks per stage."""
     if not stream:
         raise ValueError("run_cvit requires a non-empty stream")
-    attach_embeddings(stream, HashingEmbedder(config.embed_dim))
     d_v = stream[0][1].visual.shape[0]
     class_count = max(spec.class_count for spec, _, _ in stream)
     format_count = max(2, max(spec.format_id for spec, _, _ in stream) + 1)
-    model = ToyModel(config, d_v, class_count, format_count)
+    try:
+        attach_embeddings(stream, HashingEmbedder(config.embed_dim))
+        model = ToyModel(config, d_v, class_count, format_count)
+    except (ConfigError, FormatError):
+        raise
+    except (MemoryError, ValueError) as exc:  # numpy's message names the size it could not allocate
+        raise ConfigError(f"the configured sizes cannot be allocated: {exc}") from None
 
     for spec, _, test in stream:
         if test.visual.shape[0] != d_v:

@@ -14,16 +14,14 @@ through a single template and read back, complete, into the same table.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, MetricUndefinedError, read_utf8
+from .errors import (ContractError, FormatError, MetricUndefinedError, finite_floats, parse_json, read_csv,
+                     read_utf8, write_csv)
 
 
 class AccuracyMatrix:
@@ -189,52 +187,27 @@ def round_display(x: float, places: int = 2) -> float:
 def write_accuracy_csv(path, a: AccuracyMatrix) -> None:
     """Header stage,task_1..task_T for T stages; row k lists scores for tasks 1..k, then blanks."""
     t = a.stages
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["stage"] + [f"task_{j}" for j in range(1, t + 1)])
-        for k, row in enumerate(a.rows, start=1):
-            w.writerow([k] + [repr(x) for x in row] + [""] * (t - len(row)))
+    write_csv(path, ["stage"] + [f"task_{j}" for j in range(1, t + 1)],
+              ([k] + [repr(x) for x in row] + [""] * (t - len(row)) for k, row in enumerate(a.rows, start=1)))
 
 
 def read_accuracy_csv(path) -> AccuracyMatrix:
-    """The table of an accuracy file, as :func:`write_accuracy_csv` writes it.
-
-    The header is stage,task_1,...,task_W. Data row k (blank lines skipped)
-    is the stage number k, then k scores, then only blank cells, and no row
-    has more cells than the header. Any fault raises FormatError naming its
-    line.
-    """
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise FormatError(f"{path}: {exc}", line=reader.line_num) from None
-    header = rows[0] if rows else []
-    width = len(header)
-    if header != ["stage"] + [f"task_{j}" for j in range(1, width)]:
+    """The table of an accuracy file, as :func:`write_accuracy_csv` writes it: under the
+    header stage,task_1,...,task_W, data row k (blank lines skipped) is the stage
+    k, then k scores. Any fault raises FormatError naming its line."""
+    header, rows = read_csv(path)
+    if header != ["stage"] + [f"task_{j}" for j in range(1, len(header))]:
         raise FormatError(f"{path}: header {','.join(header)!r} is not stage,task_1,...,task_W", line=1)
     a = AccuracyMatrix()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if not row:
             continue
         k = a.stages + 1
-        if len(row) > width:
-            raise FormatError(f"{path}: {len(row)} cells, more than the header's {width}", line=lineno)
         if row[0] != str(k):
             raise FormatError(f"{path}: stage cell {row[0]!r} in data row {k}", line=lineno)
-        cells = row[1:]
-        while cells and cells[-1] == "":
-            cells.pop()
-        scores = []
-        for col, cell in enumerate(cells, start=2):
-            try:
-                scores.append(float(cell))
-            except ValueError:
-                what = "blank cell before a score" if cell == "" else f"non-numeric cell {cell!r}"
-                raise FormatError(f"{path}: {what} in column {col}", line=lineno) from None
         try:
-            a.add_row(scores)
-        except ContractError as exc:
+            a.add_row(finite_floats(row[1:], "score", 2))
+        except (ValueError, ContractError) as exc:
             raise FormatError(f"{path}: {exc}", line=lineno) from None
     if a.stages == 0:
         raise FormatError(f"{path}: no data rows", line=2)
@@ -265,10 +238,7 @@ def read_records_jsonl(path) -> Records:
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:  # json.JSONDecodeError, or an int of too many digits
-            raise FormatError(f"{path}: bad record: {exc}", line=lineno) from None
+        record = parse_json(line, f"{path}: bad record", lineno)
         if type(record) is not dict or record.keys() != columns.keys():
             raise FormatError(
                 f"{path}: a record must be an object with the keys {', '.join(columns)}",

@@ -13,16 +13,14 @@ and `fusion.csv` (:func:`fusion_stats`), are computed, written and read here.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import re
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, finite_float, read_utf8
+from .errors import FormatError, ShapeError, finite_floats, read_csv, write_csv
 from .tensor import check_finite, run_means
 
 # 64-bit token hash: blake2b keyed with an 8-byte zero seed, fixed for all
@@ -194,56 +192,42 @@ def histogram_entropy(freq: np.ndarray) -> float:
 
 def write_routing_csv(path, hist: Mapping[int, Mapping[str, np.ndarray]]) -> None:
     """CSV rows (task, bank, block_0..block_{n-1}); short banks pad with blanks."""
-    width = max(len(v) for banks in hist.values() for v in banks.values())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["task", "bank"] + [f"block_{i}" for i in range(width)])
-        for task_id in sorted(hist):
-            for bank in ("vu", "if"):
-                freq = hist[task_id][bank]
-                row = [task_id, bank] + [repr(float(x)) for x in freq]
-                row += [""] * (width - len(freq))
-                w.writerow(row)
+    rows = [[task_id, bank] + [repr(float(x)) for x in hist[task_id][bank]]
+            for task_id in sorted(hist) for bank in ("vu", "if")]
+    width = max(map(len, rows))
+    write_csv(path, ["task", "bank"] + [f"block_{i}" for i in range(width - 2)],
+              (row + [""] * (width - len(row)) for row in rows))
 
 
 def read_routing_csv(path) -> dict[int, dict[str, np.ndarray]]:
     """Frequencies per task and bank, in file order.
 
     The header is task,bank,block_0,...,block_{W-1} with W >= 1. A row is a
-    task id, a bank ('vu' or 'if'), then its frequencies, then only blank
-    cells, and no wider than the header; no (task, bank) pair repeats. The
-    frequencies are non-negative and sum to 1 within 1e-9, a bank has as
-    many at every task, and every task has both banks. Any fault raises
-    FormatError naming its line, or the task that lacks a bank.
+    task id, a bank ('vu' or 'if'), then its frequencies; no (task, bank)
+    pair repeats. The frequencies are non-negative and sum to 1 within 1e-9,
+    a bank has as many at every task, and every task has both banks. Any
+    fault raises FormatError naming its line, or the task that lacks a bank.
     """
     out: dict[int, dict[str, np.ndarray]] = {}
     widths: dict[str, int] = {}  # bank -> its block count at the first task
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    try:
-        header = next(reader, [])
-        width = len(header)
-        if width < 3 or header != ["task", "bank"] + [f"block_{i}" for i in range(width - 2)]:
-            raise ValueError(f"header {','.join(header)!r} is not task,bank,block_0,...,block_W")
-        for row in reader:
-            if len(row) > width:
-                raise ValueError(f"{len(row)} cells, more than the header's {width}")
+    header, rows = read_csv(path)
+    if len(header) < 3 or header != ["task", "bank"] + [f"block_{i}" for i in range(len(header) - 2)]:
+        raise FormatError(f"{path}: header {','.join(header)!r} is not task,bank,block_0,...,block_W", line=1)
+    for line, row in rows:
+        try:
             task_id, bank, cells = int(row[0]), row[1], row[2:]
             if bank not in ("vu", "if"):
                 raise ValueError(f"bank must be 'vu' or 'if', got {bank!r}")
             banks = out.setdefault(task_id, {})
             if bank in banks:
                 raise ValueError(f"task {task_id} bank {bank!r} appears twice")
-            while cells and cells[-1] == "":
-                cells.pop()
-            if "" in cells:
-                raise ValueError("a blank cell before a frequency")
-            freq = banks[bank] = np.array([finite_float(x) for x in cells])
+            freq = banks[bank] = np.array(finite_floats(cells, "frequency", 3))
             if (freq < 0).any() or abs(freq.sum() - 1.0) > 1e-9:
                 raise ValueError(f"frequencies must be non-negative and sum to 1, got {freq.tolist()}")
             if widths.setdefault(bank, freq.size) != freq.size:
                 raise ValueError(f"bank {bank!r} has {freq.size} blocks, not {widths[bank]} as above")
-    except (csv.Error, IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: bad routing row: {exc!r}", line=reader.line_num or 1) from None
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{path}: bad routing row: {exc!r}", line=line) from None
     for task_id, banks in out.items():
         if len(banks) < 2:
             raise FormatError(f"{path}: task {task_id} has no {'if' if 'vu' in banks else 'vu'} row")
@@ -255,11 +239,8 @@ _FUSION_FIELDS = ["layer", "mean_alpha", "std_alpha", "mean_beta", "std_beta"]
 
 def write_fusion_csv(path, stats: Sequence[Mapping]) -> None:
     """One row per :func:`fusion_stats` row, under the header of its five fields."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_FUSION_FIELDS)
-        for row in stats:
-            w.writerow([row["layer"]] + [repr(row[k]) for k in _FUSION_FIELDS[1:]])
+    write_csv(path, _FUSION_FIELDS,
+              ([row["layer"]] + [repr(row[k]) for k in _FUSION_FIELDS[1:]] for row in stats))
 
 
 def read_fusion_csv(path) -> list[dict]:
@@ -268,21 +249,23 @@ def read_fusion_csv(path) -> list[dict]:
     0, 1, ... in file order, each mean in [0, 1] and each sd >= 0. Any fault
     raises FormatError naming its line.
     """
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header, lines = read_csv(path)
+    if header != _FUSION_FIELDS:
+        raise FormatError(f"{path}: header is not {','.join(_FUSION_FIELDS)}", line=1)
     rows: list[dict] = []
-    try:
-        if next(reader, []) != _FUSION_FIELDS:
-            raise ValueError(f"header is not {','.join(_FUSION_FIELDS)}")
-        for cells in filter(None, reader):
+    for line, cells in lines:
+        if not cells:
+            continue
+        try:
             if len(cells) != len(_FUSION_FIELDS):
                 raise ValueError(f"{len(cells)} cells, not {len(_FUSION_FIELDS)}")
             if int(cells[0]) != len(rows):
                 raise ValueError(f"layer {cells[0]} where layer {len(rows)} is due")
-            row = dict(zip(_FUSION_FIELDS[1:], map(finite_float, cells[1:])))
+            row = dict(zip(_FUSION_FIELDS[1:], finite_floats(cells[1:], "value", 2)))
             for key, value in row.items():
                 if value < 0 or value > 1 and key.startswith("mean"):
                     raise ValueError(f"{key} {value!r} is out of range")
-            rows.append({"layer": len(rows), **row})
-    except (csv.Error, ValueError) as exc:
-        raise FormatError(f"{path}: bad fusion row: {exc!r}", line=reader.line_num or 1) from None
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad fusion row: {exc!r}", line=line) from None
+        rows.append({"layer": len(rows), **row})
     return rows

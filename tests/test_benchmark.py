@@ -129,6 +129,29 @@ class TestStreamFile:
         with pytest.raises(FormatError, match="line 3"):
             read_stream(path)
 
+    @pytest.mark.parametrize("lineno, key, value", [(1, "tasks", "[]"), (3, "task_id", "99")])
+    def test_repeated_key_reports_line(self, tmp_path, lineno, key, value):
+        # The manifest, then a record, with a first value for a key that the line repeats.
+        path = tmp_path / "stream.jsonl"
+        write_stream(path, _small_stream(), {"seed": 0})
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = lines[lineno - 1].replace("{", f'{{"{key}": {value}, ', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"the key '{key}' repeats.*line {lineno}"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("lineno, text", [(1, '{"seed": ' + "9" * 5000 + "}"), (2, "[" * 100_000)],
+                             ids=["manifest-digits", "record-nesting"])
+    def test_value_json_cannot_parse_reports_line(self, tmp_path, lineno, text):
+        # An int of too many digits in the manifest, and a record nested too deep.
+        path = tmp_path / "stream.jsonl"
+        write_stream(path, _small_stream(), {"seed": 0})
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"not valid JSON.*line {lineno}"):
+            read_stream(path)
+
     def test_embeddings_survive_round_trip(self, tmp_path):
         from smolora.routing import HashingEmbedder
 

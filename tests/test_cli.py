@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from _reference_tables import TABLES
 
+import smolora
 from smolora import benchmark, harness
 from smolora.cli import build_parser, main
 from smolora.harness import RunConfig
@@ -197,7 +202,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("text, where", [('{"method": "seqlora",\n oops}', "(line 2)"),
                                              ('["seqlora"]', "(line 1)"),
-                                             (b'{"method": "seq\xfflora"}', "(byte offset 15)")])
+                                             (b'{"method": "seq\xfflora"}', "(byte offset 15)"),
+                                             ('{"method": "seqlora", "method": "smolora", "epochs": 1}',
+                                              "the key 'method' repeats")])
     def test_malformed_config_is_format_error(self, stream_file, tmp_path, capsys, text, where):
         cfg_path = tmp_path / "cfg.json"
         if isinstance(text, bytes):
@@ -207,6 +214,13 @@ class TestTrain:
         err = format_error(capsys, "train", "--stream", str(stream_file),
                            "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
         assert "cfg.json" in err and where in err
+
+    def test_config_nested_too_deep_is_format_error(self, stream_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[" * 100_000)
+        err = format_error(capsys, "train", "--stream", str(stream_file),
+                           "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
+        assert "cfg.json: not valid JSON: maximum recursion depth" in err
 
 
 def one_line_error(capsys, code, prefix, *argv) -> str:
@@ -245,6 +259,13 @@ class TestBadValuesExitBeforeAnyWork:
                              "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
         assert key in err
 
+    def test_learning_rate_beyond_float_range(self, stream_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "seqlora", "learning_rate": 10**400}))
+        err = one_line_error(capsys, 1, "configuration error: ", "train", "--stream", str(stream_file),
+                             "--out-dir", str(tmp_path / "r"), "--config", str(cfg_path))
+        assert "learning_rate" in err
+
     def test_out_dir_that_is_a_file(self, stream_file, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("not a directory\n")
@@ -261,6 +282,26 @@ class TestBadValuesExitBeforeAnyWork:
     def test_generate_flag_that_writes_an_untrainable_stream(self, tmp_path, capsys, flag, value, named):
         path = tmp_path / "s.jsonl"
         assert named in one_line_error(capsys, 1, "usage error: ", *generate_args(path), flag, value)
+        assert not path.exists()
+
+
+class TestSizesThatCannotBeAllocated:
+    """Each size asks numpy for 2^57 bytes or more, or for more than an array may hold,
+    so the first allocation fails at once on any host."""
+
+    @pytest.mark.parametrize("flag, value", [("--embed-dim", 10**15), ("--embed-dim", 10**18),
+                                             ("--hidden", 10**20)])
+    def test_train(self, stream_file, tmp_path, capsys, flag, value):
+        err = one_line_error(capsys, 1, "configuration error: ",
+                             *train_args(stream_file, tmp_path / "r"), flag, str(value))
+        assert "cannot be allocated" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--dv", 10**16), ("--train-per-task", 10**400)],
+                             ids=["dv", "train-per-task"])
+    def test_generate(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "s.jsonl"
+        one_line_error(capsys, 1, "usage error: ", *generate_args(path), flag, str(value))
         assert not path.exists()
 
 
@@ -332,6 +373,12 @@ STREAM_FAULTS = {
     "format-id-mismatch": (8, lambda r: r.update(format_id=r["format_id"] + 1)),
     "nan-visual": (9, lambda r: r["visual"].__setitem__(0, float("nan"))),
     "tokenless-instruction": (10, lambda r: r.update(instruction="?! ...")),
+    "quoted-visual": (2, lambda r: r.update(visual=[repr(x) for x in r["visual"]])),
+    "bool-visual": (3, lambda r: r["visual"].__setitem__(0, True)),
+    "quoted-cluster-means": (1, lambda m: m["tasks"][0]["cluster_means"][0].__setitem__(0, "0.5")),
+    "bool-embedding": (11, lambda r: r.update(embedding=[False] + [0.25] * 15)),
+    "huge-int-visual": (12, lambda r: r["visual"].__setitem__(0, 10**400)),
+    "huge-int-stddev": (1, lambda m: m["tasks"][0].update(cluster_stddev=10**400)),
 }
 
 
@@ -549,8 +596,10 @@ class TestMalformedRecords:
             (b'{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": 1, '
              b'"task_id": 0\xff}', f"(byte offset {2 * len(_GOOD_RECORD) - 2})"),
             (_GOOD_RECORD.strip().encode(), "repeats the record of line 1 (line 2)"),
+            (b'{"content_correct": 1, "format_correct": 0, "instance_index": 0, "stage": 99, "stage": 1, '
+             b'"task_id": 0}', "the key 'stage' repeats (line 2)"),
         ],
-        ids=["missing-key", "array", "string-stage", "non-utf8", "repeated"],
+        ids=["missing-key", "array", "string-stage", "non-utf8", "repeated", "repeated-key"],
     )
     def test_bad_records_exit_3_naming_the_place(self, tmp_path, capsys, second_line, where):
         path = tmp_path / "records.jsonl"
@@ -584,6 +633,11 @@ class TestMalformedRunDirectory:
         (run_dir / name).write_text('{\n  "ap": 1.0,\n  oops\n}\n')
         err = format_error(capsys, "report", str(run_dir))
         assert name in err and "(line 3)" in err
+
+    def test_repeated_key(self, run_dir, capsys):
+        (run_dir / "manifest.json").write_text('{"method": "seqlora", "method": "smolora"}\n')
+        err = format_error(capsys, "report", str(run_dir))
+        assert "manifest.json: not valid JSON: the key 'method' repeats" in err
 
     def test_int_too_long_to_convert(self, run_dir, capsys):
         (run_dir / "manifest.json").write_text('{"method": ' + "9" * 5000 + "}\n")
@@ -699,3 +753,24 @@ class TestMalformedRunDirectory:
         err = format_error(capsys, "report", str(run_dir))
         task = (line - 2) // 2
         assert f"routing.csv: task {task} has no {bank} row" in err
+
+
+@pytest.mark.parametrize("method, top_k", [("molora", "1"), ("smolora", "2")])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, method, top_k):
+    # 96-instance test splits make the hidden layer's (64 x 64) @ (64 x 192)
+    # evaluation products, which OpenBLAS splits across threads when it may.
+    stream = tmp_path / "stream.jsonl"
+    assert run_cli("generate", "--seed", "1", "--tasks", "3", "--train-per-task", "8",
+                   "--test-per-task", "96", "--out", str(stream)) == 0
+    src = str(Path(smolora.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "smolora.cli", "train", "--stream", str(stream),
+                        "--out-dir", str(tmp_path / threads), "--method", method, "--top-k", top_k,
+                        "--batch-size", "4", "--epochs", "1", "--lr", "0.25"],
+                       env=env, check=True, capture_output=True, timeout=120)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

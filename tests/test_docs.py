@@ -25,7 +25,7 @@ from smolora.harness import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(smolora.__file__).resolve().parent
-MODULES = ("tensor", "lora", "routing", "harness", "metrics", "benchmark", "cli")
+MODULES = ("tensor", "lora", "routing", "harness", "metrics", "benchmark", "cli", "errors")
 README_NAME = re.compile(rf"`((?:{'|'.join(MODULES)})(?:\.\w+)+)")
 # A file the program reads or writes (`metrics.json`, `routing.csv`) is no name.
 FILE_SUFFIXES = {"json", "jsonl", "csv", "ckpt", "py"}

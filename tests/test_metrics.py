@@ -337,6 +337,8 @@ class TestRecordsFile:
              '"task_id": 9223372036854775808}', "task_id must be an int64 >= 0"),
             ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
              '"task_id": 0}', "repeats the record of line 1"),
+            ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 99, '
+             '"stage": 1, "task_id": 0}', "the key 'stage' repeats"),
             ('{"content_correct": 1,', "bad record"),
             ('{"content_correct": 1, "format_correct": 1, "instance_index": 0, "stage": 1, '
              '"task_id": ' + "9" * 5000 + "}", "bad record"),
@@ -349,3 +351,9 @@ class TestRecordsFile:
         with pytest.raises(FormatError, match="line 3") as exc:
             read_records_jsonl(path)
         assert problem in str(exc.value)
+
+    def test_record_nested_too_deep_names_its_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n" + "[" * 100_000 + "\n")
+        with pytest.raises(FormatError, match="bad record: not valid JSON: maximum recursion depth.*line 2"):
+            read_records_jsonl(path)
